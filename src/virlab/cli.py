@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from .attacks import LossMode, run_attack
-from .config import PROFILES, canonical_json, config_to_obj, resolve_config
+from .codec import canonical_json
+from .config import PROFILES, config_to_obj, resolve_config
 from .data import Dataset, save_csv
 from .errors import ConfigError, DataFormatError, NumericAbort
 from .gmm import GmmSpec, corollary_check, risk_report

@@ -1,104 +1,24 @@
-"""Run configuration: dataclasses, canonical-JSON (de)serialization, profiles.
+"""Run configuration: dataclasses, their JSON form, and named profiles.
 
-A run is one JSON document. Parsing is strict: unknown keys anywhere in the
-tree are rejected, so typos fail fast instead of silently training with a
-default. Profiles ("desk", "paper") are full TrainConfigs; a config file and
-CLI flags override them field by field (flag > config file > profile).
+A run is one JSON document, decoded by the strict codec in ``codec``:
+unknown keys anywhere in the tree and ill-typed values are rejected, so
+typos fail fast instead of silently training with a default. Profiles
+("desk", "paper") are full TrainConfigs; a config file and CLI flags
+override them field by field (flag > config file > profile).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .attacks import AttackSpec
+from .codec import check_keys, from_obj, to_obj
 from .data import Dataset, from_gmm, load_csv, load_idx, synth_multiclass
 from .errors import ConfigError
 from .gmm import GmmSpec
 from .models import Arch, ConvStem
 from .objectives import ObjectiveSpec
-from .reweight import WeightScheme
-
-
-def _check_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
-    if missing:
-        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-
-
-# -- leaf specs ----------------------------------------------------------------
-
-_ATTACK_KEYS = ("family", "epsilon", "step_size", "iterations", "loss_mode",
-                "bounds", "seed", "start_noise_scale", "spsa_samples",
-                "spsa_perturb", "spsa_lr")
-_SCHEME_KEYS = ("family", "alpha", "gamma", "beta", "lambda_g", "k_pgd",
-                "burn_in_epoch")
-_OBJECTIVE_KEYS = ("family", "trade_off", "weight_scheme", "ablation")
-
-
-def attack_from_obj(obj: dict, where: str = "attack") -> AttackSpec:
-    _check_keys(obj, where, ("family", "epsilon"), _ATTACK_KEYS[2:])
-    kwargs = dict(obj)
-    if kwargs.get("bounds") is not None:
-        kwargs["bounds"] = tuple(kwargs["bounds"])
-    try:
-        return AttackSpec(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def attack_to_obj(spec: AttackSpec) -> dict:
-    return {
-        "family": spec.family.value, "epsilon": spec.epsilon,
-        "step_size": spec.step_size, "iterations": spec.iterations,
-        "loss_mode": spec.loss_mode.value,
-        "bounds": None if spec.bounds is None else list(spec.bounds),
-        "seed": spec.seed, "start_noise_scale": spec.start_noise_scale,
-        "spsa_samples": spec.spsa_samples, "spsa_perturb": spec.spsa_perturb,
-        "spsa_lr": spec.spsa_lr,
-    }
-
-
-def scheme_from_obj(obj: dict, where: str = "weight_scheme") -> WeightScheme:
-    _check_keys(obj, where, ("family",), _SCHEME_KEYS[1:])
-    try:
-        return WeightScheme(**obj)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def scheme_to_obj(s: WeightScheme) -> dict:
-    return {"family": s.family.value, "alpha": s.alpha, "gamma": s.gamma,
-            "beta": s.beta, "lambda_g": s.lambda_g, "k_pgd": s.k_pgd,
-            "burn_in_epoch": s.burn_in_epoch}
-
-
-def objective_from_obj(obj: dict, where: str = "objective") -> ObjectiveSpec:
-    _check_keys(obj, where, ("family",), _OBJECTIVE_KEYS[1:])
-    kwargs = dict(obj)
-    if "weight_scheme" in kwargs:
-        kwargs["weight_scheme"] = scheme_from_obj(
-            kwargs["weight_scheme"], f"{where}.weight_scheme"
-        )
-    try:
-        return ObjectiveSpec(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def objective_to_obj(o: ObjectiveSpec) -> dict:
-    return {"family": o.family.value, "trade_off": o.trade_off,
-            "weight_scheme": scheme_to_obj(o.weight_scheme),
-            "ablation": o.ablation.value}
-
-
-# -- optimizer / model / data --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -106,7 +26,7 @@ class OptimConfig:
     base_lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0
-    milestones: tuple = (75, 90)
+    milestones: tuple[int, ...] = (75, 90)
     decay_factor: float = 10.0
 
     def __post_init__(self):
@@ -124,14 +44,11 @@ class OptimConfig:
             raise ConfigError(f"milestones must increase strictly: {self.milestones}")
 
 
-_OPTIM_KEYS = ("base_lr", "momentum", "weight_decay", "milestones", "decay_factor")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Dense widths plus an optional single conv stem (needs image geometry)."""
 
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     conv: ConvStem | None = None
 
     def __post_init__(self):
@@ -150,15 +67,16 @@ class ModelConfig:
         return Arch((input_dim, *self.hidden, num_classes))
 
 
-_CONV_KEYS = ("height", "width", "filters", "kernel_size")
-
-_DATA_KEYS: dict[str, tuple[tuple, tuple]] = {
-    # kind -> (required, optional)
-    "synth": (("num_classes", "dim", "variances", "separation", "per_class_n"),
-              ("seed", "eval_per_class_n", "eval_seed")),
-    "gmm": (("d", "eta", "sigma", "k_var", "n"), ("seed", "eval_n", "eval_seed")),
-    "idx": (("images", "labels"), ("eval_images", "eval_labels")),
-    "csv": (("path",), ("eval_path",)),
+_DATA_KEYS: dict[str, tuple[dict, dict]] = {
+    # kind -> (required, optional), each key -> its type
+    "synth": ({"num_classes": int, "dim": int, "variances": tuple[float, ...],
+               "separation": float, "per_class_n": int},
+              {"seed": int, "eval_per_class_n": int, "eval_seed": int}),
+    "gmm": ({"d": int, "eta": float, "sigma": float, "k_var": float, "n": int},
+            {"seed": int, "eval_n": int, "eval_seed": int}),
+    "idx": ({"images": str, "labels": str},
+            {"eval_images": str, "eval_labels": str}),
+    "csv": ({"path": str}, {"eval_path": str}),
 }
 
 
@@ -167,20 +85,26 @@ class DataSource:
     """Where training (and optionally held-out) data comes from.
 
     kind is one of synth/gmm/idx/csv; params holds that kind's fields,
-    validated against _DATA_KEYS. Synthetic eval splits draw from an
-    independent stream (eval_seed, default seed+1).
+    checked against _DATA_KEYS (names and types) but stored as given. On
+    the wire the two are one flat object, {"kind": ..., **params}.
+    Synthetic eval splits draw from an independent stream (eval_seed,
+    default seed+1).
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _DATA_KEYS:
+        if not isinstance(self.kind, str) or self.kind not in _DATA_KEYS:
             raise ConfigError(
                 f"dataset kind must be one of {sorted(_DATA_KEYS)}, got {self.kind!r}"
             )
+        where = f"dataset[{self.kind}]"
         required, optional = _DATA_KEYS[self.kind]
-        _check_keys(self.params, f"dataset[{self.kind}]", required, optional)
+        check_keys(self.params, where, required, optional)
+        declared = {**required, **optional}
+        for key, value in self.params.items():
+            from_obj(declared[key], value, f"{where}.{key}")
         if self.kind == "idx":
             have = [k for k in ("eval_images", "eval_labels") if k in self.params]
             if len(have) == 1:
@@ -189,26 +113,26 @@ class DataSource:
     def load(self) -> tuple[Dataset, Dataset | None]:
         p = self.params
         if self.kind == "synth":
-            seed = int(p.get("seed", 0))
+            seed = p.get("seed", 0)
             train = synth_multiclass(p["num_classes"], p["per_class_n"],
                                      p["variances"], p["separation"],
                                      p["dim"], seed)
-            n_eval = int(p.get("eval_per_class_n", 0))
+            n_eval = p.get("eval_per_class_n", 0)
             if n_eval <= 0:
                 return train, None
             eval_set = synth_multiclass(p["num_classes"], n_eval,
                                         p["variances"], p["separation"],
-                                        p["dim"], int(p.get("eval_seed", seed + 1)))
+                                        p["dim"], p.get("eval_seed", seed + 1))
             return train, eval_set
         if self.kind == "gmm":
-            spec = GmmSpec(d=int(p["d"]), eta=p["eta"], sigma=p["sigma"],
+            spec = GmmSpec(d=p["d"], eta=p["eta"], sigma=p["sigma"],
                            k_var=p["k_var"])
-            seed = int(p.get("seed", 0))
-            train = from_gmm(spec, int(p["n"]), seed)
-            n_eval = int(p.get("eval_n", 0))
+            seed = p.get("seed", 0)
+            train = from_gmm(spec, p["n"], seed)
+            n_eval = p.get("eval_n", 0)
             if n_eval <= 0:
                 return train, None
-            return train, from_gmm(spec, n_eval, int(p.get("eval_seed", seed + 1)))
+            return train, from_gmm(spec, n_eval, p.get("eval_seed", seed + 1))
         if self.kind == "idx":
             train = load_idx(p["images"], p["labels"])
             if "eval_images" in p:
@@ -222,26 +146,21 @@ class DataSource:
     def to_obj(self) -> dict:
         return {"kind": self.kind, **self.params}
 
-
-def data_from_obj(obj: dict) -> DataSource:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("dataset must be an object with a 'kind' key")
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    return DataSource(obj["kind"], params)
+    @classmethod
+    def from_obj(cls, obj, where: str) -> "DataSource":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ConfigError(f"{where} must be an object with a 'kind' key")
+        return cls(obj["kind"], {k: v for k, v in obj.items() if k != "kind"})
 
 
 # -- the run config ------------------------------------------------------------
-
-_TRAIN_KEYS = ("seed", "epochs", "batch_size", "eval_every", "log_weights_every",
-               "optimizer", "objective", "attack_train", "attack_eval", "model",
-               "dataset")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     objective: ObjectiveSpec
     attack_train: AttackSpec
-    attack_eval: tuple
+    attack_eval: tuple[AttackSpec, ...]
     dataset: DataSource
     optimizer: OptimConfig = OptimConfig()
     model: ModelConfig = ModelConfig()
@@ -270,60 +189,11 @@ class TrainConfig:
 
 
 def config_from_obj(obj: dict) -> TrainConfig:
-    _check_keys(obj, "config", ("objective", "attack_train", "attack_eval", "dataset"),
-                tuple(k for k in _TRAIN_KEYS
-                      if k not in ("objective", "attack_train", "attack_eval", "dataset")))
-    opt_obj = obj.get("optimizer", {})
-    _check_keys(opt_obj, "optimizer", (), _OPTIM_KEYS)
-    if "milestones" in opt_obj:
-        opt_obj = dict(opt_obj, milestones=tuple(opt_obj["milestones"]))
-    model_obj = obj.get("model", {})
-    _check_keys(model_obj, "model", (), ("hidden", "conv"))
-    conv = None
-    if model_obj.get("conv") is not None:
-        _check_keys(model_obj["conv"], "model.conv", _CONV_KEYS)
-        conv = ConvStem(**model_obj["conv"])
-    if not isinstance(obj["attack_eval"], list):
-        raise ConfigError("attack_eval must be a list of attack objects")
-    return TrainConfig(
-        objective=objective_from_obj(obj["objective"]),
-        attack_train=attack_from_obj(obj["attack_train"], "attack_train"),
-        attack_eval=tuple(attack_from_obj(a, f"attack_eval[{i}]")
-                          for i, a in enumerate(obj["attack_eval"])),
-        dataset=data_from_obj(obj["dataset"]),
-        optimizer=OptimConfig(**opt_obj),
-        model=ModelConfig(hidden=tuple(model_obj.get("hidden", (64, 64))), conv=conv),
-        epochs=int(obj.get("epochs", 115)),
-        batch_size=int(obj.get("batch_size", 128)),
-        seed=int(obj.get("seed", 0)),
-        eval_every=int(obj.get("eval_every", 5)),
-        log_weights_every=int(obj.get("log_weights_every", 1)),
-    )
+    return from_obj(TrainConfig, obj, "config")
 
 
 def config_to_obj(c: TrainConfig) -> dict:
-    conv = c.model.conv
-    return {
-        "seed": c.seed, "epochs": c.epochs, "batch_size": c.batch_size,
-        "eval_every": c.eval_every, "log_weights_every": c.log_weights_every,
-        "optimizer": {"base_lr": c.optimizer.base_lr,
-                      "momentum": c.optimizer.momentum,
-                      "weight_decay": c.optimizer.weight_decay,
-                      "milestones": list(c.optimizer.milestones),
-                      "decay_factor": c.optimizer.decay_factor},
-        "objective": objective_to_obj(c.objective),
-        "attack_train": attack_to_obj(c.attack_train),
-        "attack_eval": [attack_to_obj(a) for a in c.attack_eval],
-        "model": {"hidden": list(c.model.hidden),
-                  "conv": None if conv is None else
-                  {"height": conv.height, "width": conv.width,
-                   "filters": conv.filters, "kernel_size": conv.kernel_size}},
-        "dataset": c.dataset.to_obj(),
-    }
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return to_obj(c)
 
 
 def load_config_file(path) -> dict:

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericAbort -> 3, DataFormatError (and OSError) -> 4.
+NumericAbort -> 3, DataFormatError (and OSError) -> 4. NonFiniteError is
+what the numeric kernels raise on NaN/inf input; training turns it into
+NumericAbort with the epoch and batch where it happened.
 """
 
 
@@ -11,6 +13,10 @@ class ConfigError(ValueError):
 
 class ShapeError(ValueError):
     """Operands have incompatible or unexpected shapes."""
+
+
+class NonFiniteError(ValueError):
+    """A numeric kernel received NaN or infinite values."""
 
 
 class NumericAbort(RuntimeError):

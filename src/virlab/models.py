@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import Tensor, _softmax_values, sliding_patches
 
@@ -85,29 +86,6 @@ class Arch:
     @property
     def num_classes(self) -> int:
         return self.layers[-1]
-
-    def to_json_obj(self):
-        conv = None
-        if self.conv is not None:
-            conv = {
-                "filters": self.conv.filters,
-                "height": self.conv.height,
-                "kernel_size": self.conv.kernel_size,
-                "width": self.conv.width,
-            }
-        return {"conv": conv, "layers": list(self.layers)}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Arch":
-        if set(obj) != {"conv", "layers"}:
-            raise CheckpointError(f"unexpected architecture fields {sorted(obj)}")
-        conv = None
-        if obj["conv"] is not None:
-            c = obj["conv"]
-            if set(c) != {"filters", "height", "kernel_size", "width"}:
-                raise CheckpointError(f"unexpected conv fields {sorted(c)}")
-            conv = ConvStem(c["height"], c["width"], c["filters"], c["kernel_size"])
-        return cls(tuple(obj["layers"]), conv)
 
 
 class Classifier:
@@ -200,13 +178,9 @@ def vulnerability_order(model: Classifier, x, y) -> np.ndarray:
 # -- checkpoint I/O ------------------------------------------------------------
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_checkpoint(model: Classifier, path, epoch: int = 0, rng_seed: int | None = None) -> None:
-    meta = {"arch": model.arch.to_json_obj(), "epoch": int(epoch), "rng_seed": rng_seed}
-    blob = _canonical_json(meta)
+    meta = {"arch": to_obj(model.arch), "epoch": int(epoch), "rng_seed": rng_seed}
+    blob = canonical_json(meta).encode("utf-8")
     parts = [MAGIC, _U64.pack(len(blob)), blob]
     for name, p in model.params.items():
         encoded = name.encode("utf-8")
@@ -266,7 +240,10 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
         raise CheckpointError(f"bad checkpoint metadata: {e}") from e
     if set(meta) != {"arch", "epoch", "rng_seed"}:
         raise CheckpointError(f"unexpected metadata fields {sorted(meta)}")
-    arch = Arch.from_json_obj(meta["arch"])
+    try:
+        arch = from_obj(Arch, meta["arch"], "arch")
+    except ConfigError as e:
+        raise CheckpointError(f"bad checkpoint architecture: {e}") from e
 
     params: dict[str, np.ndarray] = {}
     while r.remaining > 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .models import Classifier
-from .reweight import Ablation, WeightScheme, vir_weight, vulnerability_score
+from .reweight import Ablation, WeightScheme
 from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
@@ -104,18 +104,3 @@ def vir_trades_loss(model: Classifier, x_nat, x_adv, y, trade_off: float,
     kl = kl_divergence(softmax(z_nat), softmax(z_adv))
     return (ce + trade_off * (Tensor(w) * kl)).mean()
 
-
-def ablation_weights(scheme: WeightScheme, ablation: Ablation, prob_true,
-                     discrepancies) -> np.ndarray:
-    """Weight vector for one ablation row: the full product-plus-floor, the
-    vulnerability score alone, or the discrepancy score alone (no floor)."""
-    if isinstance(ablation, str):
-        ablation = Ablation(ablation)
-    s_v = vulnerability_score(np.asarray(prob_true, dtype=np.float64),
-                              scheme.alpha, scheme.gamma)
-    s_d = np.asarray(discrepancies, dtype=np.float64)
-    if ablation is Ablation.FULL:
-        return vir_weight(s_v, s_d, scheme.beta)
-    if ablation is Ablation.SV_ONLY:
-        return np.asarray(s_v)
-    return s_d.copy()

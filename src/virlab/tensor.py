@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 # Probabilities below this are clamped before entering a logarithm.
 PROB_FLOOR = 1e-12
@@ -238,7 +238,7 @@ def _check_logits(logits: Tensor) -> np.ndarray:
     if z.ndim != 2:
         raise ShapeError(f"expected [batch, classes] logits, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite values")
+        raise NonFiniteError("logits contain non-finite values")
     return z
 
 
@@ -302,7 +302,7 @@ def _check_stochastic(name: str, t: Tensor) -> np.ndarray:
     if v.ndim != 2:
         raise ShapeError(f"{name} must be [batch, classes], got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     if v.min() < -1e-12:
         raise ValueError(f"{name} contains negative entries")
     if np.abs(v.sum(axis=1) - 1.0).max() > 1e-9:

@@ -19,7 +19,7 @@ from .attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                       run_attack)
 from .config import TrainConfig
 from .data import Dataset, batch_indices
-from .errors import ConfigError, NumericAbort, ShapeError
+from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, predict_probs, save_checkpoint
 from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
                          vir_trades_loss)
@@ -275,12 +275,10 @@ def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
                     epoch_records.extend(records)
 
                     loss = _batch_loss(model, config.objective, xb, x_adv, yb, w)
-                except ValueError as e:
+                except NonFiniteError as e:
                     # Overflowing parameters surface as non-finite-logit
                     # errors inside the attack or loss; label them with the
-                    # position. Structural errors keep their own types.
-                    if isinstance(e, (ConfigError, ShapeError)):
-                        raise
+                    # position.
                     raise NumericAbort(
                         f"numeric failure at epoch {epoch}, batch {batch_idx}: {e}"
                     ) from e
@@ -308,12 +306,10 @@ def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
             try:
                 report = evaluate(model, eval_on,
                                   config.attack_eval if run_robust else [])
-            except ValueError as e:
+            except NonFiniteError as e:
                 # A step can push parameters non-finite after the last
                 # batch loss was checked; the divergence then surfaces in
                 # the eval forward instead.
-                if isinstance(e, (ConfigError, ShapeError)):
-                    raise
                 raise NumericAbort(
                     f"numeric failure during evaluation at epoch {epoch}: {e}"
                 ) from e
@@ -345,15 +341,8 @@ def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
             log.write_csv(fh)
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.ckpt"),
                         epoch=config.epochs, rng_seed=config.seed)
-        try:
-            final_report = evaluate(model, eval_on, config.attack_eval)
-        except ValueError as e:
-            if isinstance(e, (ConfigError, ShapeError)):
-                raise
-            raise NumericAbort(
-                f"numeric failure during evaluation at epoch {config.epochs}: {e}"
-            ) from e
-        write_confusions(final_report, out_dir)
+        # The final epoch always runs the full robust eval on the final model.
+        write_confusions(report, out_dir)
     return model, log
 
 
@@ -407,14 +396,11 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
                         run_dir = os.path.join(
                             out_dir, f"run_a{a}_g{g}_b{b}".replace(".", "p")
                         )
-                    model, _ = train(point, out_dir=run_dir)
-                    train_set, eval_set = point.dataset.load()
-                    report = evaluate(model,
-                                      eval_set if eval_set is not None else train_set,
-                                      point.attack_eval)
-                    row["clean_acc"] = report.clean_accuracy
+                    _, log = train(point, out_dir=run_dir)
+                    final = log.rows[-1]
+                    row["clean_acc"] = final.clean_accuracy
                     for n in attack_names:
-                        row[f"robust_acc_{n}"] = report.robust_accuracy[n]
+                        row[f"robust_acc_{n}"] = final.robust_accuracy[n]
                 except Exception as e:  # noqa: BLE001 - record and continue
                     row["status"] = "failed"
                     row["error"] = f"{type(e).__name__}: {e}"

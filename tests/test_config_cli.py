@@ -1,17 +1,26 @@
 """Config resolution (profiles, files, dotted overrides) and the CLI surface."""
 
 import csv
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from virlab.attacks import AttackFamily, AttackSpec, LossMode
 from virlab.cli import main
-from virlab.config import (DataSource, canonical_json, config_from_obj,
-                           config_to_obj, deep_merge, desk_profile,
-                           paper_profile, resolve_config, set_dotted)
+from virlab.codec import canonical_json
+from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
+                           config_from_obj, config_to_obj, deep_merge,
+                           desk_profile, resolve_config, set_dotted)
 from virlab.data import load_csv, save_idx, synth_multiclass
 from virlab.errors import ConfigError
+from virlab.models import ConvStem
+from virlab.objectives import ObjectiveFamily, ObjectiveSpec
+from virlab.reweight import Ablation, WeightFamily, WeightScheme
 
 TINY_SETS = {
     "epochs": "2",
@@ -50,20 +59,40 @@ def train_run(tmp_path_factory):
 # -- config resolution -----------------------------------------------------------
 
 
-def test_unknown_keys_rejected_at_every_level():
+def test_unknown_keys_rejected_at_every_level(tmp_path, capsys):
     cases = [
-        ("bogus", "config has unknown keys"),
-        ("optimizer.bogus", "optimizer has unknown keys"),
-        ("objective.bogus", "objective has unknown keys"),
-        ("objective.weight_scheme.bogus", "weight_scheme has unknown keys"),
-        ("attack_train.bogus", "attack_train has unknown keys"),
-        ("attack_eval.0.bogus", r"attack_eval\[0\] has unknown keys"),
-        ("model.bogus", "model has unknown keys"),
-        ("dataset.bogus", r"dataset\[synth\] has unknown keys"),
+        ("bogus", 1, "config has unknown keys"),
+        ("optimizer.bogus", 1, "optimizer has unknown keys"),
+        ("objective.bogus", 1, "objective has unknown keys"),
+        ("objective.weight_scheme.bogus", 1, "weight_scheme has unknown keys"),
+        ("attack_train.bogus", 1, "attack_train has unknown keys"),
+        ("attack_eval.0.bogus", 1, r"attack_eval\[0\] has unknown keys"),
+        ("model.bogus", 1, "model has unknown keys"),
+        ("dataset.bogus", 1, r"dataset\[synth\] has unknown keys"),
+        # ill-typed values: each names its dotted path
+        ("epochs", "abc", r"config\.epochs must be int, got 'abc'"),
+        ("epochs", 2.5, r"config\.epochs must be int, got 2\.5"),
+        ("seed", 1.9, r"config\.seed must be int, got 1\.9"),
+        ("seed", True, r"config\.seed must be int, got True"),
+        ("eval_every", "abc", r"config\.eval_every must be int"),
+        ("model.hidden", [8, "x"], r"config\.model\.hidden\[1\] must be int"),
+        ("optimizer.base_lr", "abc", r"config\.optimizer\.base_lr must be float"),
+        ("attack_train.iterations", 2.7,
+         r"config\.attack_train\.iterations must be int, got 2\.7"),
+        ("attack_train.bounds", [0.0], r"config\.attack_train\.bounds must have 2"),
+        ("attack_eval.1.family", "XX", r"config\.attack_eval\[1\]\.family must be one of"),
+        ("attack_eval", {}, r"config\.attack_eval must be a list"),
+        ("dataset.per_class_n", "abc", r"dataset\[synth\]\.per_class_n must be int"),
+        ("dataset.per_class_n", 20.5, r"dataset\[synth\]\.per_class_n must be int"),
     ]
-    for path, pattern in cases:
+    for path, value, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
-            resolve_config(overrides=[(path, 1)])
+            resolve_config(overrides=[(path, value)])
+        rc = main(["train", "--set", f"{path}={json.dumps(value)}",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert re.search(pattern, capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
 
 
 def test_precedence_profile_file_override(tmp_path):
@@ -91,6 +120,88 @@ def test_config_round_trips_through_json():
     config = resolve_config()
     echoed = config_from_obj(json.loads(canonical_json(config_to_obj(config))))
     assert echoed == config
+
+
+# sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
+# config.json wire format of each shipped profile, byte for byte.
+PROFILE_JSON_SHA256 = {
+    "desk": "675235426661410cefd2e4cda94cd09eec7f8382d4666ac37914463a0007adf8",
+    "paper": "497bae03420790847a731d431b9a0dd05530508de45e6c2b1eab1accfab0c97f",
+}
+
+
+def test_profile_config_json_is_pinned():
+    for profile, digest in PROFILE_JSON_SHA256.items():
+        text = canonical_json(config_to_obj(resolve_config(profile)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, profile
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+# ints stand in for floats as well: the codec keeps them as written
+_NONNEG = st.integers(0, 9) | st.floats(0, 1e3, **_FINITE)
+_POS = st.integers(1, 9) | st.floats(1e-6, 1e3, **_FINITE)
+
+
+@st.composite
+def _attacks(draw):
+    family = draw(st.sampled_from(AttackFamily))
+    lo = draw(st.floats(-10, 10, **_FINITE))
+    return AttackSpec(
+        family, epsilon=draw(_NONNEG), step_size=draw(_POS),
+        iterations=draw(st.integers(1, 200)),
+        loss_mode=(LossMode.CE if family is AttackFamily.FGSM
+                   else draw(st.sampled_from(LossMode))),
+        bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        start_noise_scale=draw(_NONNEG), spsa_samples=draw(st.integers(2, 512)),
+        spsa_perturb=draw(_POS), spsa_lr=draw(_POS))
+
+
+@st.composite
+def _configs(draw):
+    milestones = tuple(sorted(draw(st.sets(st.integers(1, 50), max_size=3))))
+    conv = draw(st.none() | st.builds(ConvStem, height=st.just(6),
+                                      width=st.integers(3, 8),
+                                      filters=st.integers(1, 4),
+                                      kernel_size=st.integers(1, 3)))
+    scheme = WeightScheme(
+        draw(st.sampled_from(WeightFamily)), alpha=draw(_POS),
+        gamma=draw(st.integers(1, 20) | st.floats(1, 20, **_FINITE)),
+        beta=draw(_NONNEG), lambda_g=draw(st.floats(-5, 5, **_FINITE)),
+        k_pgd=draw(st.integers(1, 20)), burn_in_epoch=draw(st.integers(0, 100)))
+    dataset = DataSource("synth", {
+        "num_classes": draw(st.integers(2, 4)), "dim": draw(st.integers(3, 8)),
+        "variances": draw(st.lists(_POS, min_size=2, max_size=4)),
+        "separation": draw(_POS), "per_class_n": draw(st.integers(1, 500)),
+        **draw(st.fixed_dictionaries({}, optional={"seed": st.integers(0, 99)})),
+    })
+    return TrainConfig(
+        objective=ObjectiveSpec(draw(st.sampled_from(ObjectiveFamily)),
+                                trade_off=draw(_POS), weight_scheme=scheme,
+                                ablation=draw(st.sampled_from(Ablation))),
+        attack_train=draw(_attacks()),
+        attack_eval=tuple(draw(st.lists(_attacks(), max_size=3))),
+        dataset=dataset,
+        optimizer=OptimConfig(base_lr=draw(_POS),
+                              momentum=draw(st.floats(0, 0.99, **_FINITE)),
+                              weight_decay=draw(_NONNEG), milestones=milestones,
+                              decay_factor=draw(st.floats(1.5, 20, **_FINITE))),
+        model=ModelConfig(hidden=tuple(draw(st.lists(st.integers(1, 64),
+                                                     max_size=3))),
+                          conv=conv),
+        epochs=draw(st.integers(max(milestones, default=0) + 1, 200)),
+        batch_size=draw(st.integers(1, 512)), seed=draw(st.integers(0, 2**32)),
+        eval_every=draw(st.integers(1, 10)),
+        log_weights_every=draw(st.integers(1, 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_codec_round_trips_generated_configs(config):
+    text = canonical_json(config_to_obj(config))
+    echoed = config_from_obj(json.loads(text))
+    assert echoed == config
+    assert canonical_json(config_to_obj(echoed)) == text
 
 
 def test_deep_merge_semantics():

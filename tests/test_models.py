@@ -1,12 +1,14 @@
 """Classifier shapes, deterministic init, probability helpers, and the
 checkpoint wire format."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_mlp
+from virlab.cli import main
 from virlab.errors import CheckpointError, ConfigError, ShapeError
 from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
                            predict_probs, save_checkpoint, true_class_prob,
@@ -233,3 +235,21 @@ def test_checkpoint_rejects_mismatched_parameters(tmp_path):
     spliced.write_bytes(body + struct.pack("<I", __import__("zlib").crc32(body)))
     with pytest.raises(CheckpointError, match="do not match"):
         load_checkpoint(spliced)
+
+
+@pytest.mark.parametrize("arch", [
+    {"conv": None, "layers": "ab"},
+    {"conv": None, "layers": [0, 3]},
+    {"conv": None, "layers": [2, 3.5]},
+    {"conv": {"height": 4}, "layers": [2, 3]},
+    {"conv": None, "layers": [2, 3], "extra": 1},
+])
+def test_checkpoint_rejects_malformed_arch(tmp_path, arch):
+    # A CRC-valid file whose metadata decodes but describes no valid network.
+    meta = json.dumps({"arch": arch, "epoch": 0, "rng_seed": None}).encode()
+    body = MAGIC + struct.pack("<Q", len(meta)) + meta
+    path = tmp_path / "arch.ckpt"
+    path.write_bytes(body + struct.pack("<I", __import__("zlib").crc32(body)))
+    with pytest.raises(CheckpointError, match="architecture"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path)]) == 4

@@ -8,9 +8,8 @@ import pytest
 from conftest import make_mlp
 from virlab.errors import ConfigError, ShapeError
 from virlab.objectives import (Ablation, ObjectiveFamily, ObjectiveSpec,
-                               ablation_weights, at_loss, trades_loss,
-                               vir_at_loss, vir_trades_loss)
-from virlab.reweight import WeightScheme, vulnerability_score
+                               at_loss, trades_loss, vir_at_loss,
+                               vir_trades_loss)
 from virlab.tensor import Tensor, cross_entropy_rows, finite_diff_grad
 
 
@@ -149,17 +148,3 @@ def test_objective_shape_validation(rng):
     with pytest.raises(ConfigError):
         vir_trades_loss(model, x_nat, x_adv, y, -2.0, np.ones(len(y)))
 
-
-def test_ablation_weights_rows(rng):
-    scheme = WeightScheme.vir_at()
-    prob = rng.uniform(0, 1, size=6)
-    disc = rng.uniform(0, 2, size=6)
-    s_v = vulnerability_score(prob, scheme.alpha, scheme.gamma)
-    full = ablation_weights(scheme, Ablation.FULL, prob, disc)
-    sv_only = ablation_weights(scheme, "SV_ONLY", prob, disc)
-    sd_only = ablation_weights(scheme, Ablation.SD_ONLY, prob, disc)
-    np.testing.assert_allclose(full, s_v * disc + scheme.beta, rtol=1e-12)
-    np.testing.assert_allclose(sv_only, s_v, rtol=1e-12)
-    np.testing.assert_array_equal(sd_only, disc)
-    sd_only[0] = -99.0  # returned array is a copy
-    assert disc[0] != -99.0

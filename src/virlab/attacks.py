@@ -7,6 +7,11 @@ Also provides the least-steps probe that GAIRAT weighting consumes.
 Every attack is a pure function of (model, x, y, spec): the same inputs
 give bit-identical outputs, and per-sample randomness is drawn from
 seed XOR sample_index so results do not depend on batch sharding.
+
+Attacks need only the input gradient, so they run with the model's
+parameters frozen (``Classifier.frozen``): no parameter gradient is
+computed, and every parameter's ``.grad`` and ``requires_grad`` are left
+as the attack found them.
 """
 
 from __future__ import annotations
@@ -131,8 +136,9 @@ def _cw_margin_rows(logits: Tensor, y) -> Tensor:
 
 def _input_gradient(model, x_np, y, mode, reference_probs) -> np.ndarray:
     x_t = Tensor(x_np, requires_grad=True)
-    loss = _attack_loss(model, x_t, y, mode, reference_probs)
-    loss.backward()
+    with model.frozen():
+        loss = _attack_loss(model, x_t, y, mode, reference_probs)
+        loss.backward()
     return x_t.grad
 
 

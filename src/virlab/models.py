@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,23 @@ class Classifier:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    @contextmanager
+    def frozen(self):
+        """Treat every parameter as a constant inside the block.
+
+        Graphs built here need no parameter gradients, so backward neither
+        computes nor accumulates them; each ``requires_grad`` flag is
+        restored on exit, also when the block raises.
+        """
+        flags = [(p, p.requires_grad) for p in self.params.values()]
+        for p, _ in flags:
+            p.requires_grad = False
+        try:
+            yield self
+        finally:
+            for p, flag in flags:
+                p.requires_grad = flag
 
 
 def predict_probs(model: Classifier, x) -> np.ndarray:

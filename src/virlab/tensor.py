@@ -6,6 +6,13 @@ on a scalar loss topologically sorts that graph and runs each node's
 local gradient closure, accumulating into the ``grad`` buffer of every
 reachable tensor that has ``requires_grad`` set.
 
+Each closure receives its output's gradient as its argument and holds
+only the parents and the arrays it needs, never the output tensor, so a
+graph has no reference cycle: it is freed by refcount as soon as its
+last tensor is dropped, not whenever the cyclic collector next runs.
+Closures compute a parent's gradient only when that parent has
+``requires_grad`` set; gradients nobody asked for are never formed.
+
 The probability-facing ops (softmax, cross entropy, KL divergence) are
 fused primitives with hand-derived gradients so the numerically stable
 forms (max-shifted exponentials, log-sum-exp) are used throughout.
@@ -42,7 +49,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # -- construction helpers ------------------------------------------------
@@ -57,8 +64,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass instead of zero-fill then add: grad + 0.0 is bitwise
+            # 0.0 + grad (a -0.0 entry is stored as +0.0 either way).
+            self.grad = np.empty_like(self.data)
+            np.add(grad, 0.0, out=self.grad)
+        else:
+            self.grad += grad
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -89,9 +100,11 @@ class Tensor:
         other = self._wrap(other)
         out = Tensor._from_op(self.data + other.data, (self, other))
 
-        def backward():
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(out.grad, other.shape))
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.shape))
 
         out._backward = backward
         return out
@@ -101,8 +114,8 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor._from_op(-self.data, (self,))
 
-        def backward():
-            self._accumulate(-out.grad)
+        def backward(g):
+            self._accumulate(-g)
 
         out._backward = backward
         return out
@@ -117,9 +130,11 @@ class Tensor:
         other = self._wrap(other)
         out = Tensor._from_op(self.data * other.data, (self, other))
 
-        def backward():
-            self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.shape))
 
         out._backward = backward
         return out
@@ -136,9 +151,11 @@ class Tensor:
             )
         out = Tensor._from_op(self.data @ other.data, (self, other))
 
-        def backward():
-            self._accumulate(out.grad @ other.data.T)
-            other._accumulate(self.data.T @ out.grad)
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(g @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ g)
 
         out._backward = backward
         return out
@@ -146,8 +163,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor._from_op(np.maximum(self.data, 0.0), (self,))
 
-        def backward():
-            self._accumulate(out.grad * (self.data > 0.0))
+        def backward(g):
+            self._accumulate(g * (self.data > 0.0))
 
         out._backward = backward
         return out
@@ -155,11 +172,11 @@ class Tensor:
     def sum(self, axis: int | None = None) -> "Tensor":
         out = Tensor._from_op(self.data.sum(axis=axis), (self,))
 
-        def backward():
+        def backward(g):
             if axis is None:
-                self._accumulate(np.full_like(self.data, out.grad))
+                self._accumulate(np.full_like(self.data, g))
             else:
-                self._accumulate(np.expand_dims(out.grad, axis) * np.ones_like(self.data))
+                self._accumulate(np.expand_dims(g, axis) * np.ones_like(self.data))
 
         out._backward = backward
         return out
@@ -168,8 +185,8 @@ class Tensor:
         n = self.data.size
         out = Tensor._from_op(self.data.mean(), (self,))
 
-        def backward():
-            self._accumulate(np.full_like(self.data, out.grad / n))
+        def backward(g):
+            self._accumulate(np.full_like(self.data, g / n))
 
         out._backward = backward
         return out
@@ -179,12 +196,12 @@ class Tensor:
         idx = np.argmax(self.data, axis=axis)
         out = Tensor._from_op(np.max(self.data, axis=axis), (self,))
 
-        def backward():
-            g = np.zeros_like(self.data)
+        def backward(g):
+            full = np.zeros_like(self.data)
             np.put_along_axis(
-                g, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis
+                full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
             )
-            self._accumulate(g)
+            self._accumulate(full)
 
         out._backward = backward
         return out
@@ -192,8 +209,8 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         out = Tensor._from_op(self.data.reshape(*shape), (self,))
 
-        def backward():
-            self._accumulate(out.grad.reshape(self.data.shape))
+        def backward(g):
+            self._accumulate(g.reshape(self.data.shape))
 
         out._backward = backward
         return out
@@ -227,7 +244,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 # -- fused probability ops ----------------------------------------------------
@@ -254,8 +271,7 @@ def softmax(logits: Tensor) -> Tensor:
     p = _softmax_values(z)
     out = Tensor._from_op(p, (logits,))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         logits._accumulate(p * (g - dot))
 
@@ -283,10 +299,10 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     rows = lse - z[np.arange(z.shape[0]), y]
     out = Tensor._from_op(rows, (logits,))
 
-    def backward():
-        g = _softmax_values(z)
-        g[np.arange(z.shape[0]), y] -= 1.0
-        logits._accumulate(g * out.grad[:, None])
+    def backward(g):
+        d = _softmax_values(z)
+        d[np.arange(z.shape[0]), y] -= 1.0
+        logits._accumulate(d * g[:, None])
 
     out._backward = backward
     return out
@@ -325,10 +341,12 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     terms = np.where(pv > 0.0, pv * (np.log(pc) - np.log(qc)), 0.0)
     out = Tensor._from_op(terms.sum(axis=1), (p, q))
 
-    def backward():
-        g = out.grad[:, None]
-        p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0))
-        q._accumulate(g * np.where(qv >= PROB_FLOOR, -pv / qc, 0.0))
+    def backward(g):
+        g = g[:, None]
+        if p.requires_grad:
+            p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0))
+        if q.requires_grad:
+            q._accumulate(g * np.where(qv >= PROB_FLOOR, -pv / qc, 0.0))
 
     out._backward = backward
     return out
@@ -353,16 +371,17 @@ def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Ten
     patches = windows.reshape(v.shape[0] * out_h * out_w, kernel_size * kernel_size)
     out = Tensor._from_op(np.ascontiguousarray(patches), (x,))
 
-    # Flat input index of every patch element, precomputed for the scatter-add.
-    rows = (np.arange(out_h)[:, None, None, None] + np.arange(kernel_size)[None, None, :, None])
-    cols = (np.arange(out_w)[None, :, None, None] + np.arange(kernel_size)[None, None, None, :])
-    flat_idx = (rows * width + cols).reshape(out_h * out_w * kernel_size * kernel_size)
-
-    def backward():
-        g = np.zeros_like(v)
-        per_image = out.grad.reshape(v.shape[0], out_h * out_w * kernel_size * kernel_size)
-        np.add.at(g.T, flat_idx, per_image.T)
-        x._accumulate(g)
+    def backward(g):
+        # Scatter-add each kernel offset's slab back onto its shifted window.
+        # Offsets run in reverse so every pixel sums its contributions in
+        # increasing patch order, the order an np.add.at scatter over the
+        # row-major patch layout uses: the result is bitwise the same.
+        per_offset = g.reshape(v.shape[0], out_h, out_w, kernel_size, kernel_size)
+        full = np.zeros_like(imgs)
+        for ki in reversed(range(kernel_size)):
+            for kj in reversed(range(kernel_size)):
+                full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[:, :, :, ki, kj]
+        x._accumulate(full.reshape(v.shape))
 
     out._backward = backward
     return out

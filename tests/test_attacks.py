@@ -1,6 +1,8 @@
 """Attack semantics: projection arithmetic, gradient directions, ball
 containment, black-box purity, and determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from conftest import make_mlp
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, project_linf, run_attack,
                             spsa, spsa_gradient_estimate)
-from virlab.errors import ConfigError, ShapeError
-from virlab.models import predict_probs
-from virlab.tensor import Tensor, cross_entropy_rows
+from virlab.errors import ConfigError, NonFiniteError, ShapeError
+from virlab.models import Arch, Classifier, ConvStem, predict_probs
+from virlab.tensor import Tensor, cross_entropy, cross_entropy_rows
 
 
 def linear_model(d=4, classes=3, seed=0):
@@ -429,3 +431,84 @@ def test_run_attack_dispatches_each_family(rng):
     for spec, fn in cases:
         np.testing.assert_array_equal(run_attack(model, x, y, spec),
                                       fn(model, x, y, spec))
+
+
+# -- what attacks leave behind ---------------------------------------------------
+
+
+def conv_model(seed=4) -> Classifier:
+    stem = ConvStem(height=6, width=5, filters=2, kernel_size=3)
+    return Classifier(Arch((stem.out_dim, 4, 3), conv=stem), seed=seed)
+
+
+def test_attacks_leave_the_model_untouched(rng):
+    model = conv_model()
+    x = rng.uniform(0.0, 1.0, size=(4, 30))
+    y = np.array([0, 1, 2, 0])
+    ref = predict_probs(model, x)
+    pgd_ce = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
+                        iterations=3, seed=1)
+    # Every attack whose loss checks its logits, so a NaN weight makes it
+    # raise NonFiniteError inside the frozen block.
+    checked = {
+        "fgsm": lambda: run_attack(model, x, y, AttackSpec(AttackFamily.FGSM,
+                                                           epsilon=0.1)),
+        "pgd": lambda: run_attack(model, x, y, pgd_ce),
+        "pgd_kl": lambda: run_attack(
+            model, x, y, AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
+                                    iterations=2, loss_mode=LossMode.KL, seed=1),
+            reference_probs=ref),
+        "min_pgd_steps": lambda: min_pgd_steps(model, x, y, pgd_ce),
+    }
+    unchecked = {
+        "cw_pgd": lambda: run_attack(
+            model, x, y, AttackSpec(AttackFamily.CW_PGD, epsilon=0.1,
+                                    step_size=0.03, iterations=2, seed=1)),
+        "spsa": lambda: run_attack(
+            model, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.1,
+                                    spsa_samples=4, seed=1)),
+    }
+
+    def assert_untouched(name):
+        for key, p in model.params.items():
+            assert p.grad is None, (name, key)
+            assert p.requires_grad is True, (name, key)
+
+    for name, attack in {**checked, **unchecked}.items():
+        model.zero_grad()
+        attack()
+        assert_untouched(name)
+
+    model.params["dense0.weight"].data[0, 0] = np.nan
+    for name, attack in checked.items():
+        model.zero_grad()
+        with pytest.raises(NonFiniteError):
+            attack()
+        assert_untouched(name)
+
+
+def test_graphs_are_freed_by_refcount(rng):
+    # A backward closure that referenced its own output tensor would make
+    # every graph a reference cycle, alive until the cyclic collector runs.
+    model = conv_model()
+    x = rng.uniform(0.0, 1.0, size=(4, 30))
+    y = np.array([0, 1, 2, 0])
+    spec = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
+                      iterations=2, seed=1)
+
+    def live_tensors() -> int:
+        return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tensors()
+        loss = cross_entropy(model.forward(Tensor(x)), y)
+        loss.backward()
+        assert live_tensors() > before
+        del loss
+        assert live_tensors() == before
+        pgd(model, x, y, spec)
+        assert live_tensors() == before
+    finally:
+        gc.enable()

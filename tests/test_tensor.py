@@ -72,6 +72,14 @@ def test_zero_grad_and_accumulation():
     assert x.grad is None
 
 
+def test_first_gradient_is_stored_as_if_added_to_zeros():
+    # The grad buffer starts as 0.0 + g, so a -0.0 gradient entry is kept
+    # as +0.0; a plain copy would keep the sign and could move artifacts.
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    (x * Tensor(np.array([-0.0, -1.0]))).sum().backward()
+    np.testing.assert_array_equal(np.signbit(x.grad), [False, True])
+
+
 def test_diamond_graph_accumulates_once_per_path():
     # f(x) = x*x + x  ->  f'(x) = 2x + 1
     x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
@@ -292,6 +300,27 @@ def test_sliding_patches_gradient():
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal((2, 12))  # 3x4 images, kernel 2
     check_grad(lambda t: projected(sliding_patches(t, 3, 4, 2), seed=29), x0)
+
+
+@pytest.mark.parametrize("h, w, k", [(28, 28, 5), (28, 28, 1), (28, 28, 28),
+                                     (9, 13, 4)])
+def test_sliding_patches_backward_is_bitwise_the_scatter_add(h, w, k):
+    rng = np.random.default_rng(13)
+    batch = 4
+    x = Tensor(rng.standard_normal((batch, h * w)), requires_grad=True)
+    out = sliding_patches(x, h, w, k)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()  # out.grad is exactly g
+
+    # Oracle: scatter-add every patch element onto its flat input index,
+    # patches in row-major scan order, elements row-major within a patch.
+    out_h, out_w = h - k + 1, w - k + 1
+    rows = np.arange(out_h)[:, None, None, None] + np.arange(k)[None, None, :, None]
+    cols = np.arange(out_w)[None, :, None, None] + np.arange(k)[None, None, None, :]
+    flat_idx = (rows * w + cols).reshape(-1)
+    expected = np.zeros((batch, h * w))
+    np.add.at(expected.T, flat_idx, g.reshape(batch, -1).T)
+    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
 
 
 def test_sliding_patches_shape_validation():

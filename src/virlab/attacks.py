@@ -6,7 +6,10 @@ Also provides the least-steps probe that GAIRAT weighting consumes.
 
 Every attack is a pure function of (model, x, y, spec): the same inputs
 give bit-identical outputs, and per-sample randomness is drawn from
-seed XOR sample_index so results do not depend on batch sharding.
+seed XOR i, where i is the sample's row in the x handed to the attack.
+In evaluation that row is the dataset index. In training it is the
+position within the minibatch, not a dataset index, so a sample's noise
+depends on where its batch puts it.
 
 Attacks need only the input gradient, so they run with the model's
 parameters frozen (``Classifier.frozen``): no parameter gradient is
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .models import Classifier
-from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
+from .tensor import (Tensor, _check_logits, cross_entropy_rows, kl_divergence,
+                     softmax)
 
 
 class AttackFamily(Enum):
@@ -127,6 +131,7 @@ def _attack_loss(model: Classifier, x_t: Tensor, y, mode: LossMode, reference_pr
 def _cw_margin_rows(logits: Tensor, y) -> Tensor:
     """Per-sample margin max_{j != y} Z_j - Z_y (positive iff misclassified,
     up to exact ties, which resolve toward the lowest class index)."""
+    _check_logits(logits)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(len(y)), y] = 1.0
     z_true = (logits * onehot).sum(axis=1)
@@ -238,28 +243,70 @@ def cw_pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     return _iterative_ascent(model, x, y, spec, LossMode.CW_MARGIN, None)
 
 
+# Rows per SPSA forward. One sample's perturbed points are scored in chunks
+# of this many rows: 64 was the fastest of 64/128/512 on the paper model,
+# and it bounds the forward's working set whatever spsa_samples is.
+_SPSA_ROWS = 64
+
+
+def _spsa_estimate(point_losses, x: np.ndarray, num_samples: int,
+                   perturb: float, rng: np.random.Generator) -> np.ndarray:
+    """Two-point simultaneous-perturbation gradient estimate at x.
+
+    Draws num_samples Rademacher +-1 directions r from rng and hands
+    ``point_losses`` every x + d*r, x - d*r pair stacked along a new leading
+    axis (plus point first, pairs in direction order); it returns one loss
+    per point. The estimate averages (f(x + d*r) - f(x - d*r)) / (2d) * r,
+    summed in direction order.
+    """
+    directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
+    steps = perturb * directions.reshape((num_samples,) + x.shape)
+    points = np.stack([x + steps, x - steps], axis=1)
+    losses = point_losses(points.reshape((2 * num_samples,) + x.shape))
+    deltas = (losses[0::2] - losses[1::2]) / (2.0 * perturb)
+    estimate = np.zeros_like(x, dtype=np.float64)
+    for delta, r in zip(deltas, directions):
+        estimate += delta * r.reshape(x.shape)
+    return estimate / num_samples
+
+
 def spsa_gradient_estimate(f, x: np.ndarray, num_samples: int, perturb: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Two-point simultaneous-perturbation gradient estimate of scalar f.
 
     Averages (f(x + d*r) - f(x - d*r)) / (2d) * r over num_samples
-    Rademacher +-1 direction vectors r.
+    Rademacher +-1 direction vectors r. f is called once per point, plus
+    before minus, in direction order.
     """
-    directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
-    estimate = np.zeros_like(x, dtype=np.float64)
-    for r in directions:
-        r = r.reshape(x.shape)
-        delta = (f(x + perturb * r) - f(x - perturb * r)) / (2.0 * perturb)
-        estimate += delta * r
-    return estimate / num_samples
+    return _spsa_estimate(
+        lambda points: np.array([f(p) for p in points], dtype=np.float64),
+        x, num_samples, perturb, rng)
+
+
+def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpec,
+                      rng: np.random.Generator) -> np.ndarray:
+    """SPSA estimate of the CE gradient of one sample at ``cur``: its
+    2 * spsa_samples points are scored in forwards of at most _SPSA_ROWS rows."""
+    def ce_of_points(points: np.ndarray) -> np.ndarray:
+        labels = np.full(len(points), label)
+        return np.concatenate([
+            cross_entropy_rows(model.forward(Tensor(points[s:s + _SPSA_ROWS])),
+                               labels[s:s + _SPSA_ROWS]).data
+            for s in range(0, len(points), _SPSA_ROWS)])
+
+    return _spsa_estimate(ce_of_points, cur, spec.spsa_samples,
+                          spec.spsa_perturb, rng)
 
 
 def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Black-box ascent on the CE loss using SPSA gradient estimates.
 
-    Only forward evaluations of the model are used; parameter gradients are
-    never touched. Each sample runs its own PCG64 stream (seed XOR index)
-    and each iterate moves by spsa_lr * sign(estimate), then projects.
+    Only forward evaluations of the model are used, with its parameters
+    frozen, so parameter gradients are never touched. Each sample runs its
+    own PCG64 stream (seed XOR index). Every iteration draws spsa_samples
+    directions, scores all 2 * spsa_samples perturbed points in batched
+    forwards of at most 64 rows (not one forward per point), and moves the
+    iterate by spsa_lr * sign(estimate), then projects.
     """
     if spec.family is not AttackFamily.SPSA:
         raise ConfigError(f"spec is for {spec.family.value}, not SPSA")
@@ -267,22 +314,15 @@ def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     if spec.epsilon == 0.0:
         return x.copy()
     out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
-        label = y[i : i + 1]
-
-        def ce_value(row: np.ndarray) -> float:
-            z = model.forward(Tensor(row[None, :])).data
-            m = z.max()
-            return float(m + np.log(np.exp(z - m).sum()) - z[0, label[0]])
-
-        cur = x[i].copy()
-        for _ in range(spec.iterations):
-            g = spsa_gradient_estimate(ce_value, cur, spec.spsa_samples,
-                                       spec.spsa_perturb, rng)
-            cur = project_linf(cur + spec.spsa_lr * np.sign(g), x[i],
-                               spec.epsilon, spec.bounds)
-        out[i] = cur
+    with model.frozen():
+        for i in range(x.shape[0]):
+            rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+            cur = x[i].copy()
+            for _ in range(spec.iterations):
+                g = _spsa_ce_estimate(model, cur, y[i], spec, rng)
+                cur = project_linf(cur + spec.spsa_lr * np.sign(g), x[i],
+                                   spec.epsilon, spec.bounds)
+            out[i] = cur
     return out
 
 

@@ -60,14 +60,25 @@ class Tensor:
         out._parents = tuple(parents)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` says the caller just allocated ``grad`` and hands it to no
+        one else, so a first gradient of the right shape is adopted rather
+        than copied. Gradients that alias another tensor's (a passthrough or
+        a reshaped view) must be passed with owned=False.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            # One pass instead of zero-fill then add: grad + 0.0 is bitwise
-            # 0.0 + grad (a -0.0 entry is stored as +0.0 either way).
-            self.grad = np.empty_like(self.data)
-            np.add(grad, 0.0, out=self.grad)
+            # grad + 0.0 is bitwise 0.0 + grad: a -0.0 entry is stored as
+            # +0.0, as if the gradient had been added to a zero buffer.
+            if owned and isinstance(grad, np.ndarray) and grad.shape == self.data.shape:
+                np.add(grad, 0.0, out=grad)
+                self.grad = grad
+            else:
+                self.grad = np.empty_like(self.data)
+                np.add(grad, 0.0, out=self.grad)
         else:
             self.grad += grad
 
@@ -115,7 +126,7 @@ class Tensor:
         out = Tensor._from_op(-self.data, (self,))
 
         def backward(g):
-            self._accumulate(-g)
+            self._accumulate(-g, owned=True)
 
         out._backward = backward
         return out
@@ -132,9 +143,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape), owned=True)
 
         out._backward = backward
         return out
@@ -153,9 +164,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, owned=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, owned=True)
 
         out._backward = backward
         return out
@@ -164,7 +175,7 @@ class Tensor:
         out = Tensor._from_op(np.maximum(self.data, 0.0), (self,))
 
         def backward(g):
-            self._accumulate(g * (self.data > 0.0))
+            self._accumulate(g * (self.data > 0.0), owned=True)
 
         out._backward = backward
         return out
@@ -174,9 +185,10 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                self._accumulate(np.full_like(self.data, g))
+                self._accumulate(np.full_like(self.data, g), owned=True)
             else:
-                self._accumulate(np.expand_dims(g, axis) * np.ones_like(self.data))
+                self._accumulate(np.expand_dims(g, axis) * np.ones_like(self.data),
+                                 owned=True)
 
         out._backward = backward
         return out
@@ -186,7 +198,7 @@ class Tensor:
         out = Tensor._from_op(self.data.mean(), (self,))
 
         def backward(g):
-            self._accumulate(np.full_like(self.data, g / n))
+            self._accumulate(np.full_like(self.data, g / n), owned=True)
 
         out._backward = backward
         return out
@@ -201,7 +213,7 @@ class Tensor:
             np.put_along_axis(
                 full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
             )
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         out._backward = backward
         return out
@@ -273,7 +285,7 @@ def softmax(logits: Tensor) -> Tensor:
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        logits._accumulate(p * (g - dot))
+        logits._accumulate(p * (g - dot), owned=True)
 
     out._backward = backward
     return out
@@ -302,7 +314,7 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     def backward(g):
         d = _softmax_values(z)
         d[np.arange(z.shape[0]), y] -= 1.0
-        logits._accumulate(d * g[:, None])
+        logits._accumulate(d * g[:, None], owned=True)
 
     out._backward = backward
     return out
@@ -344,9 +356,10 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     def backward(g):
         g = g[:, None]
         if p.requires_grad:
-            p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0))
+            p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0),
+                          owned=True)
         if q.requires_grad:
-            q._accumulate(g * np.where(qv >= PROB_FLOOR, -pv / qc, 0.0))
+            q._accumulate(g * np.where(qv >= PROB_FLOOR, -pv / qc, 0.0), owned=True)
 
     out._backward = backward
     return out
@@ -381,7 +394,7 @@ def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Ten
         for ki in reversed(range(kernel_size)):
             for kj in reversed(range(kernel_size)):
                 full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[:, :, :, ki, kj]
-        x._accumulate(full.reshape(v.shape))
+        x._accumulate(full.reshape(v.shape), owned=True)
 
     out._backward = backward
     return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
+from virlab import attacks
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, project_linf, run_attack,
                             spsa, spsa_gradient_estimate)
@@ -414,6 +415,114 @@ def test_spsa_deterministic_in_seed(rng):
                                   spsa(model, x, y, spec))
 
 
+def old_spsa_gradient_estimate(f, x, num_samples, perturb, rng):
+    """The estimator as one interleaved loop: f(x + d*r), then f(x - d*r),
+    accumulated direction by direction."""
+    directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
+    estimate = np.zeros_like(x, dtype=np.float64)
+    for r in directions:
+        r = r.reshape(x.shape)
+        delta = (f(x + perturb * r) - f(x - perturb * r)) / (2.0 * perturb)
+        estimate += delta * r
+    return estimate / num_samples
+
+
+def batch1_ce(model, label):
+    """CE of one row, scored by its own batch-1 forward."""
+    def ce_value(row):
+        z = model.forward(Tensor(row[None, :])).data
+        m = z.max()
+        return float(m + np.log(np.exp(z - m).sum()) - z[0, label])
+    return ce_value
+
+
+def batch1_spsa(model, x, y, spec):
+    """SPSA with one forward per perturbed point: the batched attack's oracle."""
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+        cur = x[i].copy()
+        for _ in range(spec.iterations):
+            g = old_spsa_gradient_estimate(batch1_ce(model, y[i]), cur,
+                                           spec.spsa_samples, spec.spsa_perturb, rng)
+            cur = project_linf(cur + spec.spsa_lr * np.sign(g), x[i],
+                               spec.epsilon, spec.bounds)
+        out[i] = cur
+    return out
+
+
+def test_spsa_gradient_estimate_is_the_interleaved_loop(rng):
+    a = rng.standard_normal((3, 4))
+    x0 = rng.standard_normal((3, 4))
+    for num_samples, perturb, seed in [(2, 0.1, 0), (7, 1e-3, 5), (64, 0.01, 9)]:
+        calls = {"new": [], "old": []}
+
+        def f(key):
+            def value(v):
+                calls[key].append(v.copy())
+                return float(np.tanh(a * v).sum() + (v ** 2).sum() / 3.0)
+            return value
+
+        new = spsa_gradient_estimate(f("new"), x0, num_samples, perturb,
+                                     np.random.default_rng(seed))
+        old = old_spsa_gradient_estimate(f("old"), x0, num_samples, perturb,
+                                         np.random.default_rng(seed))
+        np.testing.assert_array_equal(new, old)
+        assert len(calls["new"]) == len(calls["old"]) == 2 * num_samples
+        for p_new, p_old in zip(calls["new"], calls["old"]):
+            np.testing.assert_array_equal(p_new, p_old)
+
+
+def test_batched_spsa_matches_the_batch1_oracle(rng):
+    model = conv_model()
+    # 2, 32 and 33 directions: below, at and just past one forward's rows
+    for seed, num_samples in [(0, 2), (3, 32), (11, 33), (40, 100)]:
+        spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=num_samples,
+                          seed=seed)
+        for label in range(3):
+            cur = rng.uniform(0.0, 1.0, size=30)
+            batched = attacks._spsa_ce_estimate(
+                model, cur, label, spec, np.random.default_rng(seed + label))
+            oracle = old_spsa_gradient_estimate(
+                batch1_ce(model, label), cur, num_samples, spec.spsa_perturb,
+                np.random.default_rng(seed + label))
+            # A batched forward may round a point's loss a few ulps apart
+            # from a batch-1 one; each delta divides the difference of two
+            # losses by 2 * perturb, so every component of the average can
+            # move by about eps * loss / perturb, however small it is.
+            loss = batch1_ce(model, label)(cur)
+            atol = 4 * np.finfo(np.float64).eps * loss / spec.spsa_perturb
+            np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=atol)
+    x = rng.uniform(0.0, 1.0, size=(3, 30))
+    y = np.array([2, 0, 1])
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=3, spsa_samples=40,
+                      spsa_lr=0.02, bounds=(0.0, 1.0), seed=7)
+    np.testing.assert_array_equal(spsa(model, x, y, spec),
+                                  batch1_spsa(model, x, y, spec))
+
+
+def test_spsa_scores_points_in_capped_batched_forwards(rng):
+    model = conv_model()
+    rows = []
+    forward = model.forward
+
+    def counting_forward(x_t):
+        rows.append(x_t.shape[0])
+        return forward(x_t)
+
+    model.forward = counting_forward
+    x = rng.uniform(0.0, 1.0, size=(3, 30))
+    y = np.array([0, 1, 2])
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2, spsa_samples=40,
+                      seed=3)
+    spsa(model, x, y, spec)
+    points = 2 * spec.spsa_samples
+    forwards_per_iteration = -(-points // attacks._SPSA_ROWS)
+    assert max(rows) == attacks._SPSA_ROWS
+    assert sum(rows) == points * spec.iterations * len(x)
+    assert len(rows) == forwards_per_iteration * spec.iterations * len(x)
+
+
 # -- dispatch --------------------------------------------------------------------
 
 
@@ -448,9 +557,9 @@ def test_attacks_leave_the_model_untouched(rng):
     ref = predict_probs(model, x)
     pgd_ce = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
                         iterations=3, seed=1)
-    # Every attack whose loss checks its logits, so a NaN weight makes it
-    # raise NonFiniteError inside the frozen block.
-    checked = {
+    # Every attack checks its logits, so a NaN weight makes it raise
+    # NonFiniteError inside the frozen block.
+    cases = {
         "fgsm": lambda: run_attack(model, x, y, AttackSpec(AttackFamily.FGSM,
                                                            epsilon=0.1)),
         "pgd": lambda: run_attack(model, x, y, pgd_ce),
@@ -459,8 +568,6 @@ def test_attacks_leave_the_model_untouched(rng):
                                     iterations=2, loss_mode=LossMode.KL, seed=1),
             reference_probs=ref),
         "min_pgd_steps": lambda: min_pgd_steps(model, x, y, pgd_ce),
-    }
-    unchecked = {
         "cw_pgd": lambda: run_attack(
             model, x, y, AttackSpec(AttackFamily.CW_PGD, epsilon=0.1,
                                     step_size=0.03, iterations=2, seed=1)),
@@ -474,13 +581,13 @@ def test_attacks_leave_the_model_untouched(rng):
             assert p.grad is None, (name, key)
             assert p.requires_grad is True, (name, key)
 
-    for name, attack in {**checked, **unchecked}.items():
+    for name, attack in cases.items():
         model.zero_grad()
         attack()
         assert_untouched(name)
 
     model.params["dense0.weight"].data[0, 0] = np.nan
-    for name, attack in checked.items():
+    for name, attack in cases.items():
         model.zero_grad()
         with pytest.raises(NonFiniteError):
             attack()

@@ -80,6 +80,21 @@ def test_first_gradient_is_stored_as_if_added_to_zeros():
     np.testing.assert_array_equal(np.signbit(x.grad), [False, True])
 
 
+def test_first_gradient_never_aliases_another_tensors_gradient():
+    # add passes its output's gradient through and reshape views it; a parent
+    # that adopted that array instead of copying it would share one buffer
+    # with its child, and the parent's next accumulation would change both.
+    for through in (lambda t: t + 1.0, lambda t: t.reshape(3, 2).reshape(6)):
+        for first in (True, False):
+            x = Tensor(np.arange(6.0), requires_grad=True)
+            h = through(x)
+            direct, via = x.sum(), (h * 2.0).sum()
+            (via + direct if first else direct + via).backward()
+            np.testing.assert_array_equal(h.grad, np.full(6, 2.0))
+            np.testing.assert_array_equal(x.grad, np.full(6, 3.0))
+            assert not np.shares_memory(x.grad, h.grad)
+
+
 def test_diamond_graph_accumulates_once_per_path():
     # f(x) = x*x + x  ->  f'(x) = 2x + 1
     x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)

@@ -12,9 +12,8 @@ from .attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                       spsa_gradient_estimate)
 from .config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
                      desk_profile, paper_profile, resolve_config)
-from .data import (Dataset, batch_indices, batches, from_gmm, load_csv,
-                   load_idx, per_class_split, save_csv, save_idx,
-                   simplex_means, synth_multiclass)
+from .data import (Dataset, batch_indices, from_gmm, load_csv, load_idx,
+                   save_csv, save_idx, simplex_means, synth_multiclass)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericAbort, ShapeError)
 from .gmm import (CorollaryReport, GmmSpec, LinearClassifier, RiskReport,
@@ -22,17 +21,15 @@ from .gmm import (CorollaryReport, GmmSpec, LinearClassifier, RiskReport,
                   monte_carlo_risks, optimal_linear, risk_report, sample_gmm,
                   std_normal_cdf, theorem1_risks, true_class_posterior)
 from .models import (Arch, Classifier, ConvStem, load_checkpoint,
-                     predict_probs, save_checkpoint, true_class_prob,
-                     vulnerability_order)
+                     predict_probs, save_checkpoint)
 from .objectives import (ObjectiveFamily, ObjectiveSpec, at_loss, trades_loss,
                          vir_at_loss, vir_trades_loss)
 from .reweight import (Ablation, WeightFamily, WeightRecord, WeightScheme,
-                       batch_weights, class_weight_distribution,
-                       discrepancy_score, gairat_weight, mail_weight,
-                       probability_margin, read_weight_records, vir_weight,
-                       vulnerability_score, write_weight_records)
-from .tensor import (Tensor, cross_entropy, cross_entropy_rows,
-                     finite_diff_grad, kl_divergence, softmax)
+                       batch_weights, discrepancy_score, gairat_weight,
+                       mail_weight, probability_margin, read_weight_records,
+                       vir_weight, vulnerability_score, write_weight_records)
+from .tensor import (Tensor, cross_entropy_rows, finite_diff_grad,
+                     kl_divergence, softmax)
 from .training import (EvalReport, MetricsLog, MetricsRow, evaluate, lr_at,
                        mix_seed, sgd_step, sweep, train)
 

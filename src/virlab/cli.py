@@ -27,7 +27,7 @@ from .data import Dataset, save_csv
 from .errors import ConfigError, DataFormatError, NumericAbort
 from .gmm import GmmSpec, corollary_check, risk_report
 from .models import load_checkpoint, predict_probs
-from .reweight import WEIGHT_CSV_HEADER
+from .reweight import read_weight_records
 from .training import condition_names, evaluate, sweep, train, write_confusions
 
 
@@ -207,14 +207,10 @@ def _cmd_report(args) -> int:
         wrote.append(out_path)
 
     if os.path.exists(weights_path):
-        header, rows = _read_rows(weights_path)
-        if header != WEIGHT_CSV_HEADER:
-            raise DataFormatError(f"{weights_path}: unexpected header {header}")
         sums: dict[int, dict[int, list]] = {}
-        for row in rows:
-            epoch, cls, w = int(row[0]), int(row[2]), float(row[6])
-            cell = sums.setdefault(epoch, {}).setdefault(cls, [0.0, 0])
-            cell[0] += w
+        for r in read_weight_records(weights_path):
+            cell = sums.setdefault(r.epoch, {}).setdefault(r.class_label, [0.0, 0])
+            cell[0] += r.weight
             cell[1] += 1
         classes = sorted({c for per in sums.values() for c in per})
         out_path = os.path.join(run, "fig_class_weights.csv")

@@ -1,4 +1,4 @@
-"""Dataset loading, synthesis, batching, and per-class bookkeeping.
+"""Dataset loading, synthesis, and seeded batching.
 
 Sources: IDX image files (big-endian, the classic handwritten-digit
 layout), CSV tables with a "label" column, the two-class theory mixture
@@ -26,8 +26,6 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...] | None = None
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -86,7 +84,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, bounds=(0.0, 1.0))
+    return Dataset(features, labels)
 
 
 def save_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -102,7 +100,7 @@ def save_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int) -
         fh.write(dataset.labels.astype(np.uint8).tobytes())
 
 
-def load_csv(path, bounds=None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a CSV with a header, a "label" column, and numeric features."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -126,7 +124,7 @@ def load_csv(path, bounds=None) -> Dataset:
                 raise DataFormatError(f"{path}:{line_no}: {e}") from None
     if not feats:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.asarray(feats), np.asarray(labels), bounds=bounds)
+    return Dataset(np.asarray(feats), np.asarray(labels))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -216,16 +214,3 @@ def batch_indices(n: int, batch_size: int, seed: int, epoch: int):
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 
-
-def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
-    """Yield (x, y) batches over a seeded permutation of the dataset."""
-    for idx in batch_indices(len(dataset), batch_size, seed, epoch):
-        yield dataset.features[idx], dataset.labels[idx]
-
-
-def per_class_split(dataset: Dataset) -> dict[int, np.ndarray]:
-    """Class label -> sorted indices of its samples; a partition of [0, n)."""
-    return {
-        int(cls): np.flatnonzero(dataset.labels == cls)
-        for cls in np.unique(dataset.labels)
-    }

@@ -137,9 +137,6 @@ class Classifier:
                 h = h.relu()
         return h
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -166,31 +163,6 @@ def predict_probs(model: Classifier, x) -> np.ndarray:
     """Softmax outputs as a plain array; no gradients are retained."""
     x = np.asarray(x, dtype=np.float64)
     return _softmax_values(model.forward(Tensor(x)).data)
-
-
-def true_class_prob(model: Classifier, x, y):
-    """Probability the model assigns to each sample's true class.
-
-    A single sample (1-D x, int y) yields a float; a batch yields an array.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-        y = np.asarray([y])
-    y = np.asarray(y)
-    if y.min(initial=0) < 0 or y.max(initial=0) >= model.arch.num_classes:
-        raise IndexError(f"label out of range for {model.arch.num_classes} classes")
-    probs = predict_probs(model, x)[np.arange(x.shape[0]), y]
-    return float(probs[0]) if single else probs
-
-
-def vulnerability_order(model: Classifier, x, y) -> np.ndarray:
-    """Sample indices sorted most-vulnerable first.
-
-    Ascending true-class probability; equal probabilities keep index order.
-    """
-    return np.argsort(true_class_prob(model, x, y), kind="stable")
 
 
 # -- checkpoint I/O ------------------------------------------------------------

@@ -4,6 +4,10 @@ All objectives reduce by batch mean. VIR weights multiply only the term
 their formulation targets: the adversarial CE for VIR-AT, the KL
 regularizer for VIR-TRADES (whose natural CE term stays unweighted).
 Weights always enter as plain arrays, i.e. constants in the graph.
+
+Each family has one weighted kernel: vanilla AT and TRADES are the VIR
+kernels with w = 1 (multiplying by 1.0 is exact, so values and gradients
+are bitwise those of the unweighted formulas).
 """
 
 from __future__ import annotations
@@ -53,10 +57,7 @@ def _check_weights(weights, batch: int) -> np.ndarray:
 
 
 def vir_at_loss(model: Classifier, x_nat, x_adv, y, weights) -> Tensor:
-    """Mean over the batch of w_i * CE(f(x_adv_i), y_i).
-
-    With unit weights this is exactly the vanilla AT objective.
-    """
+    """Mean over the batch of w_i * CE(f(x_adv_i), y_i); x_nat is unused."""
     x_adv = np.asarray(x_adv, dtype=np.float64)
     w = _check_weights(weights, x_adv.shape[0])
     rows = cross_entropy_rows(model.forward(Tensor(x_adv)), y)
@@ -65,32 +66,22 @@ def vir_at_loss(model: Classifier, x_nat, x_adv, y, weights) -> Tensor:
 
 def at_loss(model: Classifier, x_adv, y) -> Tensor:
     """Vanilla adversarial training: mean CE on attacked inputs."""
-    x_adv = np.asarray(x_adv, dtype=np.float64)
-    return cross_entropy_rows(model.forward(Tensor(x_adv)), y).mean()
+    return vir_at_loss(model, x_adv, x_adv, y, np.ones(len(y)))
 
 
 def trades_loss(model: Classifier, x_nat, x_adv, y, trade_off: float) -> Tensor:
-    """Mean of CE(f(x_i), y_i) + trade_off * KL(f(x_i) || f(x_adv_i)).
-
-    trade_off is the 1/lambda factor; gradient flows through both the
-    natural and adversarial logits of the KL term.
-    """
-    if trade_off <= 0:
-        raise ConfigError(f"trade_off must be positive, got {trade_off}")
-    x_nat = np.asarray(x_nat, dtype=np.float64)
-    x_adv = np.asarray(x_adv, dtype=np.float64)
-    if x_nat.shape != x_adv.shape:
-        raise ShapeError(f"x_nat {x_nat.shape} and x_adv {x_adv.shape} differ")
-    z_nat = model.forward(Tensor(x_nat))
-    z_adv = model.forward(Tensor(x_adv))
-    ce = cross_entropy_rows(z_nat, y)
-    kl = kl_divergence(softmax(z_nat), softmax(z_adv))
-    return (ce + trade_off * kl).mean()
+    """TRADES: VIR-TRADES with unit weights."""
+    return vir_trades_loss(model, x_nat, x_adv, y, trade_off, np.ones(len(y)))
 
 
 def vir_trades_loss(model: Classifier, x_nat, x_adv, y, trade_off: float,
                     weights) -> Tensor:
-    """TRADES with the KL term reweighted per sample; natural CE unweighted."""
+    """Mean of CE(f(x_i), y_i) + trade_off * w_i * KL(f(x_i) || f(x_adv_i)).
+
+    trade_off is the 1/lambda factor; gradient flows through both the
+    natural and adversarial logits of the KL term. The natural CE term
+    stays unweighted.
+    """
     if trade_off <= 0:
         raise ConfigError(f"trade_off must be positive, got {trade_off}")
     x_nat = np.asarray(x_nat, dtype=np.float64)

@@ -14,13 +14,12 @@ scores a family does not compute.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .models import Classifier, predict_probs
 from .tensor import Tensor, kl_divergence
 
@@ -130,15 +129,20 @@ def gairat_weight(k, k_pgd: int, lambda_g: float = -1.0):
     return float(out) if karr.ndim == 0 else out
 
 
-def probability_margin(p_adv, y: int) -> float:
-    """p_adv[y] minus the best non-true probability, in [-1, 1]."""
+def probability_margin(p_adv, y) -> np.ndarray:
+    """Per row, p_adv[i, y_i] minus the best non-true probability, in [-1, 1]."""
     p = np.asarray(p_adv, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ConfigError("probability margin needs a row over >= 2 classes")
-    if not 0 <= y < p.shape[0]:
-        raise IndexError(f"label {y} out of range for {p.shape[0]} classes")
-    others = np.delete(p, y)
-    return float(p[y] - others.max())
+    y = np.asarray(y)
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise ConfigError("probability margin needs rows over >= 2 classes")
+    if y.shape != (p.shape[0],):
+        raise ShapeError(f"labels shape {y.shape} does not match {p.shape[0]} rows")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= p.shape[1]:
+        raise IndexError(f"label out of range for {p.shape[1]} classes")
+    rows = np.arange(p.shape[0])
+    others = p.copy()
+    others[rows, y] = -np.inf
+    return p[rows, y] - others.max(axis=1)
 
 
 def mail_weight(pm, gamma_m: float = 10.0, beta_m: float = 0.0):
@@ -155,7 +159,7 @@ def mail_weight(pm, gamma_m: float = 10.0, beta_m: float = 0.0):
 def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
                   x_nat, x_adv, y, k_values=None,
                   ablation: Ablation = Ablation.FULL,
-                  indices=None, score_hook=None,
+                  indices=None,
                   ) -> tuple[np.ndarray, list[WeightRecord]]:
     """Per-sample weights for one batch, plus the log records.
 
@@ -164,8 +168,7 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
     probe. All predictions are detached: no gradient reaches the weights.
 
     ``indices`` supplies dataset-level sample indices for the records
-    (defaults to batch positions). ``score_hook``, a test-only override,
-    receives the VIR (s_v, s_d) arrays and returns replacements.
+    (defaults to batch positions).
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     x_adv = np.asarray(x_adv, dtype=np.float64)
@@ -189,8 +192,6 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
         p_adv = predict_probs(model, x_adv)
         s_v = vulnerability_score(prob_true, scheme.alpha, scheme.gamma)
         s_d = discrepancy_score(p_nat, p_adv)
-        if score_hook is not None:
-            s_v, s_d = score_hook(s_v, s_d)
         have_scores = True
         if ablation is Ablation.FULL:
             w = vir_weight(s_v, s_d, scheme.beta)
@@ -207,8 +208,7 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
         w = gairat_weight(k_values, scheme.k_pgd, scheme.lambda_g)
     else:  # MAIL
         p_adv = predict_probs(model, x_adv)
-        pm = np.array([probability_margin(p_adv[i], int(y[i])) for i in range(n)])
-        w = mail_weight(pm, scheme.gamma, scheme.beta)
+        w = mail_weight(probability_margin(p_adv, y), scheme.gamma, scheme.beta)
 
     records = [
         WeightRecord(
@@ -223,16 +223,6 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
         for i in range(n)
     ]
     return w, records
-
-
-def class_weight_distribution(records: list[WeightRecord]) -> dict[int, float]:
-    """Sum of weights per class, keyed by class label (ascending)."""
-    if not records:
-        raise ValueError("no weight records to aggregate")
-    sums: dict[int, float] = {}
-    for r in records:
-        sums[r.class_label] = sums.get(r.class_label, 0.0) + r.weight
-    return dict(sorted(sums.items()))
 
 
 WEIGHT_CSV_HEADER = ["epoch", "sample_index", "class", "prob_true", "s_v", "s_d", "weight"]
@@ -253,18 +243,25 @@ def write_weight_records(records: list[WeightRecord], fh) -> None:
 
 
 def read_weight_records(path) -> list[WeightRecord]:
+    """Parse a weights.csv; a foreign header or a bad row is a DataFormatError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != WEIGHT_CSV_HEADER:
-            raise ValueError(f"unexpected weight CSV header {header}")
+            raise DataFormatError(f"{path}:1: unexpected weight CSV header {header}")
         out = []
-        for row in reader:
-            out.append(WeightRecord(
-                epoch=int(row[0]), sample_index=int(row[1]), class_label=int(row[2]),
-                prob_true=float(row[3]),
-                s_v=float(row[4]) if row[4] else None,
-                s_d=float(row[5]) if row[5] else None,
-                weight=float(row[6]),
-            ))
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(WEIGHT_CSV_HEADER):
+                raise DataFormatError(f"{path}:{line_no}: {len(row)} fields, "
+                                      f"expected {len(WEIGHT_CSV_HEADER)}")
+            try:
+                out.append(WeightRecord(
+                    epoch=int(row[0]), sample_index=int(row[1]),
+                    class_label=int(row[2]), prob_true=float(row[3]),
+                    s_v=float(row[4]) if row[4] else None,
+                    s_d=float(row[5]) if row[5] else None,
+                    weight=float(row[6]),
+                ))
+            except ValueError as e:
+                raise DataFormatError(f"{path}:{line_no}: {e}") from None
         return out

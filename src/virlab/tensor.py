@@ -320,11 +320,6 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross entropy over the batch."""
-    return cross_entropy_rows(logits, labels).mean()
-
-
 def _check_stochastic(name: str, t: Tensor) -> np.ndarray:
     v = t.data
     if v.ndim != 2:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                       run_attack)
-from .config import TrainConfig
+from .config import OptimConfig, TrainConfig
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, predict_probs, save_checkpoint
@@ -60,15 +60,12 @@ def sgd_step(params: dict, lr: float, momentum: float, weight_decay: float,
         p.data = p.data - lr * v
 
 
-def lr_at(epoch: int, config) -> float:
+def lr_at(epoch: int, optim: OptimConfig) -> float:
     """base_lr / decay_factor^(#milestones <= epoch); epochs are 1-indexed,
     so the decay lands at the start of each milestone epoch.
-
-    Accepts either a TrainConfig or its optimizer sub-config.
     """
     if epoch < 1:
         raise ConfigError(f"epochs are 1-indexed, got {epoch}")
-    optim = getattr(config, "optimizer", config)
     drops = sum(1 for m in optim.milestones if m <= epoch)
     return optim.base_lr / optim.decay_factor**drops
 
@@ -123,7 +120,7 @@ def evaluate(model: Classifier, dataset: Dataset,
             f"dataset has {dataset.num_classes} classes, model only {c}"
         )
     x, y = dataset.features, dataset.labels
-    pred = np.argmax(model.forward(_as_tensor(x)).data, axis=1)
+    pred = np.argmax(model.forward(x).data, axis=1)
     confusions = {"clean": _confusion(y, pred, c)}
     clean_acc = float((pred == y).mean())
 
@@ -131,7 +128,7 @@ def evaluate(model: Classifier, dataset: Dataset,
     for name, spec in zip(condition_names(attack_specs), attack_specs):
         ref = predict_probs(model, x) if spec.loss_mode is LossMode.KL else None
         x_adv = run_attack(model, x, y, spec, reference_probs=ref)
-        pred_adv = np.argmax(model.forward(_as_tensor(x_adv)).data, axis=1)
+        pred_adv = np.argmax(model.forward(x_adv).data, axis=1)
         confusions[name] = _confusion(y, pred_adv, c)
         robust[name] = float((pred_adv == y).mean())
 
@@ -139,12 +136,6 @@ def evaluate(model: Classifier, dataset: Dataset,
     diag = np.diag(confusions["clean"])
     per_class = np.where(row_sums > 0, diag / np.maximum(row_sums, 1), 0.0)
     return EvalReport(clean_acc, robust, confusions, per_class)
-
-
-def _as_tensor(x):
-    from .tensor import Tensor
-
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 # -- metrics log ---------------------------------------------------------------
@@ -217,7 +208,7 @@ def _batch_loss(model, objective, x_nat, x_adv, y, weights):
     return vir_trades_loss(model, x_nat, x_adv, y, objective.trade_off, weights)
 
 
-def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
+def train(config: TrainConfig, out_dir: str | None = None,
           ) -> tuple[Classifier, MetricsLog]:
     """Run the full training recipe; optionally write every artifact to out_dir.
 
@@ -225,8 +216,6 @@ def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
     TRADES-family objectives uses the model's detached natural predictions
     as the reference. GAIRAT runs its least-steps probe only after burn-in
     (weights are 1.0 before it, so the probe would be wasted work).
-
-    score_hook is the test-only override forwarded to batch_weights.
     """
     train_set, eval_set = config.dataset.load()
     eval_on = eval_set if eval_set is not None else train_set
@@ -270,7 +259,6 @@ def train(config: TrainConfig, out_dir: str | None = None, score_hook=None,
                     w, records = batch_weights(
                         scheme, epoch, model, xb, x_adv, yb, k_values=k_values,
                         ablation=config.objective.ablation, indices=idx,
-                        score_hook=score_hook,
                     )
                     epoch_records.extend(records)
 

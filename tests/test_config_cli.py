@@ -264,7 +264,7 @@ def test_data_source_file_kinds(tmp_path):
     rng = np.random.default_rng(0)
     from virlab.data import Dataset
     pix = Dataset(rng.integers(0, 256, size=(4, 6)) / 255.0,
-                  rng.integers(0, 3, size=4), bounds=(0.0, 1.0))
+                  rng.integers(0, 3, size=4))
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     save_idx(pix, ip, lp, rows=2, cols=3)
     train, _ = DataSource("idx", {"images": str(ip), "labels": str(lp)}).load()
@@ -403,3 +403,16 @@ def test_cli_report(train_run, capsys):
 def test_cli_report_empty_dir(tmp_path, capsys):
     assert main(["report", "--run", str(tmp_path)]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", [
+    "1,0,x,0.5,,,1.0",  # non-integer class
+    "1,0,2,0.5",        # too few fields
+])
+def test_cli_report_malformed_weights_row(tmp_path, capsys, bad_row):
+    (tmp_path / "weights.csv").write_text(
+        "epoch,sample_index,class,prob_true,s_v,s_d,weight\n"
+        "1,1,0,0.5,,,1.0\n" + bad_row + "\n")
+    assert main(["report", "--run", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "weights.csv:3" in err

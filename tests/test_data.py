@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from virlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset,
-                         batch_indices, batches, from_gmm, load_csv, load_idx,
-                         per_class_split, save_csv, save_idx, simplex_means,
-                         synth_multiclass)
+                         batch_indices, from_gmm, load_csv, load_idx,
+                         save_csv, save_idx, simplex_means, synth_multiclass)
 from virlab.errors import ConfigError, DataFormatError
 from virlab.gmm import GmmSpec, sample_gmm
 
@@ -40,8 +39,7 @@ def test_dataset_validation_and_properties():
 def pixel_dataset(n=6, rows=3, cols=4, seed=1) -> Dataset:
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(n, rows * cols))
-    return Dataset(pixels / 255.0, rng.integers(0, 5, size=n),
-                   bounds=(0.0, 1.0))
+    return Dataset(pixels / 255.0, rng.integers(0, 5, size=n))
 
 
 def test_idx_round_trip_is_exact(tmp_path):
@@ -51,7 +49,6 @@ def test_idx_round_trip_is_exact(tmp_path):
     back = load_idx(ip, lp)
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.bounds == (0.0, 1.0)
     assert back.features.min() >= 0.0 and back.features.max() <= 1.0
 
 
@@ -121,10 +118,9 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_load_csv_accepts_label_column_anywhere(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,label,x1\n1.5,2,-0.25\n0.0,0,3.0\n")
-    ds = load_csv(path, bounds=(-5.0, 5.0))
+    ds = load_csv(path)
     np.testing.assert_array_equal(ds.features, [[1.5, -0.25], [0.0, 3.0]])
     np.testing.assert_array_equal(ds.labels, [2, 0])
-    assert ds.bounds == (-5.0, 5.0)
 
 
 def test_load_csv_error_cases(tmp_path):
@@ -239,22 +235,3 @@ def test_batch_indices_edge_cases():
     assert len(whole) == 1 and len(whole[0]) == 7
     with pytest.raises(ConfigError):
         list(batch_indices(7, 0, seed=0, epoch=1))
-
-
-def test_batches_align_features_and_labels():
-    ds = small_dataset(n=25)
-    for (x, y), idx in zip(batches(ds, 8, seed=2, epoch=1),
-                           batch_indices(25, 8, seed=2, epoch=1)):
-        np.testing.assert_array_equal(x, ds.features[idx])
-        np.testing.assert_array_equal(y, ds.labels[idx])
-
-
-def test_per_class_split_partitions():
-    ds = small_dataset(n=30, classes=4, seed=9)
-    split = per_class_split(ds)
-    assert set(split) == set(np.unique(ds.labels).tolist())
-    joined = np.sort(np.concatenate(list(split.values())))
-    np.testing.assert_array_equal(joined, np.arange(30))
-    for cls, idx in split.items():
-        assert np.all(ds.labels[idx] == cls)
-        assert np.all(np.diff(idx) > 0)

@@ -50,7 +50,7 @@ def _fixture(n: int, seed: int) -> Dataset:
     for i, label in enumerate(labels):
         images[i, 1 + 2 * label] += 0.6
     return Dataset(np.clip(images, 0.0, 1.0).reshape(n, HEIGHT * WIDTH),
-                   labels, bounds=(0.0, 1.0))
+                   labels)
 
 
 def _digests(run_dir) -> dict[str, str]:

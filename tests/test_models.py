@@ -11,9 +11,8 @@ from conftest import make_mlp
 from virlab.cli import main
 from virlab.errors import CheckpointError, ConfigError, ShapeError
 from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
-                           predict_probs, save_checkpoint, true_class_prob,
-                           vulnerability_order)
-from virlab.tensor import Tensor, finite_diff_grad
+                           predict_probs, save_checkpoint)
+from virlab.tensor import Tensor, cross_entropy_rows, finite_diff_grad
 
 
 def test_arch_validation():
@@ -54,11 +53,6 @@ def test_init_is_seed_deterministic_and_bounded():
     np.testing.assert_array_equal(a.params["dense0.bias"].data, np.zeros(8))
 
 
-def test_param_count():
-    model = make_mlp((2, 16, 3), seed=0)
-    assert model.param_count() == 2 * 16 + 16 + 16 * 3 + 3
-
-
 def test_conv_stem_forward_matches_manual_convolution():
     stem = ConvStem(height=4, width=4, filters=2, kernel_size=3)
     model = Classifier(Arch((stem.out_dim, 3), conv=stem), seed=3)
@@ -85,20 +79,18 @@ def test_conv_model_parameter_gradients_match_oracle():
     x = rng.standard_normal((2, 9))
     y = np.array([0, 2])
 
-    from virlab.tensor import cross_entropy
-
     def loss_with(name, t):
         saved = model.params[name]
         model.params[name] = t
         try:
-            return cross_entropy(model.forward(x), y)
+            return cross_entropy_rows(model.forward(x), y).mean()
         finally:
             model.params[name] = saved
 
     for name in model.params:
         p = model.params[name]
         model.zero_grad()
-        cross_entropy(model.forward(x), y).backward()
+        cross_entropy_rows(model.forward(x), y).mean().backward()
         numeric = finite_diff_grad(lambda t: loss_with(name, t), p.data)
         np.testing.assert_allclose(p.grad, numeric, rtol=1e-5, atol=1e-8)
 
@@ -109,36 +101,6 @@ def test_predict_probs_rows_are_distributions():
     assert p.shape == (6, 3)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert p.min() >= 0.0
-
-
-def test_true_class_prob_scalar_and_batch():
-    model = make_mlp((4, 8, 3), seed=1)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 4))
-    y = np.array([0, 1, 2, 0, 1])
-    batch = true_class_prob(model, x, y)
-    assert batch.shape == (5,)
-    single = true_class_prob(model, x[2], 2)
-    assert isinstance(single, float)
-    np.testing.assert_allclose(single, batch[2], rtol=1e-12)
-    probs = predict_probs(model, x)
-    np.testing.assert_allclose(batch, probs[np.arange(5), y], rtol=1e-12)
-    with pytest.raises(IndexError):
-        true_class_prob(model, x, np.array([0, 1, 2, 0, 3]))
-
-
-def test_vulnerability_order_sorts_ascending_and_stably():
-    model = make_mlp((4, 8, 3), seed=1)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((8, 4))
-    y = rng.integers(0, 3, size=8)
-    order = vulnerability_order(model, x, y)
-    probs = true_class_prob(model, x, y)
-    assert np.all(np.diff(probs[order]) >= 0)
-    # exact duplicates keep index order
-    x2 = np.vstack([x[0], x[0], x[0]])
-    y2 = np.array([y[0]] * 3)
-    np.testing.assert_array_equal(vulnerability_order(model, x2, y2), [0, 1, 2])
 
 
 # -- checkpoints -----------------------------------------------------------------

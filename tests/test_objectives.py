@@ -10,7 +10,8 @@ from virlab.errors import ConfigError, ShapeError
 from virlab.objectives import (Ablation, ObjectiveFamily, ObjectiveSpec,
                                at_loss, trades_loss, vir_at_loss,
                                vir_trades_loss)
-from virlab.tensor import Tensor, cross_entropy_rows, finite_diff_grad
+from virlab.tensor import (Tensor, cross_entropy_rows, finite_diff_grad,
+                           kl_divergence, softmax)
 
 
 def batch(rng, n=6, d=4, classes=3):
@@ -40,15 +41,37 @@ def test_at_loss_is_mean_adversarial_ce(rng):
     np.testing.assert_allclose(loss.item(), manual, rtol=1e-15)
 
 
+def _value_and_grads(model, make_loss):
+    model.zero_grad()
+    loss = make_loss()
+    loss.backward()
+    return loss.item(), {n: p.grad.copy() for n, p in model.params.items()}
+
+
 def test_unit_weights_collapse_to_unweighted(rng):
+    # at_loss/trades_loss run the weighted kernels with w = 1; multiplying
+    # by 1.0 is exact, so value and every parameter gradient must be bitwise
+    # those of the unweighted graphs built here from the tensor primitives.
     for trial in range(10):
         model = make_mlp((4, 8, 3), seed=trial)
         x_nat, x_adv, y = batch(rng)
-        ones = np.ones(len(y))
-        assert abs(vir_at_loss(model, x_nat, x_adv, y, ones).item()
-                   - at_loss(model, x_adv, y).item()) < 1e-12
-        assert abs(vir_trades_loss(model, x_nat, x_adv, y, 5.0, ones).item()
-                   - trades_loss(model, x_nat, x_adv, y, 5.0).item()) < 1e-12
+
+        def plain_trades():
+            z_nat, z_adv = model.forward(x_nat), model.forward(x_adv)
+            kl = kl_divergence(softmax(z_nat), softmax(z_adv))
+            return (cross_entropy_rows(z_nat, y) + 5.0 * kl).mean()
+
+        pairs = (
+            (lambda: at_loss(model, x_adv, y),
+             lambda: cross_entropy_rows(model.forward(x_adv), y).mean()),
+            (lambda: trades_loss(model, x_nat, x_adv, y, 5.0), plain_trades),
+        )
+        for wrapped, plain in pairs:
+            got, got_grads = _value_and_grads(model, wrapped)
+            want, want_grads = _value_and_grads(model, plain)
+            assert got == want
+            for name in want_grads:
+                np.testing.assert_array_equal(got_grads[name], want_grads[name])
 
 
 def test_vir_at_loss_decomposes_per_sample(rng):

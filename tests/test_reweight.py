@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mlp
-from virlab.errors import ConfigError, ShapeError
+from virlab import reweight
+from virlab.errors import ConfigError, DataFormatError, ShapeError
 from virlab.models import Classifier, predict_probs
 from virlab.reweight import (WEIGHT_CSV_HEADER, Ablation, WeightFamily,
                              WeightRecord, WeightScheme, batch_weights,
-                             class_weight_distribution, discrepancy_score,
-                             gairat_weight, mail_weight, probability_margin,
-                             read_weight_records, vir_weight,
-                             vulnerability_score, write_weight_records)
+                             discrepancy_score, gairat_weight, mail_weight,
+                             probability_margin, read_weight_records,
+                             vir_weight, vulnerability_score,
+                             write_weight_records)
 
 REL = 1e-9
 
@@ -100,13 +101,32 @@ def test_gairat_weight_discreteness():
 
 
 def test_probability_margin_examples():
-    assert probability_margin(np.array([0.6, 0.3, 0.1]), 0) == pytest.approx(0.3, rel=REL)
-    assert probability_margin(np.full(4, 0.25), 2) == pytest.approx(0.0, abs=1e-15)
-    assert probability_margin(np.array([0.1, 0.9]), 0) == pytest.approx(-0.8, rel=REL)
+    assert probability_margin([[0.6, 0.3, 0.1]], [0]) == pytest.approx(0.3, rel=REL)
+    assert probability_margin([np.full(4, 0.25)], [2]) == pytest.approx(0.0, abs=1e-15)
+    assert probability_margin([[0.1, 0.9]], [0]) == pytest.approx(-0.8, rel=REL)
     with pytest.raises(ConfigError):
-        probability_margin(np.array([1.0]), 0)
+        probability_margin([[1.0]], [0])
     with pytest.raises(IndexError):
-        probability_margin(np.array([0.5, 0.5]), 2)
+        probability_margin([[0.5, 0.5]], [2])
+    with pytest.raises(IndexError):
+        probability_margin([[0.5, 0.5]], [-1])
+    with pytest.raises(ShapeError):
+        probability_margin([[0.5, 0.5], [0.2, 0.8]], [0])
+
+
+def margin_loop(p, y):
+    """Row by row: true-class probability minus the largest other entry."""
+    return np.array([p[i, y[i]] - np.delete(p[i], y[i]).max()
+                     for i in range(len(y))])
+
+
+def test_probability_margin_is_the_per_row_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n, c = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        p = rng.dirichlet(np.ones(c), size=n)
+        y = rng.integers(0, c, size=n)
+        np.testing.assert_array_equal(probability_margin(p, y), margin_loop(p, y))
 
 
 def test_mail_weight_frozen_values():
@@ -236,7 +256,7 @@ def test_uniform_is_ones_at_any_epoch():
     np.testing.assert_array_equal(w, np.ones(5))
 
 
-def test_vir_orders_vulnerable_samples_first():
+def test_vir_orders_vulnerable_samples_first(monkeypatch):
     # prob_true 0.2 vs 0.8 with s_d pinned equal: the vulnerable sample wins.
     model = logit_model()
     a = math.log(0.2 / 0.8)
@@ -244,8 +264,9 @@ def test_vir_orders_vulnerable_samples_first():
     x = np.array([[a, 0.0], [b, 0.0]])
     y = np.array([0, 0])
     scheme = WeightScheme.vir_at(burn_in_epoch=75)
-    w, records = batch_weights(scheme, 77, model, x, x, y,
-                               score_hook=lambda s_v, s_d: (s_v, np.ones(2)))
+    monkeypatch.setattr(reweight, "discrepancy_score",
+                        lambda p_nat, p_adv: np.ones(len(p_nat)))
+    w, records = batch_weights(scheme, 77, model, x, x, y)
     assert w[0] > w[1]
     np.testing.assert_allclose(records[0].prob_true, 0.2, rtol=1e-12)
     np.testing.assert_allclose(records[1].prob_true, 0.8, rtol=1e-12)
@@ -311,8 +332,8 @@ def test_mail_batch_weights(rng):
                           burn_in_epoch=0)
     w, _ = batch_weights(scheme, 1, model, x_nat, x_adv, y)
     p_adv = predict_probs(model, x_adv)
-    pm = np.array([probability_margin(p_adv[i], int(y[i])) for i in range(6)])
-    np.testing.assert_allclose(w, mail_weight(pm, 10.0, 0.0), rtol=1e-12)
+    np.testing.assert_allclose(w, mail_weight(margin_loop(p_adv, y), 10.0, 0.0),
+                               rtol=1e-12)
 
 
 def test_batch_weights_alignment_errors(rng):
@@ -341,25 +362,12 @@ def test_batch_weights_records_carry_dataset_indices(rng):
     assert all(0.0 <= r.prob_true <= 1.0 for r in records)
 
 
-# -- aggregation and CSV ---------------------------------------------------------
+# -- record CSV ----------------------------------------------------------------
 
 
 def rec(epoch, idx, cls, w, s_v=None, s_d=None, p=0.5):
     return WeightRecord(epoch=epoch, sample_index=idx, class_label=cls,
                         prob_true=p, s_v=s_v, s_d=s_d, weight=w)
-
-
-def test_class_weight_distribution_examples():
-    records = [rec(1, 0, 0, 2.0), rec(1, 1, 0, 3.0), rec(1, 2, 1, 1.0)]
-    dist = class_weight_distribution(records)
-    assert dist == {0: 5.0, 1: 1.0}
-    assert sum(dist.values()) == sum(r.weight for r in records)
-    only = class_weight_distribution([rec(1, 0, 4, 2.5)])
-    assert only == {4: 2.5}
-    with pytest.raises(ValueError):
-        class_weight_distribution([])
-    uniform = [rec(1, i, i % 3, 1.0) for i in range(9)]
-    assert class_weight_distribution(uniform) == {0: 3.0, 1: 3.0, 2: 3.0}
 
 
 def test_weight_records_csv_round_trip(tmp_path):
@@ -383,6 +391,20 @@ def test_read_weight_records_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_weight_records(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", ":1:"),
+    ("a,b,c\n1,2,3\n", ":1:"),
+    (",".join(WEIGHT_CSV_HEADER) + "\n1,0,x,0.5,,,1.0\n", ":2:"),
+    (",".join(WEIGHT_CSV_HEADER) + "\n1,0,2,0.5,,,1.0\n1,0,2,0.5\n", ":3:"),
+    (",".join(WEIGHT_CSV_HEADER) + "\n1,0,2,0.5,,,1.0,9\n", ":2:"),
+])
+def test_read_weight_records_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "weights.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=where):
         read_weight_records(path)
 
 

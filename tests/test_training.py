@@ -2,7 +2,6 @@
 
 import csv
 import io
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,8 +94,6 @@ def test_lr_schedule_steps_at_milestones():
     assert lr_at(75, optim) == pytest.approx(0.001, rel=1e-12)
     assert lr_at(80, optim) == pytest.approx(0.001, rel=1e-12)
     assert lr_at(95, optim) == pytest.approx(0.0001, rel=1e-12)
-    # also accepts anything carrying an .optimizer
-    assert lr_at(80, SimpleNamespace(optimizer=optim)) == lr_at(80, optim)
     with pytest.raises(ConfigError):
         lr_at(0, optim)
 

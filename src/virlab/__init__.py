@@ -28,8 +28,7 @@ from .reweight import (Ablation, WeightFamily, WeightRecord, WeightScheme,
                        batch_weights, discrepancy_score, gairat_weight,
                        mail_weight, probability_margin, read_weight_records,
                        vir_weight, vulnerability_score, write_weight_records)
-from .tensor import (Tensor, cross_entropy_rows, finite_diff_grad,
-                     kl_divergence, softmax)
+from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 from .training import (EvalReport, MetricsLog, MetricsRow, evaluate, lr_at,
                        mix_seed, sgd_step, sweep, train)
 

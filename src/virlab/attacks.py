@@ -11,10 +11,11 @@ In evaluation that row is the dataset index. In training it is the
 position within the minibatch, not a dataset index, so a sample's noise
 depends on where its batch puts it.
 
-Attacks need only the input gradient, so they run with the model's
-parameters frozen (``Classifier.frozen``): no parameter gradient is
-computed, and every parameter's ``.grad`` and ``requires_grad`` are left
-as the attack found them.
+Attacks need only the input gradient, so each runs with the model's
+parameters frozen (``Classifier.frozen``, entered once per attack): no
+parameter gradient is computed, prediction forwards keep no activations,
+and every parameter's ``.grad`` and ``requires_grad`` are left as the
+attack found them.
 """
 
 from __future__ import annotations
@@ -140,10 +141,9 @@ def _cw_margin_rows(logits: Tensor, y) -> Tensor:
 
 
 def _input_gradient(model, x_np, y, mode, reference_probs) -> np.ndarray:
+    """Gradient of the attack loss at x_np; callers freeze the model."""
     x_t = Tensor(x_np, requires_grad=True)
-    with model.frozen():
-        loss = _attack_loss(model, x_t, y, mode, reference_probs)
-        loss.backward()
+    _attack_loss(model, x_t, y, mode, reference_probs).backward()
     return x_t.grad
 
 
@@ -167,7 +167,8 @@ def fgsm(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     x, y = _as_batch(x, y, model)
     if spec.epsilon == 0.0:
         return x.copy()
-    grad = _input_gradient(model, x, y, LossMode.CE, None)
+    with model.frozen():
+        grad = _input_gradient(model, x, y, LossMode.CE, None)
     out = x + spec.epsilon * np.sign(grad)
     if spec.bounds is not None:
         out = np.clip(out, spec.bounds[0], spec.bounds[1])
@@ -180,18 +181,19 @@ def _iterative_ascent(model, x, y, spec, mode, reference_probs,
     sample is misclassified (the GAIRAT least-steps probe)."""
     cur = x + _start_noise(x.shape, spec) if spec.start_noise_scale > 0 else x.copy()
     first_miss = None
-    if record_first_miss:
-        first_miss = np.full(x.shape[0], spec.iterations, dtype=np.int64)
-        pred = np.argmax(model.forward(Tensor(x)).data, axis=1)
-        first_miss[pred != y] = 0
-    for k in range(1, spec.iterations + 1):
-        grad = _input_gradient(model, cur, y, mode, reference_probs)
-        cur = project_linf(cur + spec.step_size * np.sign(grad), x,
-                           spec.epsilon, spec.bounds)
+    with model.frozen():
         if record_first_miss:
-            pred = np.argmax(model.forward(Tensor(cur)).data, axis=1)
-            undecided = first_miss == spec.iterations
-            first_miss[undecided & (pred != y)] = k
+            first_miss = np.full(x.shape[0], spec.iterations, dtype=np.int64)
+            pred = np.argmax(model.forward(Tensor(x)).data, axis=1)
+            first_miss[pred != y] = 0
+        for k in range(1, spec.iterations + 1):
+            grad = _input_gradient(model, cur, y, mode, reference_probs)
+            cur = project_linf(cur + spec.step_size * np.sign(grad), x,
+                               spec.epsilon, spec.bounds)
+            if record_first_miss:
+                pred = np.argmax(model.forward(Tensor(cur)).data, axis=1)
+                undecided = first_miss == spec.iterations
+                first_miss[undecided & (pred != y)] = k
     return (cur, first_miss) if record_first_miss else cur
 
 

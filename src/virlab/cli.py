@@ -178,11 +178,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_metrics(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a metrics.csv; a foreign header or a row of the
+    wrong width is a DataFormatError naming path:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
+        header = next(reader, None)
+        if not header or header[0] != "row_kind" or not {"epoch", "clean_acc"} <= set(header):
+            raise DataFormatError(f"{path}:1: unexpected metrics CSV header {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                      f"expected {len(header)}")
+            rows.append(row)
+        return header, rows
 
 
 def _cmd_report(args) -> int:
@@ -192,7 +202,7 @@ def _cmd_report(args) -> int:
     wrote = []
 
     if os.path.exists(metrics_path):
-        header, rows = _read_rows(metrics_path)
+        header, rows = _read_metrics(metrics_path)
         keep = (["epoch", "clean_acc"]
                 + [h for h in header if h.startswith("robust_acc_")]
                 + [h for h in header if h.startswith("acc_class_")])

@@ -1,5 +1,11 @@
 """Feed-forward classifiers: an MLP and an optional single-conv-block net.
 
+A forward pass is one autodiff node whose parents are the input and every
+parameter. It computes the logits with plain numpy and backpropagates by
+hand (relu masks, the dense layers in reverse, then the conv stem through
+the tensor module's reversed slice-add), bitwise what a graph of the
+tensor module's layer ops gives, with no per-layer nodes or copies.
+
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
 rng seed), then each parameter as length-prefixed name, 8-byte little-endian
@@ -20,7 +26,7 @@ import numpy as np
 
 from .codec import canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import Tensor, _softmax_values, sliding_patches
+from .tensor import Tensor, _patch_grad, _patch_rows, _softmax_values
 
 MAGIC = b"VIRCKPT1"
 _U64 = struct.Struct("<Q")
@@ -118,24 +124,75 @@ class Classifier:
             self.params[f"dense{i}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def forward(self, x) -> Tensor:
-        """Logits for a [batch, input_dim] batch (rows are independent)."""
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        if h.data.ndim != 2 or h.data.shape[1] != self.arch.input_dim:
+        """Logits for a [batch, input_dim] batch (rows are independent).
+
+        The network is one graph node whose parents are the input and every
+        parameter. Its backward is written out layer by layer and forms only
+        the gradients some parent asks for; when none does, the node has no
+        backward and keeps no activations.
+        """
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        if x.data.ndim != 2 or x.data.shape[1] != self.arch.input_dim:
             raise ShapeError(
-                f"expected [batch, {self.arch.input_dim}] input, got {h.data.shape}"
+                f"expected [batch, {self.arch.input_dim}] input, got {x.data.shape}"
             )
-        batch = h.data.shape[0]
-        if self.arch.conv is not None:
-            c = self.arch.conv
-            patches = sliding_patches(h, c.height, c.width, c.kernel_size)
-            h = (patches @ self.params["conv.weight"] + self.params["conv.bias"]).relu()
-            h = h.reshape(batch, c.out_dim)
-        n_dense = len(self.arch.layers) - 1
-        for i in range(n_dense):
-            h = h @ self.params[f"dense{i}.weight"] + self.params[f"dense{i}.bias"]
-            if i < n_dense - 1:
-                h = h.relu()
-        return h
+        batch = x.data.shape[0]
+        conv = self.arch.conv
+        stem = (self.params["conv.weight"], self.params["conv.bias"]) if conv else ()
+        dense = [(self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"])
+                 for i in range(len(self.arch.layers) - 1)]
+        # wants[i]: whether the input of dense layer i needs a gradient, i.e.
+        # whether x or a parameter in front of that layer requires one.
+        wants = [x.requires_grad or any(p.requires_grad for p in stem)]
+        for w, b in dense:
+            wants.append(wants[-1] or w.requires_grad or b.requires_grad)
+        h = x.data
+        if conv:
+            patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+            h = patches @ stem[0].data
+            h += stem[1].data
+            np.maximum(h, 0.0, out=h)
+            fmap = h  # [batch * positions, filters]
+            h = h.reshape(batch, conv.out_dim)
+        inputs = []  # each dense layer's input
+        for i, (w, b) in enumerate(dense):
+            inputs.append(h)
+            h = h @ w.data
+            h += b.data
+            if i < len(dense) - 1:
+                np.maximum(h, 0.0, out=h)
+        out = Tensor._from_op(h, (x, *self.params.values()))
+        if not wants[-1]:
+            return out
+
+        def backward(g):
+            for i in reversed(range(len(dense))):
+                w, b = dense[i]
+                if w.requires_grad:
+                    w._accumulate(inputs[i].T @ g, owned=True)
+                if b.requires_grad:
+                    b._accumulate(g.sum(axis=0), owned=True)
+                if not wants[i]:
+                    return
+                g = g @ w.data.T
+                if i > 0:
+                    g *= inputs[i] > 0.0  # the relu mask of the layer in front
+            if not conv:
+                x._accumulate(g, owned=True)
+                return
+            g = g.reshape(fmap.shape)
+            g *= fmap > 0.0
+            if stem[0].requires_grad:
+                stem[0]._accumulate(patches.T @ g, owned=True)
+            if stem[1].requires_grad:
+                stem[1]._accumulate(g.sum(axis=0), owned=True)
+            if x.requires_grad:
+                x._accumulate(_patch_grad(g @ stem[0].data.T, batch, conv.height,
+                                          conv.width, conv.kernel_size),
+                              owned=True)
+
+        out._backward = backward
+        return out
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -16,6 +16,12 @@ Closures compute a parent's gradient only when that parent has
 The probability-facing ops (softmax, cross entropy, KL divergence) are
 fused primitives with hand-derived gradients so the numerically stable
 forms (max-shifted exponentials, log-sum-exp) are used throughout.
+
+The network itself is one node (``models.Classifier.forward``) with its own
+layer-by-layer backward; it shares the patch helpers below with
+``sliding_patches``. The layer ops (``@``, ``+``, ``relu``, ``reshape``,
+``sliding_patches``) are off the model path and remain for the benchmark's
+op cases and the tests' layered oracle.
 """
 
 from __future__ import annotations
@@ -90,9 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -360,6 +363,37 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     return out
 
 
+def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.ndarray:
+    """Every kernel_size x kernel_size patch of each flattened [height, width]
+    image in ``v``: [batch * out_h * out_w, kernel_size**2], row-major scan."""
+    out_h = height - kernel_size + 1
+    out_w = width - kernel_size + 1
+    imgs = v.reshape(v.shape[0], height, width)
+    windows = np.lib.stride_tricks.sliding_window_view(imgs, (kernel_size, kernel_size), axis=(1, 2))
+    patches = windows.reshape(v.shape[0] * out_h * out_w, kernel_size * kernel_size)
+    return np.ascontiguousarray(patches)
+
+
+def _patch_grad(g: np.ndarray, batch: int, height: int, width: int,
+                kernel_size: int) -> np.ndarray:
+    """Gradient of the flattened images from the gradient ``g`` of their
+    patch rows: the reverse of _patch_rows, as a fresh [batch, height * width].
+
+    Each kernel offset's slab is added back onto its shifted window. Offsets
+    run in reverse so every pixel sums its contributions in increasing patch
+    order, the order an np.add.at scatter over the row-major patch layout
+    uses: the result is bitwise the same.
+    """
+    out_h = height - kernel_size + 1
+    out_w = width - kernel_size + 1
+    per_offset = g.reshape(batch, out_h, out_w, kernel_size, kernel_size)
+    full = np.zeros((batch, height, width))
+    for ki in reversed(range(kernel_size)):
+        for kj in reversed(range(kernel_size)):
+            full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[:, :, :, ki, kj]
+    return full.reshape(batch, height * width)
+
+
 def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Tensor:
     """Extract every kernel_size x kernel_size patch of each [height, width] image.
 
@@ -372,49 +406,11 @@ def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Ten
         raise ShapeError(f"expected [batch, {height * width}] input, got {v.shape}")
     if kernel_size < 1 or kernel_size > min(height, width):
         raise ShapeError(f"kernel_size {kernel_size} does not fit {height}x{width}")
-    out_h = height - kernel_size + 1
-    out_w = width - kernel_size + 1
-    imgs = v.reshape(v.shape[0], height, width)
-    windows = np.lib.stride_tricks.sliding_window_view(imgs, (kernel_size, kernel_size), axis=(1, 2))
-    patches = windows.reshape(v.shape[0] * out_h * out_w, kernel_size * kernel_size)
-    out = Tensor._from_op(np.ascontiguousarray(patches), (x,))
+    out = Tensor._from_op(_patch_rows(v, height, width, kernel_size), (x,))
 
     def backward(g):
-        # Scatter-add each kernel offset's slab back onto its shifted window.
-        # Offsets run in reverse so every pixel sums its contributions in
-        # increasing patch order, the order an np.add.at scatter over the
-        # row-major patch layout uses: the result is bitwise the same.
-        per_offset = g.reshape(v.shape[0], out_h, out_w, kernel_size, kernel_size)
-        full = np.zeros_like(imgs)
-        for ki in reversed(range(kernel_size)):
-            for kj in reversed(range(kernel_size)):
-                full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[:, :, :, ki, kj]
-        x._accumulate(full.reshape(v.shape), owned=True)
+        x._accumulate(_patch_grad(g, v.shape[0], height, width, kernel_size),
+                      owned=True)
 
     out._backward = backward
     return out
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, the autodiff oracle.
-
-    ``f`` receives a plain (non-grad) Tensor and must return a float or a
-    scalar Tensor. Cost is two evaluations per coordinate of x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-
-    def evaluate(values: np.ndarray) -> float:
-        r = f(Tensor(values.reshape(x.shape)))
-        return r.item() if isinstance(r, Tensor) else float(r)
-
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        hi = evaluate(bumped)
-        bumped[i] = flat[i] - h
-        lo = evaluate(bumped)
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad

@@ -1,13 +1,18 @@
-"""Every virlab name the benchmark's tracer wraps still exists.
+"""Every virlab name the benchmark relies on still exists.
 
-perfbench/tracing.py patches functions and methods by name; a deletion in
-src/virlab that one of them relies on would only surface when the traced
-benchmark runs. This test reads perfbench/ and changes nothing there.
+perfbench/tracing.py patches functions and methods by name, and
+perfbench/cases.py times public functions and the Tensor layer ops that the
+model itself no longer uses. A deletion in src/virlab that either relies on
+would only surface when the traced benchmark runs. This test reads
+perfbench/ and changes nothing there.
 """
 
+import ast
 import importlib
 import os
 import sys
+
+from virlab.tensor import Tensor
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
@@ -29,3 +34,39 @@ def test_every_traced_name_resolves():
     missing += [f"{cls.__qualname__}.{attr}" for cls, attr, _ in tracing.METHODS
                 if attr not in cls.__dict__]
     assert not missing, f"perfbench/tracing.py wraps missing names: {missing}"
+
+
+def test_every_name_the_cases_use_resolves():
+    # Parsed, not imported: only the names cases.py spells out are checked.
+    with open(os.path.join(BENCH, "cases.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "virlab":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = importlib.import_module(
+                    f"virlab.{alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("virlab."):
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if not hasattr(module, a.name)]
+    assert {"tensor", "attacks", "reweight", "objectives", "training",
+            "models"} <= set(modules)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            obj = modules[root.id]
+            for attr in chain:
+                if not hasattr(obj, attr):
+                    missing.append(".".join([root.id, *chain]))
+                    break
+                obj = getattr(obj, attr)
+    # The op cases time these Tensor methods through operators and calls.
+    missing += [f"Tensor.{op}" for op in ("__matmul__", "__add__", "relu", "sum")
+                if op not in Tensor.__dict__]
+    assert not missing, f"perfbench/cases.py uses missing names: {missing}"

@@ -405,6 +405,25 @@ def test_cli_report_empty_dir(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+METRICS_HEADER = "row_kind,epoch,lr,train_loss,clean_acc,acc_class_0\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("", 1, id="empty"),
+    pytest.param("epoch,sample_index,class,prob_true,s_v,s_d,weight\n", 1,
+                 id="foreign_header"),
+    pytest.param(METRICS_HEADER + "epoch,1,0.1,0.5,0.9,0.9\nepoch,1\n", 3,
+                 id="short_row"),
+    pytest.param("row_kind,lr,train_loss,clean_acc\nepoch,0.1,0.5,0.9\n", 1,
+                 id="no_epoch_column"),
+])
+def test_cli_report_malformed_metrics(tmp_path, capsys, text, line):
+    (tmp_path / "metrics.csv").write_text(text)
+    assert main(["report", "--run", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and f"metrics.csv:{line}" in err
+
+
 @pytest.mark.parametrize("bad_row", [
     "1,0,x,0.5,,,1.0",  # non-integer class
     "1,0,2,0.5",        # too few fields

@@ -1,5 +1,5 @@
-"""Classifier shapes, deterministic init, probability helpers, and the
-checkpoint wire format."""
+"""Classifier shapes, deterministic init, the fused forward against the
+layered graph, probability helpers, and the checkpoint wire format."""
 
 import json
 import struct
@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
+from oracles import finite_diff_grad
+from virlab.attacks import _cw_margin_rows
 from virlab.cli import main
 from virlab.errors import CheckpointError, ConfigError, ShapeError
 from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
                            predict_probs, save_checkpoint)
-from virlab.tensor import Tensor, cross_entropy_rows, finite_diff_grad
+from virlab.objectives import vir_trades_loss
+from virlab.tensor import (Tensor, cross_entropy_rows, kl_divergence,
+                           sliding_patches, softmax)
 
 
 def test_arch_validation():
@@ -93,6 +97,132 @@ def test_conv_model_parameter_gradients_match_oracle():
         cross_entropy_rows(model.forward(x), y).mean().backward()
         numeric = finite_diff_grad(lambda t: loss_with(name, t), p.data)
         np.testing.assert_allclose(p.grad, numeric, rtol=1e-5, atol=1e-8)
+
+
+# -- the fused forward against the layered graph -----------------------------------
+
+
+def layered_forward(model, x) -> Tensor:
+    """The network as a graph of Tensor layer ops, one node per op: the
+    forward the fused node replaced, kept as its bitwise oracle."""
+    p = model.params
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    conv = model.arch.conv
+    if conv is not None:
+        patches = sliding_patches(h, conv.height, conv.width, conv.kernel_size)
+        h = (patches @ p["conv.weight"] + p["conv.bias"]).relu()
+        h = h.reshape(x.shape[0], conv.out_dim)
+    n_dense = len(model.arch.layers) - 1
+    for i in range(n_dense):
+        h = h @ p[f"dense{i}.weight"] + p[f"dense{i}.bias"]
+        if i < n_dense - 1:
+            h = h.relu()
+    return h
+
+
+ORACLE_MODELS = {
+    "mlp": lambda: make_mlp((6, 8, 5, 3), seed=2),
+    # 7x6 images (h != w), a hidden dense layer behind the stem ...
+    "conv": lambda: Classifier(Arch((5 * 4 * 2, 5, 3), conv=ConvStem(
+        height=7, width=6, filters=2, kernel_size=3)), seed=3),
+    # ... and a stem feeding the output layer directly.
+    "conv_direct": lambda: Classifier(Arch((6 * 5 * 3, 3), conv=ConvStem(
+        height=7, width=6, filters=3, kernel_size=2)), seed=4),
+}
+
+ORACLE_Y = np.array([0, 2, 1, 2, 0])
+ORACLE_W = np.array([0.5, 1.5, 1.0, 0.25, 2.0])
+
+
+def _vir_trades(model, forward, xa, xb):
+    # The objective's own two-pass kernel, run on whichever forward is tested.
+    model.forward = forward
+    try:
+        return vir_trades_loss(model, xa.data, xb.data, ORACLE_Y, 5.0, ORACLE_W)
+    finally:
+        del model.forward
+
+
+ORACLE_LOSSES = {
+    "ce_rows": lambda model, f, xa, xb: cross_entropy_rows(f(xa), ORACLE_Y).sum(),
+    "kl_both_sides": lambda model, f, xa, xb: kl_divergence(
+        softmax(f(xa)), softmax(f(xb))).sum(),
+    "cw_margin": lambda model, f, xa, xb: _cw_margin_rows(f(xa), ORACLE_Y).sum(),
+    "trades_two_pass": lambda model, f, xa, xb: (
+        cross_entropy_rows(f(xa), ORACLE_Y)
+        + 5.0 * (Tensor(ORACLE_W) * kl_divergence(softmax(f(xa)), softmax(f(xb))))
+    ).mean(),
+    "vir_trades_loss": _vir_trades,
+}
+
+# Which leaves require a gradient: (parameters, input). "partial" freezes
+# the first layer (the stem, or dense0 of the MLP) and leaves the rest on.
+GRAD_MODES = {
+    "train": (True, False),
+    "attack": (False, True),
+    "all": (True, True),
+    "partial": ("partial", False),
+}
+
+
+def _bits(a):
+    return None if a is None else a.view(np.int64)
+
+
+@pytest.mark.parametrize("mode", GRAD_MODES)
+@pytest.mark.parametrize("arch", ORACLE_MODELS)
+def test_fused_forward_is_bitwise_the_layered_graph(arch, mode, monkeypatch):
+    model = ORACLE_MODELS[arch]()
+    params_on, input_on = GRAD_MODES[mode]
+    first = "conv." if model.arch.conv is not None else "dense0."
+    for name, p in model.params.items():
+        p.requires_grad = params_on is True or (
+            params_on == "partial" and not name.startswith(first))
+    rng = np.random.default_rng(7)
+    xs = [rng.standard_normal((5, model.arch.input_dim)) for _ in range(2)]
+
+    # A gradient is only ever handed to a tensor that asked for one.
+    handed = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad, owned=False):
+        handed.append(self.requires_grad)
+        accumulate(self, grad, owned)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+
+    def run(forward, loss):
+        model.zero_grad()
+        inputs = [Tensor(x, requires_grad=input_on) for x in xs]
+        loss(model, forward, *inputs).backward()
+        return [_bits(t.grad) for t in inputs] + [
+            _bits(p.grad) for p in model.params.values()]
+
+    fused = model.forward(Tensor(xs[0]))
+    np.testing.assert_array_equal(
+        _bits(fused.data), _bits(layered_forward(model, Tensor(xs[0])).data))
+    for name, loss in ORACLE_LOSSES.items():
+        if loss is _vir_trades and not params_on:
+            continue  # it takes arrays: with frozen parameters nothing has a gradient
+        got = run(model.forward, loss)
+        want = run(lambda x: layered_forward(model, x), loss)
+        labels = ["x_a", "x_b", *model.params]
+        for label, g, w in zip(labels, got, want):
+            assert (g is None) == (w is None), (name, label)
+            if g is not None:
+                np.testing.assert_array_equal(g, w, err_msg=f"{name}: {label}")
+        assert any(g is not None for g in got), name
+    assert handed and all(handed)
+
+
+def test_forward_without_any_gradient_keeps_no_backward():
+    for make in ORACLE_MODELS.values():
+        model = make()
+        x = np.zeros((2, model.arch.input_dim))
+        with model.frozen():
+            assert model.forward(x)._backward is None
+            assert model.forward(Tensor(x, requires_grad=True))._backward is not None
+        assert model.forward(x)._backward is not None
 
 
 def test_predict_probs_rows_are_distributions():

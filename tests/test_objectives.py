@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
+from oracles import finite_diff_grad
 from virlab.errors import ConfigError, ShapeError
 from virlab.objectives import (Ablation, ObjectiveFamily, ObjectiveSpec,
                                at_loss, trades_loss, vir_at_loss,
                                vir_trades_loss)
-from virlab.tensor import (Tensor, cross_entropy_rows, finite_diff_grad,
-                           kl_divergence, softmax)
+from virlab.tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
 def batch(rng, n=6, d=4, classes=3):

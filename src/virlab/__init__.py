@@ -17,9 +17,9 @@ from .data import (Dataset, batch_indices, from_gmm, load_csv, load_idx,
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericAbort, ShapeError)
 from .gmm import (CorollaryReport, GmmSpec, LinearClassifier, RiskReport,
-                  corollary_check, linear_risk, margin_true_class_prob,
-                  monte_carlo_risks, optimal_linear, risk_report, sample_gmm,
-                  std_normal_cdf, theorem1_risks, true_class_posterior)
+                  corollary_check, margin_true_class_prob, monte_carlo_risks,
+                  optimal_linear, risk_report, sample_gmm, std_normal_cdf,
+                  theorem1_risks)
 from .models import (Arch, Classifier, ConvStem, load_checkpoint,
                      predict_probs, save_checkpoint)
 from .objectives import (ObjectiveFamily, ObjectiveSpec, at_loss, trades_loss,

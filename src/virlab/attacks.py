@@ -1,15 +1,21 @@
 """Adversarial example generation under an l-infinity budget.
 
-Four attack families share one spec: single-step FGSM, PGD with a small
-Gaussian random start, PGD on the CW margin loss, and black-box SPSA.
-Also provides the least-steps probe that GAIRAT weighting consumes.
+Four attack families share one spec and one engine (``_attack``):
+single-step FGSM, PGD with a small Gaussian random start, PGD on the CW
+margin loss, and black-box SPSA. Each runs the same projected sign-ascent
+loop and differs only in data: the step, whether it starts from noise, and
+the gradient it ascends (the CE, KL or margin input gradient, or per-sample
+SPSA estimates). KL mode, the TRADES inner maximization, takes its
+reference from the model itself: the prediction at the natural input,
+computed inside the attack. The engine also provides the least-steps probe
+that GAIRAT weighting consumes.
 
 Every attack is a pure function of (model, x, y, spec): the same inputs
-give bit-identical outputs, and per-sample randomness is drawn from
-seed XOR i, where i is the sample's row in the x handed to the attack.
-In evaluation that row is the dataset index. In training it is the
-position within the minibatch, not a dataset index, so a sample's noise
-depends on where its batch puts it.
+give bit-identical outputs, and per-sample randomness is drawn from one
+PCG64 stream keyed by seed XOR i (``_row_rng``), where i is the sample's
+row in the x handed to the attack. In evaluation that row is the dataset
+index. In training it is the position within the minibatch, not a dataset
+index, so a sample's noise depends on where its batch puts it.
 
 Attacks need only the input gradient, so each runs with the model's
 parameters frozen (``Classifier.frozen``, entered once per attack): no
@@ -26,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .models import Classifier
+from .models import Classifier, predict_probs
 from .tensor import (Tensor, _check_logits, cross_entropy_rows, kl_divergence,
                      softmax)
 
@@ -78,6 +84,8 @@ class AttackSpec:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
         if self.family is AttackFamily.FGSM and self.loss_mode is not LossMode.CE:
             raise ConfigError("FGSM ascends the CE loss only")
+        if self.family is AttackFamily.PGD and self.loss_mode is LossMode.CW_MARGIN:
+            raise ConfigError("PGD ascends CE or KL; CW_PGD ascends the margin loss")
         if self.family is AttackFamily.SPSA:
             if self.spsa_samples < 2:
                 raise ConfigError(f"spsa_samples must be >= 2, got {self.spsa_samples}")
@@ -117,18 +125,6 @@ def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _attack_loss(model: Classifier, x_t: Tensor, y, mode: LossMode, reference_probs):
-    """Scalar loss whose x-gradient drives the ascent. Summed over the batch
-    so each sample's gradient is independent of its batchmates."""
-    logits = model.forward(x_t)
-    if mode is LossMode.CE:
-        return cross_entropy_rows(logits, y).sum()
-    if mode is LossMode.KL:
-        ref = Tensor(reference_probs)
-        return kl_divergence(ref, softmax(logits)).sum()
-    return _cw_margin_rows(logits, y).sum()
-
-
 def _cw_margin_rows(logits: Tensor, y) -> Tensor:
     """Per-sample margin max_{j != y} Z_j - Z_y (positive iff misclassified,
     up to exact ties, which resolve toward the lowest class index)."""
@@ -140,109 +136,119 @@ def _cw_margin_rows(logits: Tensor, y) -> Tensor:
     return z_other - z_true
 
 
-def _input_gradient(model, x_np, y, mode, reference_probs) -> np.ndarray:
-    """Gradient of the attack loss at x_np; callers freeze the model."""
-    x_t = Tensor(x_np, requires_grad=True)
-    _attack_loss(model, x_t, y, mode, reference_probs).backward()
-    return x_t.grad
+def _input_gradient(model: Classifier, y, mode: LossMode, reference: Tensor | None):
+    """x -> gradient at x of the attack loss, summed over the batch so each
+    sample's gradient is independent of its batchmates."""
+    def grad(x_np: np.ndarray) -> np.ndarray:
+        x_t = Tensor(x_np, requires_grad=True)
+        logits = model.forward(x_t)
+        if mode is LossMode.CE:
+            loss = cross_entropy_rows(logits, y)
+        elif mode is LossMode.KL:
+            loss = kl_divergence(reference, softmax(logits))
+        else:
+            loss = _cw_margin_rows(logits, y)
+        loss.sum().backward()
+        return x_t.grad
+    return grad
 
 
-def _start_noise(shape: tuple[int, ...], spec: AttackSpec) -> np.ndarray:
-    """Gaussian start, one PCG64 stream per sample keyed by seed XOR index."""
-    noise = np.empty(shape)
-    for i in range(shape[0]):
-        rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
-        noise[i] = spec.start_noise_scale * rng.standard_normal(shape[1])
-    return noise
+def _row_rng(spec: AttackSpec, i: int) -> np.random.Generator:
+    """Row i's random stream, PCG64 keyed by seed XOR i: the only place a
+    row's stream is keyed. The start noise and SPSA's directions draw
+    from it."""
+    return np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+
+
+def _predict(model: Classifier, x: np.ndarray) -> np.ndarray:
+    return np.argmax(model.forward(Tensor(x)).data, axis=1)
+
+
+def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
+            record_first_miss: bool = False) -> np.ndarray:
+    """The one attack engine: every family runs the projected sign ascent
+
+        cur <- project_linf(cur + step * sign(grad(cur)), x, epsilon, bounds)
+
+    with the parameters frozen. FGSM takes one step of epsilon on the CE
+    gradient. PGD and CW-PGD start from per-sample Gaussian noise and take
+    ``iterations`` steps of step_size on the CE or KL loss (PGD) or the
+    margin loss (CW-PGD). SPSA takes ``iterations`` steps of spsa_lr on
+    per-sample SPSA estimates of the CE gradient. KL mode's reference is
+    the model's own prediction at x.
+
+    With record_first_miss (a CE-mode PGD spec) it returns, instead of the
+    adversarial batch, the first iteration at which each sample is
+    misclassified: 0 if it already is at x, the full budget if never.
+    """
+    if spec.family is not family:
+        raise ConfigError(f"spec is for {spec.family.value}, not {family.value}")
+    if record_first_miss and spec.loss_mode is not LossMode.CE:
+        raise ConfigError("least-steps probe requires a CE-mode PGD spec")
+    x, y = _as_batch(x, y, model)
+    with model.frozen():
+        first_miss = None
+        if record_first_miss:
+            first_miss = np.where(_predict(model, x) != y, 0, spec.iterations)
+        if spec.epsilon == 0.0:
+            return x.copy() if first_miss is None else first_miss
+        cur = x.copy()
+        if family is AttackFamily.FGSM:
+            step, iterations = spec.epsilon, 1
+            grad = _input_gradient(model, y, LossMode.CE, None)
+        elif family is AttackFamily.SPSA:
+            step, iterations = spec.spsa_lr, spec.iterations
+            grad = _spsa_gradient(model, y, spec)
+        else:
+            step, iterations = spec.step_size, spec.iterations
+            mode = (LossMode.CW_MARGIN if family is AttackFamily.CW_PGD
+                    else spec.loss_mode)
+            reference = (Tensor(predict_probs(model, x))
+                         if mode is LossMode.KL else None)
+            grad = _input_gradient(model, y, mode, reference)
+            if spec.start_noise_scale > 0:
+                for i in range(x.shape[0]):
+                    cur[i] += (spec.start_noise_scale
+                               * _row_rng(spec, i).standard_normal(x.shape[1]))
+        for k in range(1, iterations + 1):
+            cur = project_linf(cur + step * np.sign(grad(cur)), x,
+                               spec.epsilon, spec.bounds)
+            if first_miss is not None:
+                undecided = first_miss == spec.iterations
+                first_miss[undecided & (_predict(model, cur) != y)] = k
+    return cur if first_miss is None else first_miss
 
 
 def fgsm(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
-    """Single signed-gradient step of size epsilon on the CE loss.
-
-    Coordinates with exactly zero gradient stay put (sign(0) = 0), so an
-    all-zero gradient returns x unchanged rather than erroring.
-    """
-    if spec.family is not AttackFamily.FGSM:
-        raise ConfigError(f"spec is for {spec.family.value}, not FGSM")
-    x, y = _as_batch(x, y, model)
-    if spec.epsilon == 0.0:
-        return x.copy()
-    with model.frozen():
-        grad = _input_gradient(model, x, y, LossMode.CE, None)
-    out = x + spec.epsilon * np.sign(grad)
-    if spec.bounds is not None:
-        out = np.clip(out, spec.bounds[0], spec.bounds[1])
-    return out
+    """Single signed-gradient step of size epsilon on the CE loss; a
+    coordinate with exactly zero gradient stays put (sign(0) = 0)."""
+    return _attack(model, x, y, spec, AttackFamily.FGSM)
 
 
-def _iterative_ascent(model, x, y, spec, mode, reference_probs,
-                      record_first_miss: bool = False):
-    """Shared PGD loop. Optionally tracks the first iteration at which each
-    sample is misclassified (the GAIRAT least-steps probe)."""
-    cur = x + _start_noise(x.shape, spec) if spec.start_noise_scale > 0 else x.copy()
-    first_miss = None
-    with model.frozen():
-        if record_first_miss:
-            first_miss = np.full(x.shape[0], spec.iterations, dtype=np.int64)
-            pred = np.argmax(model.forward(Tensor(x)).data, axis=1)
-            first_miss[pred != y] = 0
-        for k in range(1, spec.iterations + 1):
-            grad = _input_gradient(model, cur, y, mode, reference_probs)
-            cur = project_linf(cur + spec.step_size * np.sign(grad), x,
-                               spec.epsilon, spec.bounds)
-            if record_first_miss:
-                pred = np.argmax(model.forward(Tensor(cur)).data, axis=1)
-                undecided = first_miss == spec.iterations
-                first_miss[undecided & (pred != y)] = k
-    return (cur, first_miss) if record_first_miss else cur
-
-
-def pgd(model: Classifier, x, y, spec: AttackSpec, reference_probs=None) -> np.ndarray:
-    """Projected gradient ascent: Gaussian start, then iterations of
-    x' <- project(x' + step_size * sign(grad)).
-
-    loss_mode CE maximizes cross entropy; KL maximizes divergence from
-    ``reference_probs`` (detached natural predictions), the TRADES inner
-    maximization.
-    """
-    if spec.family is not AttackFamily.PGD:
-        raise ConfigError(f"spec is for {spec.family.value}, not PGD")
-    if spec.loss_mode is LossMode.KL and reference_probs is None:
-        raise ConfigError("KL loss_mode requires reference_probs")
-    if spec.loss_mode is LossMode.CW_MARGIN:
-        raise ConfigError("use cw_pgd for the margin loss")
-    x, y = _as_batch(x, y, model)
-    if spec.epsilon == 0.0:
-        return x.copy()
-    return _iterative_ascent(model, x, y, spec, spec.loss_mode, reference_probs)
+def pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+    """Projected gradient ascent from a Gaussian start on the CE loss, or
+    in KL mode (the TRADES inner maximization) on the divergence from the
+    model's own prediction at x."""
+    return _attack(model, x, y, spec, AttackFamily.PGD)
 
 
 def min_pgd_steps(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
-    """Least PGD iteration at which each sample first misclassifies.
-
-    0 means already misclassified at x; samples the trajectory never breaks
-    get the full budget spec.iterations, which hands them the smallest
-    GAIRAT weight.
-    """
-    if spec.family is not AttackFamily.PGD or spec.loss_mode is not LossMode.CE:
-        raise ConfigError("least-steps probe requires a CE-mode PGD spec")
-    x, y = _as_batch(x, y, model)
-    if spec.epsilon == 0.0:
-        pred = np.argmax(model.forward(Tensor(x)).data, axis=1)
-        return np.where(pred != y, 0, spec.iterations).astype(np.int64)
-    _, first_miss = _iterative_ascent(model, x, y, spec, LossMode.CE, None,
-                                      record_first_miss=True)
-    return first_miss
+    """Least CE-mode PGD iteration at which each sample first misclassifies
+    (0 if already misclassified; the full budget, hence the smallest GAIRAT
+    weight, if the trajectory never breaks it)."""
+    return _attack(model, x, y, spec, AttackFamily.PGD, record_first_miss=True)
 
 
 def cw_pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """PGD on the margin loss max_{j != y} Z_j - Z_y (confidence offset 0)."""
-    if spec.family is not AttackFamily.CW_PGD:
-        raise ConfigError(f"spec is for {spec.family.value}, not CW_PGD")
-    x, y = _as_batch(x, y, model)
-    if spec.epsilon == 0.0:
-        return x.copy()
-    return _iterative_ascent(model, x, y, spec, LossMode.CW_MARGIN, None)
+    return _attack(model, x, y, spec, AttackFamily.CW_PGD)
+
+
+def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+    """Black-box ascent on SPSA estimates of the CE gradient: forward
+    evaluations only, each sample's 2 * spsa_samples perturbed points
+    scored in forwards of at most _SPSA_ROWS rows."""
+    return _attack(model, x, y, spec, AttackFamily.SPSA)
 
 
 # Rows per SPSA forward. One sample's perturbed points are scored in chunks
@@ -300,41 +306,26 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
                           spec.spsa_perturb, rng)
 
 
-def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
-    """Black-box ascent on the CE loss using SPSA gradient estimates.
+def _spsa_gradient(model: Classifier, y, spec: AttackSpec):
+    """cur -> per-sample SPSA estimates at cur. Each row keeps its own
+    stream across iterations, so its draws come in the same order whatever
+    order the rows are visited in."""
+    rngs = [_row_rng(spec, i) for i in range(len(y))]
 
-    Only forward evaluations of the model are used, with its parameters
-    frozen, so parameter gradients are never touched. Each sample runs its
-    own PCG64 stream (seed XOR index). Every iteration draws spsa_samples
-    directions, scores all 2 * spsa_samples perturbed points in batched
-    forwards of at most 64 rows (not one forward per point), and moves the
-    iterate by spsa_lr * sign(estimate), then projects.
-    """
-    if spec.family is not AttackFamily.SPSA:
-        raise ConfigError(f"spec is for {spec.family.value}, not SPSA")
-    x, y = _as_batch(x, y, model)
-    if spec.epsilon == 0.0:
-        return x.copy()
-    out = np.empty_like(x)
-    with model.frozen():
-        for i in range(x.shape[0]):
-            rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
-            cur = x[i].copy()
-            for _ in range(spec.iterations):
-                g = _spsa_ce_estimate(model, cur, y[i], spec, rng)
-                cur = project_linf(cur + spec.spsa_lr * np.sign(g), x[i],
-                                   spec.epsilon, spec.bounds)
-            out[i] = cur
-    return out
+    def grad(cur: np.ndarray) -> np.ndarray:
+        out = np.empty_like(cur)
+        for i, rng in enumerate(rngs):
+            out[i] = _spsa_ce_estimate(model, cur[i], y[i], spec, rng)
+        return out
+    return grad
 
 
-def run_attack(model: Classifier, x, y, spec: AttackSpec,
-               reference_probs=None) -> np.ndarray:
+def run_attack(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Dispatch on spec.family."""
     if spec.family is AttackFamily.FGSM:
         return fgsm(model, x, y, spec)
     if spec.family is AttackFamily.PGD:
-        return pgd(model, x, y, spec, reference_probs)
+        return pgd(model, x, y, spec)
     if spec.family is AttackFamily.CW_PGD:
         return cw_pgd(model, x, y, spec)
     return spsa(model, x, y, spec)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .attacks import LossMode, run_attack
+from .attacks import run_attack
 from .codec import canonical_json
 from .config import PROFILES, config_to_obj, resolve_config
 from .data import Dataset, save_csv
@@ -118,10 +118,7 @@ def _cmd_attack(args) -> int:
             "eval attacks"
         )
     spec = specs[args.index]
-    ref = (predict_probs(model, dataset.features)
-           if spec.loss_mode is LossMode.KL else None)
-    x_adv = run_attack(model, dataset.features, dataset.labels, spec,
-                       reference_probs=ref)
+    x_adv = run_attack(model, dataset.features, dataset.labels, spec)
     save_csv(Dataset(x_adv, dataset.labels), args.out)
     flipped = np.argmax(predict_probs(model, x_adv), axis=1) != dataset.labels
     print(f"{condition_names([spec])[0]}: wrote {len(dataset)} adversarial "
@@ -195,6 +192,28 @@ def _read_metrics(path) -> tuple[list[str], list[list[str]]]:
         return header, rows
 
 
+def _read_confusion(path) -> np.ndarray:
+    """A confusion CSV as a float matrix; an empty file, a non-numeric cell
+    or a ragged row is a DataFormatError naming path:line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise DataFormatError(f"{path}:{reader.line_num}: non-numeric "
+                                      f"cell in {row}") from None
+            if len(row) != len(rows[0]):
+                raise DataFormatError(f"{path}:{reader.line_num}: {len(row)} "
+                                      f"fields, expected {len(rows[0])}")
+    if not rows:
+        raise DataFormatError(f"{path}:1: no confusion matrix rows")
+    return np.array(rows)
+
+
 def _cmd_report(args) -> int:
     run = args.run
     metrics_path = os.path.join(run, "metrics.csv")
@@ -237,8 +256,7 @@ def _cmd_report(args) -> int:
 
     for name in sorted(os.listdir(run)):
         if name.startswith("confusion_") and name.endswith(".csv"):
-            matrix = np.loadtxt(os.path.join(run, name), delimiter=",",
-                                dtype=np.float64, ndmin=2)
+            matrix = _read_confusion(os.path.join(run, name))
             row_sums = matrix.sum(axis=1, keepdims=True)
             normed = np.divide(matrix, np.maximum(row_sums, 1.0))
             out_path = os.path.join(run, "fig_" + name)

@@ -70,11 +70,6 @@ class WeightScheme:
         return cls(WeightFamily.VIR, alpha=7.0, gamma=10.0, beta=0.007,
                    burn_in_epoch=burn_in_epoch)
 
-    @classmethod
-    def vir_trades(cls, burn_in_epoch: int = 75) -> "WeightScheme":
-        return cls(WeightFamily.VIR, alpha=8.0, gamma=3.0, beta=1.6,
-                   burn_in_epoch=burn_in_epoch)
-
 
 @dataclass
 class WeightRecord:

@@ -20,7 +20,7 @@ from .attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
 from .config import OptimConfig, TrainConfig
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
-from .models import Classifier, predict_probs, save_checkpoint
+from .models import Classifier, save_checkpoint
 from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
                          vir_trades_loss)
 from .reweight import (WeightFamily, WeightRecord, batch_weights,
@@ -126,8 +126,7 @@ def evaluate(model: Classifier, dataset: Dataset,
 
     robust: dict[str, float] = {}
     for name, spec in zip(condition_names(attack_specs), attack_specs):
-        ref = predict_probs(model, x) if spec.loss_mode is LossMode.KL else None
-        x_adv = run_attack(model, x, y, spec, reference_probs=ref)
+        x_adv = run_attack(model, x, y, spec)
         pred_adv = np.argmax(model.forward(x_adv).data, axis=1)
         confusions[name] = _confusion(y, pred_adv, c)
         robust[name] = float((pred_adv == y).mean())
@@ -212,10 +211,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
           ) -> tuple[Classifier, MetricsLog]:
     """Run the full training recipe; optionally write every artifact to out_dir.
 
-    Per batch: attack, weight, step. The KL-mode inner maximization for
-    TRADES-family objectives uses the model's detached natural predictions
-    as the reference. GAIRAT runs its least-steps probe only after burn-in
-    (weights are 1.0 before it, so the probe would be wasted work).
+    Per batch: attack, weight, step. GAIRAT runs its least-steps probe
+    only after burn-in (weights are 1.0 before it, so the probe would be
+    wasted work).
     """
     train_set, eval_set = config.dataset.load()
     eval_on = eval_set if eval_set is not None else train_set
@@ -244,9 +242,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
                 yb = train_set.labels[idx]
                 spec = _train_attack_spec(config, epoch, batch_idx)
                 try:
-                    ref = (predict_probs(model, xb)
-                           if spec.loss_mode is LossMode.KL else None)
-                    x_adv = run_attack(model, xb, yb, spec, reference_probs=ref)
+                    x_adv = run_attack(model, xb, yb, spec)
 
                     k_values = None
                     if (scheme.family is WeightFamily.GAIRAT
@@ -404,7 +400,8 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
             for row in rows:
                 writer.writerow([
                     "" if row[h] is None else
-                    (repr(row[h]) if isinstance(row[h], float) else row[h])
+                    (repr(float(row[h])) if isinstance(row[h], (float, np.floating))
+                     else row[h])
                     for h in header
                 ])
     return rows

@@ -1,9 +1,12 @@
 """Test-only oracles that the package itself never calls."""
 
+import math
 from typing import Callable
 
 import numpy as np
 
+from virlab.errors import ConfigError
+from virlab.gmm import GmmSpec, LinearClassifier, std_normal_cdf
 from virlab.tensor import Tensor
 
 
@@ -30,3 +33,35 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: np.ndarray, h: float = 1e-
         lo = evaluate(bumped)
         gflat[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def linear_risk(classifier: LinearClassifier, spec: GmmSpec) -> tuple[float, float]:
+    """Closed-form (R-, R+) of an arbitrary linear classifier on the mixture.
+
+    The projection <omega, x> + b is Gaussian under each class, so both
+    risks are single Phi evaluations.
+    """
+    omega = np.asarray(classifier.omega, dtype=np.float64)
+    norm = float(np.linalg.norm(omega))
+    if norm == 0.0:
+        raise ConfigError("omega must be nonzero")
+    proj_mu = float(omega @ spec.mu)
+    r_minus = std_normal_cdf((classifier.b - proj_mu) / (spec.sigma * norm))
+    r_plus = std_normal_cdf(-(proj_mu + classifier.b) / (spec.k_var * spec.sigma * norm))
+    return r_minus, r_plus
+
+
+def true_class_posterior(spec: GmmSpec, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """P(y = label_i | x_i) under the mixture, via class log-densities."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def log_density(mean_sign: float, std: float) -> np.ndarray:
+        sq = ((x - mean_sign * spec.mu[None, :]) ** 2).sum(axis=1)
+        return -0.5 * spec.d * math.log(2.0 * math.pi * std * std) - sq / (2.0 * std * std)
+
+    log_minus = math.log(1.0 - spec.prior) + log_density(-1.0, spec.sigma)
+    log_plus = math.log(spec.prior) + log_density(1.0, spec.k_var * spec.sigma)
+    top = np.maximum(log_minus, log_plus)
+    denom = top + np.log(np.exp(log_minus - top) + np.exp(log_plus - top))
+    log_true = np.where(labels == 1, log_plus, log_minus)
+    return np.exp(log_true - denom)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, make_mlp
+from oracles import linear_risk
 from virlab.attacks import AttackFamily, AttackSpec, LossMode, run_attack
 from virlab.config import resolve_config
-from virlab.gmm import GmmSpec, linear_risk, optimal_linear, risk_report, theorem1_risks
+from virlab.gmm import GmmSpec, optimal_linear, risk_report, theorem1_risks
 from virlab.objectives import at_loss, trades_loss, vir_at_loss, vir_trades_loss
 from virlab.reweight import (discrepancy_score, gairat_weight, mail_weight,
                              probability_margin, vir_weight,

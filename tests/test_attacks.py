@@ -13,7 +13,7 @@ from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             spsa, spsa_gradient_estimate)
 from virlab.errors import ConfigError, NonFiniteError, ShapeError
 from virlab.models import Arch, Classifier, ConvStem, predict_probs
-from virlab.tensor import Tensor, cross_entropy_rows
+from virlab.tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
 def linear_model(d=4, classes=3, seed=0):
@@ -207,33 +207,44 @@ def test_pgd_more_iterations_does_not_hurt_on_linear(rng):
     assert ce_sum(model, many, y) >= ce_sum(model, one, y) - 1e-9
 
 
-def test_pgd_kl_mode_needs_reference():
-    model = linear_model()
-    spec = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.02,
-                      loss_mode=LossMode.KL)
-    with pytest.raises(ConfigError):
-        pgd(model, np.zeros((1, 4)), np.array([0]), spec)
+def test_pgd_kl_mode_takes_its_reference_from_the_model(rng):
+    model = make_mlp((4, 8, 3), seed=2)
+    x = rng.standard_normal((5, 4))
+    y = rng.integers(0, 3, size=5)
+    spec = AttackSpec(AttackFamily.PGD, epsilon=0.3, step_size=0.05,
+                      iterations=4, loss_mode=LossMode.KL, seed=9,
+                      start_noise_scale=0.01, bounds=(-1.0, 1.0))
+    # Oracle: the loop with the natural prediction handed in as a constant.
+    ref = Tensor(predict_probs(model, x))
+    cur = x.copy()
+    for i in range(len(x)):
+        row = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+        cur[i] += spec.start_noise_scale * row.standard_normal(x.shape[1])
+    for _ in range(spec.iterations):
+        x_t = Tensor(cur, requires_grad=True)
+        kl_divergence(ref, softmax(model.forward(x_t))).sum().backward()
+        cur = project_linf(cur + spec.step_size * np.sign(x_t.grad), x,
+                           spec.epsilon, spec.bounds)
+    model.zero_grad()
+    np.testing.assert_array_equal(pgd(model, x, y, spec), cur)
 
 
 def test_pgd_kl_mode_increases_divergence(rng):
-    from virlab.tensor import kl_divergence
-
     model = make_mlp((4, 8, 3), seed=2)
     x = rng.standard_normal((6, 4))
     y = rng.integers(0, 3, size=6)
     ref = predict_probs(model, x)
     spec = AttackSpec(AttackFamily.PGD, epsilon=0.5, step_size=0.1,
                       iterations=10, loss_mode=LossMode.KL, seed=3)
-    out = pgd(model, x, y, spec, reference_probs=ref)
+    out = pgd(model, x, y, spec)
     kl_adv = kl_divergence(Tensor(ref), Tensor(predict_probs(model, out))).data
     assert kl_adv.sum() > 0.0
 
 
 def test_pgd_rejects_margin_mode():
-    spec = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.02,
-                      loss_mode=LossMode.CW_MARGIN)
-    with pytest.raises(ConfigError):
-        pgd(linear_model(), np.zeros((1, 4)), np.array([0]), spec)
+    with pytest.raises(ConfigError, match="CW_PGD"):
+        AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.02,
+                   loss_mode=LossMode.CW_MARGIN)
 
 
 def test_pgd_is_deterministic_in_seed(rng):
@@ -554,7 +565,6 @@ def test_attacks_leave_the_model_untouched(rng):
     model = conv_model()
     x = rng.uniform(0.0, 1.0, size=(4, 30))
     y = np.array([0, 1, 2, 0])
-    ref = predict_probs(model, x)
     pgd_ce = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
                         iterations=3, seed=1)
     # Every attack checks its logits, so a NaN weight makes it raise
@@ -565,8 +575,7 @@ def test_attacks_leave_the_model_untouched(rng):
         "pgd": lambda: run_attack(model, x, y, pgd_ce),
         "pgd_kl": lambda: run_attack(
             model, x, y, AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
-                                    iterations=2, loss_mode=LossMode.KL, seed=1),
-            reference_probs=ref),
+                                    iterations=2, loss_mode=LossMode.KL, seed=1)),
         "min_pgd_steps": lambda: min_pgd_steps(model, x, y, pgd_ce),
         "cw_pgd": lambda: run_attack(
             model, x, y, AttackSpec(AttackFamily.CW_PGD, epsilon=0.1,

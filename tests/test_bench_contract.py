@@ -3,8 +3,10 @@
 perfbench/tracing.py patches functions and methods by name, and
 perfbench/cases.py times public functions and the Tensor layer ops that the
 model itself no longer uses. A deletion in src/virlab that either relies on
-would only surface when the traced benchmark runs. This test reads
-perfbench/ and changes nothing there.
+would only surface when the traced benchmark runs, and so would a
+run_attack that stopped dispatching through the module-level family
+functions the tracer counts. These tests read perfbench/ and change
+nothing there.
 """
 
 import ast
@@ -12,6 +14,11 @@ import importlib
 import os
 import sys
 
+import numpy as np
+
+from conftest import make_mlp
+from virlab import attacks
+from virlab.attacks import AttackFamily, AttackSpec
 from virlab.tensor import Tensor
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -70,3 +77,24 @@ def test_every_name_the_cases_use_resolves():
     missing += [f"Tensor.{op}" for op in ("__matmul__", "__add__", "relu", "sum")
                 if op not in Tensor.__dict__]
     assert not missing, f"perfbench/cases.py uses missing names: {missing}"
+
+
+def test_run_attack_reaches_each_family_function_once(monkeypatch):
+    # The tracer counts attacks.<family>.calls by wrapping these names in the
+    # attacks namespace, so run_attack must look them up there, once a call.
+    calls = []
+    for name in ("fgsm", "pgd", "cw_pgd", "spsa"):
+        def counting(*args, _name=name, _fn=getattr(attacks, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(attacks, name, counting)
+    model = make_mlp((4, 5, 3), seed=0)
+    x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+    y = np.array([0, 2])
+    for family, name in ((AttackFamily.FGSM, "fgsm"), (AttackFamily.PGD, "pgd"),
+                         (AttackFamily.CW_PGD, "cw_pgd"),
+                         (AttackFamily.SPSA, "spsa")):
+        calls.clear()
+        attacks.run_attack(model, x, y, AttackSpec(family, epsilon=0.1,
+                                                   step_size=0.05, spsa_samples=4))
+        assert calls == [name]

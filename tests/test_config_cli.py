@@ -146,11 +146,13 @@ _POS = st.integers(1, 9) | st.floats(1e-6, 1e3, **_FINITE)
 def _attacks(draw):
     family = draw(st.sampled_from(AttackFamily))
     lo = draw(st.floats(-10, 10, **_FINITE))
+    # FGSM ascends CE only and PGD CE or KL; AttackSpec rejects the rest.
+    modes = {AttackFamily.FGSM: [LossMode.CE],
+             AttackFamily.PGD: [LossMode.CE, LossMode.KL]}.get(family, list(LossMode))
     return AttackSpec(
         family, epsilon=draw(_NONNEG), step_size=draw(_POS),
         iterations=draw(st.integers(1, 200)),
-        loss_mode=(LossMode.CE if family is AttackFamily.FGSM
-                   else draw(st.sampled_from(LossMode))),
+        loss_mode=draw(st.sampled_from(modes)),
         bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
         seed=draw(st.integers(0, 2**64 - 1)),
         start_noise_scale=draw(_NONNEG), spsa_samples=draw(st.integers(2, 512)),
@@ -306,6 +308,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in err and "epoch" in err
 
 
+def test_cli_train_rejects_pgd_margin_attack_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    attack = {"family": "PGD", "epsilon": 0.1, "step_size": 0.02,
+              "loss_mode": "CW_MARGIN"}
+    assert main(["train", "--set", f"attack_eval={json.dumps([attack])}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "CW_PGD" in err
+    assert not out.exists()
+
+
 def test_cli_named_flags_win_last(tmp_path):
     out = tmp_path / "flags"
     rc = main(["train", "--out", str(out), "--set", "seed=3", "--seed", "7"]
@@ -422,6 +435,20 @@ def test_cli_report_malformed_metrics(tmp_path, capsys, text, line):
     assert main(["report", "--run", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "error:" in err and f"metrics.csv:{line}" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("", 1, id="empty"),
+    pytest.param("3,0\n1,x\n", 2, id="non_numeric"),
+    pytest.param("3,0\n1,2,0\n", 2, id="ragged"),
+    pytest.param("3,0\n1\n", 2, id="short_row"),
+])
+def test_cli_report_malformed_confusion(tmp_path, capsys, text, line):
+    (tmp_path / "metrics.csv").write_text(METRICS_HEADER + "epoch,1,0.1,0.5,0.9,0.9\n")
+    (tmp_path / "confusion_clean.csv").write_text(text)
+    assert main(["report", "--run", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and f"confusion_clean.csv:{line}" in err
 
 
 @pytest.mark.parametrize("bad_row", [

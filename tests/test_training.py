@@ -345,3 +345,16 @@ def test_sweep_grid_and_failure_rows(tmp_path):
     assert parsed[1]["status"] == "failed"
     assert parsed[1]["clean_acc"] == ""
     assert parsed[1]["error"].startswith("ConfigError")
+
+
+def test_sweep_csv_writes_numpy_grid_values_as_plain_floats(tmp_path):
+    rows = sweep(sweep_config(), alphas=np.array([1.0, 7.0]),
+                 betas=np.array([0.007], dtype=np.float32), out_dir=str(tmp_path))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert [(r["alpha"], r["gamma"], r["beta"]) for r in parsed] == [
+        ("1.0", "10.0", repr(float(np.float32(0.007)))),
+        ("7.0", "10.0", repr(float(np.float32(0.007))))]
+    for r, row in zip(parsed, rows):
+        assert r["clean_acc"] == repr(row["clean_acc"])

@@ -56,14 +56,16 @@ class AttackSpec:
 
     epsilon = 0 is allowed as a degenerate budget: every attack then
     returns its input unchanged. start_noise_scale = 0 disables the
-    Gaussian random start.
+    Gaussian random start. loss_mode is the loss the family ascends:
+    CW_MARGIN for CW_PGD, CE for the others (None picks it); PGD may
+    ascend KL instead.
     """
 
     family: AttackFamily
     epsilon: float
     step_size: float = 0.0
     iterations: int = 1
-    loss_mode: LossMode = LossMode.CE
+    loss_mode: LossMode | None = None
     bounds: tuple[float, float] | None = None
     seed: int = 0
     start_noise_scale: float = 0.001
@@ -82,10 +84,15 @@ class AttackSpec:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.family in (AttackFamily.PGD, AttackFamily.CW_PGD) and self.step_size <= 0:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
-        if self.family is AttackFamily.FGSM and self.loss_mode is not LossMode.CE:
-            raise ConfigError("FGSM ascends the CE loss only")
-        if self.family is AttackFamily.PGD and self.loss_mode is LossMode.CW_MARGIN:
-            raise ConfigError("PGD ascends CE or KL; CW_PGD ascends the margin loss")
+        own = (LossMode.CW_MARGIN if self.family is AttackFamily.CW_PGD
+               else LossMode.CE)
+        if self.loss_mode is None:
+            object.__setattr__(self, "loss_mode", own)
+        allowed = [own] + ([LossMode.KL] if self.family is AttackFamily.PGD else [])
+        if self.loss_mode not in allowed:
+            raise ConfigError(
+                f"{self.family.value} cannot ascend {self.loss_mode.value}: FGSM "
+                "and SPSA ascend CE, PGD CE or KL, CW_PGD CW_MARGIN")
         if self.family is AttackFamily.SPSA:
             if self.spsa_samples < 2:
                 raise ConfigError(f"spsa_samples must be >= 2, got {self.spsa_samples}")
@@ -201,11 +208,9 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
             grad = _spsa_gradient(model, y, spec)
         else:
             step, iterations = spec.step_size, spec.iterations
-            mode = (LossMode.CW_MARGIN if family is AttackFamily.CW_PGD
-                    else spec.loss_mode)
             reference = (Tensor(predict_probs(model, x))
-                         if mode is LossMode.KL else None)
-            grad = _input_gradient(model, y, mode, reference)
+                         if spec.loss_mode is LossMode.KL else None)
+            grad = _input_gradient(model, y, spec.loss_mode, reference)
             if spec.start_noise_scale > 0:
                 for i in range(x.shape[0]):
                     cur[i] += (spec.start_noise_scale

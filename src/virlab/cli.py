@@ -7,7 +7,8 @@ resolves in three layers, last writer wins:
 
 Named flags (--seed, --epochs, ...) are sugar for the matching --set path
 and therefore share the highest precedence. Exit codes: 0 success, 2 bad
-configuration, 3 numeric abort mid-run, 4 I/O or file-format failure.
+configuration, 3 non-finite numbers (a run's or a checkpoint's), 4 I/O or
+file-format failure.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import sys
 import numpy as np
 
 from .attacks import run_attack
-from .codec import canonical_json
-from .config import PROFILES, config_to_obj, resolve_config
+from .codec import write_csv
+from .config import PROFILES, resolve_config
 from .data import Dataset, save_csv
-from .errors import ConfigError, DataFormatError, NumericAbort
+from .errors import ConfigError, DataFormatError, NonFiniteError, NumericAbort
 from .gmm import GmmSpec, corollary_check, risk_report
 from .models import load_checkpoint, predict_probs
 from .reweight import read_weight_records
@@ -71,9 +72,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_train(args) -> int:
     config = _resolved(args)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "config.json"), "w") as fh:
-        fh.write(canonical_json(config_to_obj(config)) + "\n")
     model, log = train(config, out_dir=args.out)
     last = log.rows[-1]
     robust = {k: v for k, v in last.robust_accuracy.items() if v is not None}
@@ -96,12 +94,10 @@ def _cmd_eval(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_confusions(report, args.out)
-        with open(os.path.join(args.out, "eval.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            names = list(report.robust_accuracy)
-            writer.writerow(["clean_acc"] + [f"robust_acc_{n}" for n in names])
-            writer.writerow([repr(report.clean_accuracy)]
-                            + [repr(report.robust_accuracy[n]) for n in names])
+        names = list(report.robust_accuracy)
+        write_csv(os.path.join(args.out, "eval.csv"), [
+            ["clean_acc"] + [f"robust_acc_{n}" for n in names],
+            [report.clean_accuracy] + [report.robust_accuracy[n] for n in names]])
         print(f"artifacts in {args.out}")
     return 0
 
@@ -144,13 +140,7 @@ def _cmd_theory(args) -> int:
         print(f"k_var={k_var}: R-={rep.r_minus:.5f} R+={rep.r_plus:.5f} "
               f"mc_agrees={rep.mc_agrees} corollary={cor.passed}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]),
-                                    lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                                 for k, v in row.items()})
+        write_csv(args.out, [list(rows[0])] + [list(r.values()) for r in rows])
         print(f"wrote {args.out}")
     return 0
 
@@ -227,12 +217,8 @@ def _cmd_report(args) -> int:
                 + [h for h in header if h.startswith("acc_class_")])
         idx = [header.index(h) for h in keep]
         out_path = os.path.join(run, "fig_accuracy.csv")
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(keep)
-            for row in rows:
-                if row[0] == "epoch":
-                    writer.writerow([row[i] for i in idx])
+        write_csv(out_path, [keep] + [[row[i] for i in idx]
+                                      for row in rows if row[0] == "epoch"])
         wrote.append(out_path)
 
     if os.path.exists(weights_path):
@@ -243,15 +229,10 @@ def _cmd_report(args) -> int:
             cell[1] += 1
         classes = sorted({c for per in sums.values() for c in per})
         out_path = os.path.join(run, "fig_class_weights.csv")
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch"] + [f"mean_weight_class_{c}" for c in classes])
-            for epoch in sorted(sums):
-                cells = [str(epoch)]
-                for c in classes:
-                    total, count = sums[epoch].get(c, (0.0, 0))
-                    cells.append(repr(total / count) if count else "")
-                writer.writerow(cells)
+        means = [[epoch] + [per[c][0] / per[c][1] if c in per else None
+                            for c in classes] for epoch, per in sorted(sums.items())]
+        write_csv(out_path, [["epoch"] + [f"mean_weight_class_{c}" for c in classes]]
+                  + means)
         wrote.append(out_path)
 
     for name in sorted(os.listdir(run)):
@@ -260,10 +241,7 @@ def _cmd_report(args) -> int:
             row_sums = matrix.sum(axis=1, keepdims=True)
             normed = np.divide(matrix, np.maximum(row_sums, 1.0))
             out_path = os.path.join(run, "fig_" + name)
-            with open(out_path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                for row in normed:
-                    writer.writerow([repr(float(v)) for v in row])
+            write_csv(out_path, normed.tolist())
             wrote.append(out_path)
 
     if not wrote:
@@ -331,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericAbort as e:
+    except (NumericAbort, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (DataFormatError, OSError) as e:

@@ -1,7 +1,9 @@
-"""One strict JSON codec for the package's frozen dataclasses.
+"""One strict JSON codec for the package's frozen dataclasses, and the one
+artifact writer.
 
 ``to_obj`` turns a value into plain JSON data: dataclasses become objects
-keyed by field name, enums their values, tuples lists. ``from_obj`` reverses
+keyed by field name, enums their values, tuples lists, numpy scalars their
+Python values. ``from_obj`` reverses
 it, reading each field's name, required-ness and default from
 ``dataclasses.fields`` and its type from the annotations, so the dataclass
 is the only place a field is declared. Decoding is strict: unknown or
@@ -12,16 +14,26 @@ raise ConfigError naming the dotted path of the offending value.
 A class whose wire shape differs from its fields defines its own
 ``to_obj()`` method and ``from_obj(obj, where)`` classmethod; the codec
 defers to them.
+
+Every file the package writes goes through ``atomic_open``, so a failed
+write leaves no partial file and any earlier one intact. ``write_csv`` has
+one cell rule: None is an empty cell, a numpy scalar its Python value,
+anything else ``str()`` (for a Python float, ``repr()``).
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import os
 import types
 import typing
+from contextlib import contextmanager
 from enum import Enum
 from functools import cache
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -43,6 +55,8 @@ def to_obj(value):
         return value.value
     if isinstance(value, (tuple, list)):
         return [to_obj(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
@@ -119,3 +133,29 @@ def from_obj(tp, obj, where: str):
         except ConfigError as e:
             raise ConfigError(f"{where}: {e}") from e
     return _scalar(tp, obj, where)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside path for writing ("w" or "wb"); on a
+    clean exit it replaces path, on an exception it is deleted. Created
+    like a plain open(), so path gets the same permission bits."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), newline=None if "b" in mode else "")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_csv(path, rows) -> None:
+    """Write rows (iterables of cells) to path as CSV, atomically."""
+    with atomic_open(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [v.item() if isinstance(v, np.generic) else v for v in row]
+            for row in rows)

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .gmm import GmmSpec
 from .models import Arch, ConvStem
 from .objectives import ObjectiveSpec
+from .reweight import WeightFamily
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,11 @@ class TrainConfig:
                 f"milestones {self.optimizer.milestones} must all be < epochs "
                 f"{self.epochs}"
             )
+        if (self.objective.weight_scheme.family is WeightFamily.GAIRAT
+                and self.attack_train.step_size <= 0):
+            raise ConfigError(
+                "objective.weight_scheme.family GAIRAT needs "
+                f"attack_train.step_size > 0, got {self.attack_train.step_size}")
 
     def arch(self, train_set: Dataset) -> Arch:
         return self.model.arch(train_set.dim, train_set.num_classes)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import atomic_open, write_csv
 from .errors import ConfigError, DataFormatError
 from .gmm import GmmSpec, sample_gmm
 
@@ -92,10 +93,10 @@ def save_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int) -
     if rows * cols != dataset.dim:
         raise ConfigError(f"{rows}x{cols} does not match dim {dataset.dim}")
     pixels = np.round(dataset.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
+    with atomic_open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
         fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
+    with atomic_open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
         fh.write(dataset.labels.astype(np.uint8).tobytes())
 
@@ -129,12 +130,11 @@ def load_csv(path) -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the load_csv format: label first, then feature columns x0..x{d-1}."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"x{i}" for i in range(dataset.dim)])
-        for i in range(len(dataset)):
-            writer.writerow([int(dataset.labels[i])]
-                            + [repr(float(v)) for v in dataset.features[i]])
+    def rows():
+        yield ["label"] + [f"x{i}" for i in range(dataset.dim)]
+        for label, row in zip(dataset.labels.tolist(), dataset.features):
+            yield [label, *row.tolist()]
+    write_csv(path, rows())
 
 
 def simplex_means(num_classes: int, d: int, separation: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericAbort -> 3, DataFormatError (and OSError) -> 4. NonFiniteError is
-what the numeric kernels raise on NaN/inf input; training turns it into
-NumericAbort with the epoch and batch where it happened.
+NumericAbort and NonFiniteError -> 3, DataFormatError (and OSError) -> 4.
+NonFiniteError is what the numeric kernels raise on NaN/inf input (say, a
+checkpoint with a NaN parameter); training turns it into NumericAbort with
+the epoch and batch where it happened.
 """
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import canonical_json, from_obj, to_obj
+from .codec import atomic_open, canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import Tensor, _patch_grad, _patch_rows, _softmax_values
 
@@ -238,7 +238,7 @@ def save_checkpoint(model: Classifier, path, epoch: int = 0, rng_seed: int | Non
             parts.append(_U64.pack(dim))
         parts.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
 

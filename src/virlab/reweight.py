@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class WeightScheme:
                    burn_in_epoch=burn_in_epoch)
 
 
-@dataclass
-class WeightRecord:
+class WeightRecord(NamedTuple):
     epoch: int
     sample_index: int
     class_label: int
@@ -205,36 +205,22 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
         p_adv = predict_probs(model, x_adv)
         w = mail_weight(probability_margin(p_adv, y), scheme.gamma, scheme.beta)
 
-    records = [
-        WeightRecord(
-            epoch=epoch,
-            sample_index=int(idx[i]),
-            class_label=int(y[i]),
-            prob_true=float(prob_true[i]),
-            s_v=float(s_v[i]) if have_scores else None,
-            s_d=float(s_d[i]) if have_scores else None,
-            weight=float(w[i]),
-        )
-        for i in range(n)
-    ]
+    scores = (s_v.tolist(), s_d.tolist()) if have_scores else ([None] * n,) * 2
+    records = list(map(WeightRecord, [epoch] * n, idx.tolist(), y.tolist(),
+                       prob_true.tolist(), *scores, w.tolist()))
     return w, records
 
 
 WEIGHT_CSV_HEADER = ["epoch", "sample_index", "class", "prob_true", "s_v", "s_d", "weight"]
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(v)
-
-
 def write_weight_records(records: list[WeightRecord], fh) -> None:
-    """Append records as CSV rows; writes the header if fh is at offset 0."""
+    """Append records as CSV rows (a score the family does not compute is
+    an empty cell); writes the header if fh is at offset 0."""
     writer = csv.writer(fh, lineterminator="\n")
     if fh.tell() == 0:
         writer.writerow(WEIGHT_CSV_HEADER)
-    for r in records:
-        writer.writerow([r.epoch, r.sample_index, r.class_label,
-                         repr(r.prob_true), _fmt(r.s_v), _fmt(r.s_d), repr(r.weight)])
+    writer.writerows(records)
 
 
 def read_weight_records(path) -> list[WeightRecord]:

@@ -3,21 +3,23 @@
 One train() call runs the whole recipe: per batch, attack the natural
 inputs, score the instance weights (all 1.0 until the burn-in epoch has
 passed), take one SGD-with-momentum step on the configured objective, and
-log. Everything emitted (metrics.csv, weights.csv, confusion CSVs,
-checkpoint) is a pure function of the config, byte for byte.
+log. Everything emitted (config.json, metrics.csv, weights.csv, confusion
+CSVs, checkpoint) is a pure function of the config, byte for byte, and
+written atomically (``codec.atomic_open``).
 """
 
 from __future__ import annotations
 
-import csv
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                       run_attack)
-from .config import OptimConfig, TrainConfig
+from .codec import atomic_open, canonical_json, write_csv
+from .config import OptimConfig, TrainConfig, config_to_obj
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, save_checkpoint
@@ -159,32 +161,22 @@ class MetricsLog:
     final_epoch: int | None = None
     best_epoch: int | None = None
 
-    def header(self) -> list[str]:
-        return (["row_kind", "epoch", "lr", "train_loss", "clean_acc"]
-                + [f"robust_acc_{n}" for n in self.attack_names]
-                + [f"acc_class_{i}" for i in range(self.num_classes)]
-                + [f"weight_sum_class_{i}" for i in range(self.num_classes)])
-
-    def _row_cells(self, kind: str, r: MetricsRow) -> list[str]:
-        cells = [kind, str(r.epoch), repr(r.lr), repr(r.train_loss),
-                 repr(r.clean_accuracy)]
-        for n in self.attack_names:
-            v = r.robust_accuracy.get(n)
-            cells.append("" if v is None else repr(v))
-        cells += [repr(v) for v in r.per_class_accuracy]
-        cells += [repr(v) for v in r.weight_sums]
-        return cells
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(self.header())
+    def csv_rows(self):
+        """metrics.csv: the header, one row per epoch, then the final and
+        best epochs' rows again under their own row_kind."""
+        yield (["row_kind", "epoch", "lr", "train_loss", "clean_acc"]
+               + [f"robust_acc_{n}" for n in self.attack_names]
+               + [f"acc_class_{i}" for i in range(self.num_classes)]
+               + [f"weight_sum_class_{i}" for i in range(self.num_classes)])
         by_epoch = {r.epoch: r for r in self.rows}
-        for r in self.rows:
-            writer.writerow(self._row_cells("epoch", r))
-        if self.final_epoch in by_epoch:
-            writer.writerow(self._row_cells("final", by_epoch[self.final_epoch]))
-        if self.best_epoch in by_epoch:
-            writer.writerow(self._row_cells("best", by_epoch[self.best_epoch]))
+        kinds = [("epoch", r.epoch) for r in self.rows]
+        for kind, epoch in kinds + [("final", self.final_epoch),
+                                    ("best", self.best_epoch)]:
+            if epoch in by_epoch:
+                r = by_epoch[epoch]
+                yield [kind, r.epoch, r.lr, r.train_loss, r.clean_accuracy,
+                       *(r.robust_accuracy.get(n) for n in self.attack_names),
+                       *r.per_class_accuracy, *r.weight_sums]
 
 
 # -- training loop -------------------------------------------------------------
@@ -211,6 +203,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
           ) -> tuple[Classifier, MetricsLog]:
     """Run the full training recipe; optionally write every artifact to out_dir.
 
+    out_dir gets config.json first; a run that raises writes no other
+    artifact (weights.csv is streamed to a temporary file until the end).
+
     Per batch: attack, weight, step. GAIRAT runs its least-steps probe
     only after burn-in (weights are 1.0 before it, so the probe would be
     wasted work).
@@ -223,12 +218,14 @@ def train(config: TrainConfig, out_dir: str | None = None,
     log = MetricsLog(attack_names, model.arch.num_classes)
     velocity: dict[str, np.ndarray] = {}
 
-    weights_fh = None
+    weights_file = nullcontext()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        weights_fh = open(os.path.join(out_dir, "weights.csv"), "w", newline="")
+        with atomic_open(os.path.join(out_dir, "config.json")) as fh:
+            fh.write(canonical_json(config_to_obj(config)) + "\n")
+        weights_file = atomic_open(os.path.join(out_dir, "weights.csv"))
 
-    try:
+    with weights_file as weights_fh:
         best_score = -np.inf
         for epoch in range(1, config.epochs + 1):
             lr = lr_at(epoch, config.optimizer)
@@ -249,7 +246,6 @@ def train(config: TrainConfig, out_dir: str | None = None,
                             and epoch > scheme.burn_in_epoch):
                         probe = replace(spec, family=AttackFamily.PGD,
                                         loss_mode=LossMode.CE,
-                                        step_size=spec.step_size,
                                         iterations=scheme.k_pgd)
                         k_values = min_pgd_steps(model, xb, yb, probe)
                     w, records = batch_weights(
@@ -316,13 +312,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
                     best_score = score
                     log.best_epoch = epoch
         log.final_epoch = config.epochs
-    finally:
-        if weights_fh is not None:
-            weights_fh.close()
 
     if out_dir is not None:
-        with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            log.write_csv(fh)
+        write_csv(os.path.join(out_dir, "metrics.csv"), log.csv_rows())
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.ckpt"),
                         epoch=config.epochs, rng_seed=config.seed)
         # The final epoch always runs the full robust eval on the final model.
@@ -333,11 +325,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
 def write_confusions(report: EvalReport, out_dir: str) -> None:
     """confusion_<condition>.csv: C rows of C integer counts, no header."""
     for name, matrix in report.confusions.items():
-        path = os.path.join(out_dir, f"confusion_{name}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in matrix:
-                writer.writerow([int(v) for v in row])
+        write_csv(os.path.join(out_dir, f"confusion_{name}.csv"), matrix.tolist())
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -355,15 +343,15 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
     gammas = [scheme.gamma] if gammas is None else list(gammas)
     betas = [scheme.beta] if betas is None else list(betas)
     attack_names = condition_names(config.attack_eval)
+    header = (["alpha", "gamma", "beta", "status", "error", "clean_acc"]
+              + [f"robust_acc_{n}" for n in attack_names])
 
     rows = []
     for a in alphas:
         for g in gammas:
             for b in betas:
-                row = {"alpha": a, "gamma": g, "beta": b, "status": "ok",
-                       "error": "", "clean_acc": None}
-                for n in attack_names:
-                    row[f"robust_acc_{n}"] = None
+                row = dict.fromkeys(header)
+                row.update(alpha=a, gamma=g, beta=b, status="ok", error="")
                 try:
                     # Inside the try: an invalid grid value should fail its
                     # own row, not kill the sweep.
@@ -392,16 +380,6 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["alpha", "gamma", "beta", "status", "error", "clean_acc"]
-            header += [f"robust_acc_{n}" for n in attack_names]
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([
-                    "" if row[h] is None else
-                    (repr(float(row[h])) if isinstance(row[h], (float, np.floating))
-                     else row[h])
-                    for h in header
-                ])
+        write_csv(os.path.join(out_dir, "sweep.csv"),
+                  [header] + [list(row.values()) for row in rows])
     return rows

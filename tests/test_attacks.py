@@ -247,6 +247,25 @@ def test_pgd_rejects_margin_mode():
                    loss_mode=LossMode.CW_MARGIN)
 
 
+OWN_LOSS = {AttackFamily.FGSM: LossMode.CE, AttackFamily.PGD: LossMode.CE,
+            AttackFamily.CW_PGD: LossMode.CW_MARGIN, AttackFamily.SPSA: LossMode.CE}
+
+
+@pytest.mark.parametrize("family", list(AttackFamily))
+@pytest.mark.parametrize("mode", [None] + list(LossMode))
+def test_each_family_owns_its_loss_mode(family, mode):
+    # None resolves to the family's own loss; PGD may also ascend KL, and
+    # every other pairing would record a loss the attack never runs.
+    valid = mode in (None, OWN_LOSS[family]) or (family, mode) == (
+        AttackFamily.PGD, LossMode.KL)
+    if not valid:
+        with pytest.raises(ConfigError, match=family.value):
+            AttackSpec(family, epsilon=0.1, step_size=0.02, loss_mode=mode)
+        return
+    spec = AttackSpec(family, epsilon=0.1, step_size=0.02, loss_mode=mode)
+    assert spec.loss_mode is (OWN_LOSS[family] if mode is None else mode)
+
+
 def test_pgd_is_deterministic_in_seed(rng):
     model = make_mlp((4, 8, 3), seed=1)
     x = rng.standard_normal((5, 4))

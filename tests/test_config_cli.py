@@ -18,7 +18,7 @@ from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
                            desk_profile, resolve_config, set_dotted)
 from virlab.data import load_csv, save_idx, synth_multiclass
 from virlab.errors import ConfigError
-from virlab.models import ConvStem
+from virlab.models import ConvStem, load_checkpoint, save_checkpoint
 from virlab.objectives import ObjectiveFamily, ObjectiveSpec
 from virlab.reweight import Ablation, WeightFamily, WeightScheme
 
@@ -146,9 +146,11 @@ _POS = st.integers(1, 9) | st.floats(1e-6, 1e3, **_FINITE)
 def _attacks(draw):
     family = draw(st.sampled_from(AttackFamily))
     lo = draw(st.floats(-10, 10, **_FINITE))
-    # FGSM ascends CE only and PGD CE or KL; AttackSpec rejects the rest.
-    modes = {AttackFamily.FGSM: [LossMode.CE],
-             AttackFamily.PGD: [LossMode.CE, LossMode.KL]}.get(family, list(LossMode))
+    # Each family ascends its own loss (PGD may take KL instead); AttackSpec
+    # rejects the rest, and None resolves to the family's own.
+    modes = {AttackFamily.PGD: [None, LossMode.CE, LossMode.KL],
+             AttackFamily.CW_PGD: [None, LossMode.CW_MARGIN]}.get(
+                 family, [None, LossMode.CE])
     return AttackSpec(
         family, epsilon=draw(_NONNEG), step_size=draw(_POS),
         iterations=draw(st.integers(1, 200)),
@@ -462,3 +464,41 @@ def test_cli_report_malformed_weights_row(tmp_path, capsys, bad_row):
     assert main(["report", "--run", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "error:" in err and "weights.csv:3" in err
+
+
+def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, capsys):
+    # GAIRAT's least-steps probe is a PGD run at the training attack's step
+    # size, which an FGSM training attack leaves at 0.
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "2", "--set", "optimizer.milestones=[]",
+                 "--set", 'attack_train={"family":"FGSM","epsilon":0.1}',
+                 "--set", 'objective.weight_scheme={"family":"GAIRAT",'
+                          '"burn_in_epoch":1}',
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "weight_scheme.family GAIRAT" in err and "attack_train.step_size" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_name", [("eval", "eval"),
+                                               ("attack", "adv.csv")])
+def test_cli_non_finite_checkpoint_exits_3(train_run, tmp_path, capsys,
+                                           command, out_name):
+    model, epoch, seed = load_checkpoint(train_run / "checkpoint.ckpt")
+    model.params["dense0.weight"].data[0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(model, ckpt, epoch=epoch, rng_seed=seed)
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / out_name)]
+    assert main(argv + TINY) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / out_name).exists()
+
+
+def test_family_loss_mode_resolves_and_round_trips():
+    cw = {"family": "CW_PGD", "epsilon": 0.1, "step_size": 0.02}
+    config = resolve_config(overrides=[("attack_eval", [cw])])
+    assert config.attack_eval[0].loss_mode is LossMode.CW_MARGIN
+    obj = config_to_obj(config)
+    assert obj["attack_eval"][0]["loss_mode"] == "CW_MARGIN"
+    assert config_from_obj(obj) == config

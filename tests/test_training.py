@@ -1,14 +1,16 @@
 """Optimizer, schedule, evaluation, the training loop, and sweeps."""
 
 import csv
-import io
+import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import make_mlp
 from virlab.attacks import AttackFamily, AttackSpec
-from virlab.config import OptimConfig, resolve_config
+from virlab.codec import write_csv
+from virlab.config import OptimConfig, config_from_obj, resolve_config
 from virlab.data import Dataset
 from virlab.errors import ConfigError, NumericAbort
 from virlab.tensor import Tensor
@@ -176,11 +178,11 @@ def metrics_fixture():
     return log
 
 
-def test_metrics_csv_schema():
+def test_metrics_csv_schema(tmp_path):
     log = metrics_fixture()
-    buf = io.StringIO()
-    log.write_csv(buf)
-    lines = list(csv.reader(io.StringIO(buf.getvalue())))
+    write_csv(tmp_path / "metrics.csv", log.csv_rows())
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
     assert lines[0] == ["row_kind", "epoch", "lr", "train_loss", "clean_acc",
                         "robust_acc_pgd", "robust_acc_fgsm",
                         "acc_class_0", "acc_class_1",
@@ -260,13 +262,8 @@ def test_exploding_run_aborts_with_position():
         train(config)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_explosion_surfacing_in_eval_still_aborts():
-    # The last step of the last epoch can push parameters non-finite after
-    # every batch loss was already checked; the divergence then shows up in
-    # the epoch's evaluation forward and must map to the same abort.
-    config = resolve_config(overrides=[
+def eval_explosion_config():
+    return resolve_config(overrides=[
         ("epochs", 2), ("eval_every", 2), ("optimizer.milestones", []),
         ("dataset.dim", 4), ("dataset.per_class_n", 10),
         ("dataset.eval_per_class_n", 25),
@@ -274,8 +271,35 @@ def test_explosion_surfacing_in_eval_still_aborts():
         ("optimizer.base_lr", 1e155),
         ("objective.weight_scheme.burn_in_epoch", 0),
     ])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_explosion_surfacing_in_eval_still_aborts():
+    # The last step of the last epoch can push parameters non-finite after
+    # every batch loss was already checked; the divergence then shows up in
+    # the epoch's evaluation forward and must map to the same abort.
     with pytest.raises(NumericAbort, match=r"during evaluation at epoch \d+"):
-        train(config)
+        train(eval_explosion_config())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_aborted_run_leaves_no_partial_artifacts(tmp_path):
+    # The abort comes after epoch 1's weight rows were streamed out.
+    with pytest.raises(NumericAbort):
+        train(eval_explosion_config(), out_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_train_writes_exactly_the_documented_artifacts(tmp_path):
+    config = tiny_config([("attack_eval", [dict(PGD_EVAL), {"family": "FGSM",
+                                                             "epsilon": 0.1}])])
+    train(config, out_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [
+        "checkpoint.ckpt", "config.json", "confusion_clean.csv",
+        "confusion_fgsm.csv", "confusion_pgd.csv", "metrics.csv", "weights.csv"]
+    assert config_from_obj(json.loads((tmp_path / "config.json").read_text())) == config
 
 
 def test_identical_runs_write_identical_artifacts(tmp_path):
@@ -358,3 +382,8 @@ def test_sweep_csv_writes_numpy_grid_values_as_plain_floats(tmp_path):
         ("7.0", "10.0", repr(float(np.float32(0.007))))]
     for r, row in zip(parsed, rows):
         assert r["clean_acc"] == repr(row["clean_acc"])
+    # every grid point's run directory describes itself
+    (point,) = tmp_path.glob("run_a1p0_*")
+    scheme = json.loads((point / "config.json").read_text())["objective"][
+        "weight_scheme"]
+    assert (scheme["alpha"], scheme["beta"]) == (1.0, float(np.float32(0.007)))

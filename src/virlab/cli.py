@@ -14,7 +14,6 @@ file-format failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ import sys
 import numpy as np
 
 from .attacks import run_attack
-from .codec import write_csv
+from .codec import read_csv, write_csv
 from .config import PROFILES, resolve_config
 from .data import Dataset, save_csv
 from .errors import ConfigError, DataFormatError, NonFiniteError, NumericAbort
@@ -165,43 +164,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_metrics(path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a metrics.csv; a foreign header or a row of the
-    wrong width is a DataFormatError naming path:line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "row_kind" or not {"epoch", "clean_acc"} <= set(header):
-            raise DataFormatError(f"{path}:1: unexpected metrics CSV header {header}")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                      f"expected {len(header)}")
-            rows.append(row)
-        return header, rows
+def _metrics_row(row):
+    for v in row[1:]:
+        if v:
+            float(v)  # every cell after row_kind is a number or empty
+    return row
 
 
-def _read_confusion(path) -> np.ndarray:
-    """A confusion CSV as a float matrix; an empty file, a non-numeric cell
-    or a ragged row is a DataFormatError naming path:line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataFormatError(f"{path}:{reader.line_num}: non-numeric "
-                                      f"cell in {row}") from None
-            if len(row) != len(rows[0]):
-                raise DataFormatError(f"{path}:{reader.line_num}: {len(row)} "
-                                      f"fields, expected {len(rows[0])}")
-    if not rows:
-        raise DataFormatError(f"{path}:1: no confusion matrix rows")
-    return np.array(rows)
+def _metrics_parser(header):
+    if header[0] != "row_kind" or not {"epoch", "clean_acc"} <= set(header):
+        raise ValueError(f"unexpected metrics CSV header {header}")
+    return _metrics_row
+
+
+def _confusion_parser(_):
+    return lambda row: [float(v) for v in row]
 
 
 def _cmd_report(args) -> int:
@@ -211,7 +188,7 @@ def _cmd_report(args) -> int:
     wrote = []
 
     if os.path.exists(metrics_path):
-        header, rows = _read_metrics(metrics_path)
+        header, rows = read_csv(metrics_path, _metrics_parser)
         keep = (["epoch", "clean_acc"]
                 + [h for h in header if h.startswith("robust_acc_")]
                 + [h for h in header if h.startswith("acc_class_")])
@@ -237,7 +214,8 @@ def _cmd_report(args) -> int:
 
     for name in sorted(os.listdir(run)):
         if name.startswith("confusion_") and name.endswith(".csv"):
-            matrix = _read_confusion(os.path.join(run, name))
+            matrix = np.array(read_csv(os.path.join(run, name), _confusion_parser,
+                                       header=False)[1])
             row_sums = matrix.sum(axis=1, keepdims=True)
             normed = np.divide(matrix, np.maximum(row_sums, 1.0))
             out_path = os.path.join(run, "fig_" + name)

@@ -1,5 +1,5 @@
-"""One strict JSON codec for the package's frozen dataclasses, and the one
-artifact writer.
+"""One strict JSON codec for the package's frozen dataclasses, the one
+artifact writer and the one CSV reader.
 
 ``to_obj`` turns a value into plain JSON data: dataclasses become objects
 keyed by field name, enums their values, tuples lists, numpy scalars their
@@ -19,6 +19,10 @@ Every file the package writes goes through ``atomic_open``, so a failed
 write leaves no partial file and any earlier one intact. ``write_csv`` has
 one cell rule: None is an empty cell, a numpy scalar its Python value,
 anything else ``str()`` (for a Python float, ``repr()``).
+
+Every CSV the package reads goes through ``read_csv``: blank lines are
+skipped; an empty file, a ragged row, a rejected cell or a csv.Error is a
+DataFormatError at ``path:line``, and non-UTF-8 text one naming the path.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 
 
 def canonical_json(obj) -> str:
@@ -159,3 +163,27 @@ def write_csv(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(
             [v.item() if isinstance(v, np.generic) else v for v in row]
             for row in rows)
+
+
+def read_csv(path, parser, header: bool = True):
+    """(header, rows) of the CSV at path. parser(header), with None for no
+    header, checks it and returns the function each data row goes through;
+    a ValueError from either is a DataFormatError at its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = filter(None, reader)
+            first = next(rows, None)
+            if first is None:
+                raise ValueError("empty file")
+            head, parse = (first, parser(first)) if header else (None, parser(None))
+            out = [] if header else [parse(first)]
+            for row in rows:
+                if len(row) != len(first):
+                    raise ValueError(f"{len(row)} fields, expected {len(first)}")
+                out.append(parse(row))
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: not UTF-8 text") from None
+        except (ValueError, csv.Error) as e:
+            raise DataFormatError(f"{path}:{max(reader.line_num, 1)}: {e}") from None
+    return head, out

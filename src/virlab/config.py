@@ -206,7 +206,7 @@ def load_config_file(path) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a single JSON object")

@@ -9,13 +9,13 @@ symmetric and difficulty is governed purely by the variance vector.
 
 from __future__ import annotations
 
-import csv
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import atomic_open, write_csv
+from .codec import atomic_open, read_csv, write_csv
 from .errors import ConfigError, DataFormatError
 from .gmm import GmmSpec, sample_gmm
 
@@ -102,29 +102,27 @@ def save_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int) -
 
 
 def load_csv(path) -> Dataset:
-    """Read a CSV with a header, a "label" column, and numeric features."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+    """Read a CSV with a header, a "label" column, and numeric features; a
+    negative label or a non-finite feature is a DataFormatError at its
+    path:line."""
+    def parser(header):
         if "label" not in header:
-            raise DataFormatError(f"{path}: no 'label' column in header {header}")
-        label_col = header.index("label")
-        feats, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line_no}: {len(row)} fields, header has {len(header)}"
-                )
-            try:
-                labels.append(int(row[label_col]))
-                feats.append([float(v) for i, v in enumerate(row) if i != label_col])
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{line_no}: {e}") from None
-    if not feats:
+            raise ValueError(f"no 'label' column in header {header}")
+        col = header.index("label")
+        def row(cells):
+            label = int(cells[col])
+            feats = [float(v) for i, v in enumerate(cells) if i != col]
+            if label < 0:
+                raise ValueError(f"negative label {label}")
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"non-finite feature in {cells}")
+            return label, feats
+        return row
+
+    _, rows = read_csv(path, parser)
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    labels, feats = zip(*rows)
     return Dataset(np.asarray(feats), np.asarray(labels))
 
 

@@ -225,9 +225,15 @@ def predict_probs(model: Classifier, x) -> np.ndarray:
 # -- checkpoint I/O ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CheckpointMeta:
+    arch: Arch
+    epoch: int
+    rng_seed: int | None
+
+
 def save_checkpoint(model: Classifier, path, epoch: int = 0, rng_seed: int | None = None) -> None:
-    meta = {"arch": to_obj(model.arch), "epoch": int(epoch), "rng_seed": rng_seed}
-    blob = canonical_json(meta).encode("utf-8")
+    blob = canonical_json(to_obj(CheckpointMeta(model.arch, epoch, rng_seed))).encode()
     parts = [MAGIC, _U64.pack(len(blob)), blob]
     for name, p in model.params.items():
         encoded = name.encode("utf-8")
@@ -282,15 +288,10 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
     r = _Reader(raw[:-4])
     r.take(len(MAGIC))
     try:
-        meta = json.loads(r.take(r.u64()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"bad checkpoint metadata: {e}") from e
-    if set(meta) != {"arch", "epoch", "rng_seed"}:
-        raise CheckpointError(f"unexpected metadata fields {sorted(meta)}")
-    try:
-        arch = from_obj(Arch, meta["arch"], "arch")
-    except ConfigError as e:
-        raise CheckpointError(f"bad checkpoint architecture: {e}") from e
+        meta = from_obj(CheckpointMeta, json.loads(r.take(r.u64()).decode("utf-8")),
+                        "metadata")
+    except ValueError as e:  # a ConfigError, JSONDecodeError or UnicodeDecodeError
+        raise CheckpointError(f"bad checkpoint architecture or metadata: {e}") from e
 
     params: dict[str, np.ndarray] = {}
     while r.remaining > 0:
@@ -305,7 +306,7 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
             raise CheckpointError(f"duplicate parameter {name!r}")
         params[name] = data.astype(np.float64)
 
-    model = Classifier(arch, seed=0)
+    model = Classifier(meta.arch, seed=0)
     if set(params) != set(model.params):
         raise CheckpointError(
             f"parameters {sorted(params)} do not match architecture {sorted(model.params)}"
@@ -317,4 +318,4 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
                 f"expected {tensor.data.shape}"
             )
         tensor.data = np.ascontiguousarray(params[name])
-    return model, int(meta["epoch"]), meta["rng_seed"]
+    return model, meta.epoch, meta.rng_seed

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, ShapeError
+from .codec import read_csv
+from .errors import ConfigError, ShapeError
 from .models import Classifier, predict_probs
 from .tensor import Tensor, kl_divergence
 
@@ -225,24 +226,10 @@ def write_weight_records(records: list[WeightRecord], fh) -> None:
 
 def read_weight_records(path) -> list[WeightRecord]:
     """Parse a weights.csv; a foreign header or a bad row is a DataFormatError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    def parser(header):
         if header != WEIGHT_CSV_HEADER:
-            raise DataFormatError(f"{path}:1: unexpected weight CSV header {header}")
-        out = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(WEIGHT_CSV_HEADER):
-                raise DataFormatError(f"{path}:{line_no}: {len(row)} fields, "
-                                      f"expected {len(WEIGHT_CSV_HEADER)}")
-            try:
-                out.append(WeightRecord(
-                    epoch=int(row[0]), sample_index=int(row[1]),
-                    class_label=int(row[2]), prob_true=float(row[3]),
-                    s_v=float(row[4]) if row[4] else None,
-                    s_d=float(row[5]) if row[5] else None,
-                    weight=float(row[6]),
-                ))
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{line_no}: {e}") from None
-        return out
+            raise ValueError(f"unexpected weight CSV header {header}")
+        return lambda row: WeightRecord(
+            int(row[0]), int(row[1]), int(row[2]), float(row[3]),
+            *(float(v) if v else None for v in row[4:6]), float(row[6]))
+    return read_csv(path, parser)[1]

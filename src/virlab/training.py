@@ -335,8 +335,9 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
           out_dir: str | None = None) -> list[dict]:
     """Train+evaluate once per (alpha, gamma, beta) grid point.
 
-    Missing axes default to the config's current value. Failures are
-    recorded in the row and the sweep continues.
+    Missing axes default to the config's current value. A ConfigError or
+    NumericAbort fails only its own row, unless every row fails: then
+    sweep.csv is still written and the first point's error is raised.
     """
     scheme = config.objective.weight_scheme
     alphas = [scheme.alpha] if alphas is None else list(alphas)
@@ -346,7 +347,7 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
     header = (["alpha", "gamma", "beta", "status", "error", "clean_acc"]
               + [f"robust_acc_{n}" for n in attack_names])
 
-    rows = []
+    rows, failures = [], []
     for a in alphas:
         for g in gammas:
             for b in betas:
@@ -373,13 +374,16 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
                     row["clean_acc"] = final.clean_accuracy
                     for n in attack_names:
                         row[f"robust_acc_{n}"] = final.robust_accuracy[n]
-                except Exception as e:  # noqa: BLE001 - record and continue
+                except (ConfigError, NumericAbort) as e:
                     row["status"] = "failed"
                     row["error"] = f"{type(e).__name__}: {e}"
+                    failures.append(e)
                 rows.append(row)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "sweep.csv"),
                   [header] + [list(row.values()) for row in rows])
+    if failures and len(failures) == len(rows):
+        raise failures[0]
     return rows

@@ -321,6 +321,34 @@ def test_cli_train_rejects_pgd_margin_attack_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_config_file_with_undecodable_bytes_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"epochs": \xff}')
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, cause", [
+    ("1,nan,2.0", "non-finite feature"),
+    ("1,-inf,2.0", "non-finite feature"),
+    ("1,1e999,2.0", "non-finite feature"),  # overflows to inf
+    ("-1,1.0,2.0", "negative label -1"),
+])
+def test_cli_train_rejects_a_bad_data_row_at_its_line(tmp_path, capsys, row, cause):
+    # A non-finite feature used to surface as a numeric abort at epoch 1,
+    # a negative label as a config error naming no file.
+    path = tmp_path / "data.csv"
+    path.write_text(f"label,x0,x1\n0,1.0,2.0\n{row}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "1", "--set", "optimizer.milestones=[]",
+                 "--set", f'dataset={{"kind":"csv","path":"{path}"}}',
+                 "--set", "attack_eval=[]", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {path}:3: {cause}")
+    assert not out.exists()
+
+
 def test_cli_named_flags_win_last(tmp_path):
     out = tmp_path / "flags"
     rc = main(["train", "--out", str(out), "--set", "seed=3", "--seed", "7"]
@@ -390,6 +418,15 @@ def test_cli_sweep(tmp_path, capsys):
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["beta"] for r in rows] == ["0.007", "1.6"]
+
+
+def test_cli_sweep_with_no_ok_point_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--betas=-1,-2", "--out", str(out)]) == 2
+    assert "beta" in capsys.readouterr().err
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["failed", "failed"]
 
 
 def test_cli_report(train_run, capsys):

@@ -345,3 +345,20 @@ def test_checkpoint_rejects_malformed_arch(tmp_path, arch):
     with pytest.raises(CheckpointError, match="architecture"):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path)]) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epoch", "7"), ("epoch", True), ("epoch", 7.9), ("epoch", None),
+    ("rng_seed", "x"), ("rng_seed", 1.5), ("rng_seed", False),
+])
+def test_checkpoint_rejects_ill_typed_metadata(tmp_path, field, value):
+    # A CRC-valid file whose metadata is typed loosely: nothing is coerced.
+    meta = {"arch": {"conv": None, "layers": [2, 3]}, "epoch": 0, "rng_seed": None}
+    meta[field] = value
+    blob = json.dumps(meta).encode()
+    body = MAGIC + struct.pack("<Q", len(blob)) + blob
+    path = tmp_path / "meta.ckpt"
+    path.write_bytes(body + struct.pack("<I", __import__("zlib").crc32(body)))
+    with pytest.raises(CheckpointError, match=rf"metadata\.{field} must be int"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path)]) == 4

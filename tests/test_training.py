@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
+from virlab import training
 from virlab.attacks import AttackFamily, AttackSpec
 from virlab.codec import write_csv
 from virlab.config import OptimConfig, config_from_obj, resolve_config
@@ -369,6 +370,17 @@ def test_sweep_grid_and_failure_rows(tmp_path):
     assert parsed[1]["status"] == "failed"
     assert parsed[1]["clean_acc"] == ""
     assert parsed[1]["error"].startswith("ConfigError")
+
+
+def test_sweep_propagates_an_error_that_is_not_the_point_s_own(tmp_path, monkeypatch):
+    # Only a ConfigError or NumericAbort belongs to a grid point; anything
+    # else is a defect every point shares.
+    def broken(config, out_dir=None):
+        raise TypeError("shared defect")
+
+    monkeypatch.setattr(training, "train", broken)
+    with pytest.raises(TypeError, match="shared defect"):
+        sweep(sweep_config(), betas=[0.007, 1.6], out_dir=str(tmp_path))
 
 
 def test_sweep_csv_writes_numpy_grid_values_as_plain_floats(tmp_path):

@@ -17,11 +17,14 @@ row in the x handed to the attack. In evaluation that row is the dataset
 index. In training it is the position within the minibatch, not a dataset
 index, so a sample's noise depends on where its batch puts it.
 
-Attacks need only the input gradient, so each runs with the model's
-parameters frozen (``Classifier.frozen``, entered once per attack): no
-parameter gradient is computed, prediction forwards keep no activations,
-and every parameter's ``.grad`` and ``requires_grad`` are left as the
-attack found them.
+Attacks need only the input gradient, so they build no autodiff graph:
+each gradient is one plain forward that keeps its activations
+(``Classifier._forward``), the loss's gradient of the logits from the
+tensor module's ``_*_dlogits`` helpers, and one layer backward
+(``Classifier._backward``) that forms no parameter gradient. Prediction
+and SPSA scoring forwards keep no activations. The model's parameters,
+their ``.grad`` and ``requires_grad`` included, are never touched. Labels
+are checked once per attack, the logits at every forward.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .models import Classifier, predict_probs
-from .tensor import (Tensor, _check_logits, cross_entropy_rows, kl_divergence,
-                     softmax)
+from .models import Classifier
+from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _check_logits,
+                     _cw_margin_dlogits, _kl_softmax_dlogits, _softmax_values)
 
 
 class AttackFamily(Enum):
@@ -121,42 +124,35 @@ def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:
 
 
 def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
+    """The attack's inputs as a float batch, and its labels, checked once
+    for the whole attack."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected [batch, dim] inputs, got shape {x.shape}")
-    y = np.asarray(y)
-    if y.shape != (x.shape[0],):
-        raise ShapeError(f"labels shape {y.shape} does not match batch {x.shape[0]}")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= model.arch.num_classes:
-        raise IndexError(f"label out of range for {model.arch.num_classes} classes")
-    return x, y
+    return x, _check_labels(y, x.shape[0], model.arch.num_classes)
 
 
-def _cw_margin_rows(logits: Tensor, y) -> Tensor:
-    """Per-sample margin max_{j != y} Z_j - Z_y (positive iff misclassified,
-    up to exact ties, which resolve toward the lowest class index)."""
-    _check_logits(logits)
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(y)), y] = 1.0
-    z_true = (logits * onehot).sum(axis=1)
-    z_other = (logits + Tensor(-1e30 * onehot)).max(axis=1)
-    return z_other - z_true
-
-
-def _input_gradient(model: Classifier, y, mode: LossMode, reference: Tensor | None):
+def _input_gradient(model: Classifier, y, mode: LossMode,
+                    reference: np.ndarray | None):
     """x -> gradient at x of the attack loss, summed over the batch so each
-    sample's gradient is independent of its batchmates."""
-    def grad(x_np: np.ndarray) -> np.ndarray:
-        x_t = Tensor(x_np, requires_grad=True)
-        logits = model.forward(x_t)
+    sample's gradient is independent of its batchmates: one forward that
+    keeps its activations, the loss's gradient of the logits, and one layer
+    backward, with no parameter gradient."""
+    def dlogits(z: np.ndarray) -> np.ndarray:
         if mode is LossMode.CE:
-            loss = cross_entropy_rows(logits, y)
-        elif mode is LossMode.KL:
-            loss = kl_divergence(reference, softmax(logits))
-        else:
-            loss = _cw_margin_rows(logits, y)
-        loss.sum().backward()
-        return x_t.grad
+            return _ce_dlogits(z, y)
+        if mode is LossMode.KL:
+            return _kl_softmax_dlogits(reference, z)
+        return _cw_margin_dlogits(z, y)
+
+    def grad(x_np: np.ndarray) -> np.ndarray:
+        logits, cache = model._forward(x_np, keep=True)
+        g = dlogits(_check_logits(logits))
+        # x + 0.0 stores a -0.0 entry as +0.0, as the graph stores the first
+        # gradient a tensor receives: the gradients stay bitwise the graph's.
+        np.add(g, 0.0, out=g)
+        dx = model._backward(cache, g, params=False)
+        return np.add(dx, 0.0, out=dx)
     return grad
 
 
@@ -164,11 +160,11 @@ def _row_rng(spec: AttackSpec, i: int) -> np.random.Generator:
     """Row i's random stream, PCG64 keyed by seed XOR i: the only place a
     row's stream is keyed. The start noise and SPSA's directions draw
     from it."""
-    return np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+    return np.random.Generator(np.random.PCG64(spec.seed ^ i))
 
 
 def _predict(model: Classifier, x: np.ndarray) -> np.ndarray:
-    return np.argmax(model.forward(Tensor(x)).data, axis=1)
+    return np.argmax(model._forward(x, keep=False)[0], axis=1)
 
 
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
@@ -177,12 +173,11 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
 
         cur <- project_linf(cur + step * sign(grad(cur)), x, epsilon, bounds)
 
-    with the parameters frozen. FGSM takes one step of epsilon on the CE
-    gradient. PGD and CW-PGD start from per-sample Gaussian noise and take
-    ``iterations`` steps of step_size on the CE or KL loss (PGD) or the
-    margin loss (CW-PGD). SPSA takes ``iterations`` steps of spsa_lr on
-    per-sample SPSA estimates of the CE gradient. KL mode's reference is
-    the model's own prediction at x.
+    FGSM takes one step of epsilon on the CE gradient. PGD and CW-PGD start
+    from per-sample Gaussian noise and take ``iterations`` steps of
+    step_size on the CE or KL loss (PGD) or the margin loss (CW-PGD). SPSA
+    takes ``iterations`` steps of spsa_lr on per-sample SPSA estimates of
+    the CE gradient. KL mode's reference is the model's own prediction at x.
 
     With record_first_miss (a CE-mode PGD spec) it returns, instead of the
     adversarial batch, the first iteration at which each sample is
@@ -193,34 +188,34 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     if record_first_miss and spec.loss_mode is not LossMode.CE:
         raise ConfigError("least-steps probe requires a CE-mode PGD spec")
     x, y = _as_batch(x, y, model)
-    with model.frozen():
-        first_miss = None
-        if record_first_miss:
-            first_miss = np.where(_predict(model, x) != y, 0, spec.iterations)
-        if spec.epsilon == 0.0:
-            return x.copy() if first_miss is None else first_miss
-        cur = x.copy()
-        if family is AttackFamily.FGSM:
-            step, iterations = spec.epsilon, 1
-            grad = _input_gradient(model, y, LossMode.CE, None)
-        elif family is AttackFamily.SPSA:
-            step, iterations = spec.spsa_lr, spec.iterations
-            grad = _spsa_gradient(model, y, spec)
-        else:
-            step, iterations = spec.step_size, spec.iterations
-            reference = (Tensor(predict_probs(model, x))
-                         if spec.loss_mode is LossMode.KL else None)
-            grad = _input_gradient(model, y, spec.loss_mode, reference)
-            if spec.start_noise_scale > 0:
-                for i in range(x.shape[0]):
-                    cur[i] += (spec.start_noise_scale
-                               * _row_rng(spec, i).standard_normal(x.shape[1]))
-        for k in range(1, iterations + 1):
-            cur = project_linf(cur + step * np.sign(grad(cur)), x,
-                               spec.epsilon, spec.bounds)
-            if first_miss is not None:
-                undecided = first_miss == spec.iterations
-                first_miss[undecided & (_predict(model, cur) != y)] = k
+    first_miss = None
+    if record_first_miss:
+        first_miss = np.where(_predict(model, x) != y, 0, spec.iterations)
+    if spec.epsilon == 0.0:
+        return x.copy() if first_miss is None else first_miss
+    cur = x.copy()
+    if family is AttackFamily.FGSM:
+        step, iterations = spec.epsilon, 1
+        grad = _input_gradient(model, y, LossMode.CE, None)
+    elif family is AttackFamily.SPSA:
+        step, iterations = spec.spsa_lr, spec.iterations
+        grad = _spsa_gradient(model, y, spec)
+    else:
+        step, iterations = spec.step_size, spec.iterations
+        reference = (
+            _softmax_values(_check_logits(model._forward(x, keep=False)[0]))
+            if spec.loss_mode is LossMode.KL else None)
+        grad = _input_gradient(model, y, spec.loss_mode, reference)
+        if spec.start_noise_scale > 0:
+            for i in range(x.shape[0]):
+                cur[i] += (spec.start_noise_scale
+                           * _row_rng(spec, i).standard_normal(x.shape[1]))
+    for k in range(1, iterations + 1):
+        cur = project_linf(cur + step * np.sign(grad(cur)), x,
+                           spec.epsilon, spec.bounds)
+        if first_miss is not None:
+            undecided = first_miss == spec.iterations
+            first_miss[undecided & (_predict(model, cur) != y)] = k
     return cur if first_miss is None else first_miss
 
 
@@ -303,8 +298,9 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
     def ce_of_points(points: np.ndarray) -> np.ndarray:
         labels = np.full(len(points), label)
         return np.concatenate([
-            cross_entropy_rows(model.forward(Tensor(points[s:s + _SPSA_ROWS])),
-                               labels[s:s + _SPSA_ROWS]).data
+            _ce_rows(_check_logits(model._forward(points[s:s + _SPSA_ROWS],
+                                                  keep=False)[0]),
+                     labels[s:s + _SPSA_ROWS])
             for s in range(0, len(points), _SPSA_ROWS)])
 
     return _spsa_estimate(ce_of_points, cur, spec.spsa_samples,

@@ -28,7 +28,8 @@ from .errors import ConfigError, DataFormatError, NonFiniteError, NumericAbort
 from .gmm import GmmSpec, corollary_check, risk_report
 from .models import load_checkpoint, predict_probs
 from .reweight import read_weight_records
-from .training import condition_names, evaluate, sweep, train, write_confusions
+from .training import (check_fits, condition_names, evaluate, sweep, train,
+                       write_confusions)
 
 
 def _parse_set(raw: str) -> tuple[str, object]:
@@ -106,6 +107,7 @@ def _cmd_attack(args) -> int:
     config = _resolved(args)
     train_set, eval_set = config.dataset.load()
     dataset = eval_set if eval_set is not None else train_set
+    check_fits(model, dataset)  # evaluate() makes the same check for eval
     specs = list(config.attack_eval)
     if not 0 <= args.index < len(specs):
         raise ConfigError(

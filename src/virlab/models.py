@@ -1,10 +1,12 @@
 """Feed-forward classifiers: an MLP and an optional single-conv-block net.
 
-A forward pass is one autodiff node whose parents are the input and every
-parameter. It computes the logits with plain numpy and backpropagates by
-hand (relu masks, the dense layers in reverse, then the conv stem through
-the tensor module's reversed slice-add), bitwise what a graph of the
-tensor module's layer ops gives, with no per-layer nodes or copies.
+The network is plain numpy: ``_forward`` computes the logits (keeping the
+activations if asked) and ``_backward`` backpropagates by hand (relu masks,
+the dense layers in reverse, then the conv stem through the tensor module's
+reversed slice-add), bitwise what a graph of the tensor module's layer ops
+gives. That one layer backward serves both callers: ``forward`` wraps it as
+one autodiff node for the training losses, and the attacks call it directly
+for input gradients.
 
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,103 +124,103 @@ class Classifier:
             )
             self.params[f"dense{i}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    def forward(self, x) -> Tensor:
-        """Logits for a [batch, input_dim] batch (rows are independent).
+    def _forward(self, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        """Logits for a [batch, input_dim] array (rows are independent), and
+        the activations ``_backward`` needs when ``keep`` (else None)."""
+        x = np.asarray(x, dtype=np.float64, order="C")  # as a Tensor holds it
+        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
+            raise ShapeError(f"expected [batch, {self.arch.input_dim}] input, got {x.shape}")
+        conv, p = self.arch.conv, self.params
+        patches = fmap = None
+        h = x
+        if conv:
+            patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+            h = patches @ p["conv.weight"].data
+            h += p["conv.bias"].data
+            np.maximum(h, 0.0, out=h)
+            fmap = h  # [batch * positions, filters]
+            h = h.reshape(x.shape[0], conv.out_dim)
+        n_dense = len(self.arch.layers) - 1
+        inputs = []  # each dense layer's input
+        for i in range(n_dense):
+            inputs.append(h)
+            h = h @ p[f"dense{i}.weight"].data
+            h += p[f"dense{i}.bias"].data
+            if i < n_dense - 1:
+                np.maximum(h, 0.0, out=h)
+        return h, ((patches, fmap, inputs) if keep else None)
 
-        The network is one graph node whose parents are the input and every
-        parameter. Its backward is written out layer by layer and forms only
-        the gradients some parent asks for; when none does, the node has no
-        backward and keeps no activations.
+    def _backward(self, cache: tuple, g: np.ndarray, params: bool,
+                  dx: bool = True) -> np.ndarray | None:
+        """Backpropagate ``g``, the gradient of the logits of the forward that
+        kept ``cache``. With ``params``, each parameter that requires a
+        gradient accumulates it. Returns the input's gradient if ``dx``, else
+        None, stopping at the first layer in front of which nothing needs one.
         """
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.arch.input_dim:
-            raise ShapeError(
-                f"expected [batch, {self.arch.input_dim}] input, got {x.data.shape}"
-            )
-        batch = x.data.shape[0]
+        patches, fmap, inputs = cache
         conv = self.arch.conv
         stem = (self.params["conv.weight"], self.params["conv.bias"]) if conv else ()
         dense = [(self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"])
-                 for i in range(len(self.arch.layers) - 1)]
+                 for i in range(len(inputs))]
+
+        def asks(*ts):  # whether one of these parameters accumulates a gradient
+            return params and any(t.requires_grad for t in ts)
+
         # wants[i]: whether the input of dense layer i needs a gradient, i.e.
-        # whether x or a parameter in front of that layer requires one.
-        wants = [x.requires_grad or any(p.requires_grad for p in stem)]
+        # whether x or a parameter in front of that layer asks for one.
+        wants = [dx or asks(*stem)]
         for w, b in dense:
-            wants.append(wants[-1] or w.requires_grad or b.requires_grad)
-        h = x.data
-        if conv:
-            patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
-            h = patches @ stem[0].data
-            h += stem[1].data
-            np.maximum(h, 0.0, out=h)
-            fmap = h  # [batch * positions, filters]
-            h = h.reshape(batch, conv.out_dim)
-        inputs = []  # each dense layer's input
-        for i, (w, b) in enumerate(dense):
-            inputs.append(h)
-            h = h @ w.data
-            h += b.data
-            if i < len(dense) - 1:
-                np.maximum(h, 0.0, out=h)
-        out = Tensor._from_op(h, (x, *self.params.values()))
-        if not wants[-1]:
-            return out
+            wants.append(wants[-1] or asks(w, b))
+        for i in reversed(range(len(dense))):
+            w, b = dense[i]
+            if asks(w):
+                w._accumulate(inputs[i].T @ g, owned=True)
+            if asks(b):
+                b._accumulate(g.sum(axis=0), owned=True)
+            if not wants[i]:
+                return None
+            g = g @ w.data.T
+            if i > 0:
+                g *= inputs[i] > 0.0  # the relu mask of the layer in front
+        if not conv:
+            return g
+        g = g.reshape(fmap.shape)
+        g *= fmap > 0.0
+        if asks(stem[0]):
+            stem[0]._accumulate(patches.T @ g, owned=True)
+        if asks(stem[1]):
+            stem[1]._accumulate(g.sum(axis=0), owned=True)
+        if not dx:
+            return None
+        return _patch_grad(g @ stem[0].data.T, inputs[0].shape[0], conv.height,
+                           conv.width, conv.kernel_size)
 
-        def backward(g):
-            for i in reversed(range(len(dense))):
-                w, b = dense[i]
-                if w.requires_grad:
-                    w._accumulate(inputs[i].T @ g, owned=True)
-                if b.requires_grad:
-                    b._accumulate(g.sum(axis=0), owned=True)
-                if not wants[i]:
-                    return
-                g = g @ w.data.T
-                if i > 0:
-                    g *= inputs[i] > 0.0  # the relu mask of the layer in front
-            if not conv:
-                x._accumulate(g, owned=True)
-                return
-            g = g.reshape(fmap.shape)
-            g *= fmap > 0.0
-            if stem[0].requires_grad:
-                stem[0]._accumulate(patches.T @ g, owned=True)
-            if stem[1].requires_grad:
-                stem[1]._accumulate(g.sum(axis=0), owned=True)
-            if x.requires_grad:
-                x._accumulate(_patch_grad(g @ stem[0].data.T, batch, conv.height,
-                                          conv.width, conv.kernel_size),
-                              owned=True)
+    def forward(self, x) -> Tensor:
+        """Logits as one graph node whose parents are the input and every
+        parameter, backpropagated by ``_backward``. When no parent requires
+        a gradient, the node has no backward and keeps no activations."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        params = tuple(self.params.values())
+        keep = x.requires_grad or any(p.requires_grad for p in params)
+        logits, cache = self._forward(x.data, keep)
+        out = Tensor._from_op(logits, (x, *params))
+        if keep:
+            def backward(g):
+                dx = self._backward(cache, g, params=True, dx=x.requires_grad)
+                if dx is not None:
+                    x._accumulate(dx, owned=True)
 
-        out._backward = backward
+            out._backward = backward
         return out
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
-    @contextmanager
-    def frozen(self):
-        """Treat every parameter as a constant inside the block.
-
-        Graphs built here need no parameter gradients, so backward neither
-        computes nor accumulates them; each ``requires_grad`` flag is
-        restored on exit, also when the block raises.
-        """
-        flags = [(p, p.requires_grad) for p in self.params.values()]
-        for p, _ in flags:
-            p.requires_grad = False
-        try:
-            yield self
-        finally:
-            for p, flag in flags:
-                p.requires_grad = flag
-
 
 def predict_probs(model: Classifier, x) -> np.ndarray:
     """Softmax outputs as a plain array; no gradients are retained."""
-    x = np.asarray(x, dtype=np.float64)
-    return _softmax_values(model.forward(Tensor(x)).data)
+    return _softmax_values(model._forward(x, keep=False)[0])
 
 
 # -- checkpoint I/O ------------------------------------------------------------

@@ -15,13 +15,16 @@ Closures compute a parent's gradient only when that parent has
 
 The probability-facing ops (softmax, cross entropy, KL divergence) are
 fused primitives with hand-derived gradients so the numerically stable
-forms (max-shifted exponentials, log-sum-exp) are used throughout.
+forms (max-shifted exponentials, log-sum-exp) are used throughout. Their
+gradients are plain functions of arrays (``_ce_dlogits``, ``_kl_dq``,
+``_softmax_dlogits``) that the closures call; the attacks call them, and
+``_kl_softmax_dlogits`` and ``_cw_margin_dlogits``, with no graph at all.
 
-The network itself is one node (``models.Classifier.forward``) with its own
-layer-by-layer backward; it shares the patch helpers below with
+The network is one node (``models.Classifier.forward``) whose backward is
+the model's own layer backward, sharing the patch helpers below with
 ``sliding_patches``. The layer ops (``@``, ``+``, ``relu``, ``reshape``,
-``sliding_patches``) are off the model path and remain for the benchmark's
-op cases and the tests' layered oracle.
+``sliding_patches``) remain for the benchmark's op cases and the tests'
+layered oracle.
 """
 
 from __future__ import annotations
@@ -265,8 +268,7 @@ class Tensor:
 # -- fused probability ops ----------------------------------------------------
 
 
-def _check_logits(logits: Tensor) -> np.ndarray:
-    z = logits.data
+def _check_logits(z: np.ndarray) -> np.ndarray:
     if z.ndim != 2:
         raise ShapeError(f"expected [batch, classes] logits, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
@@ -280,44 +282,56 @@ def _softmax_values(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _softmax_dlogits(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the logits from ``g``, the gradient of p = softmax(logits)."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
+
+
 def softmax(logits: Tensor) -> Tensor:
     """Row-wise softmax, computed with the max-shift trick."""
-    z = _check_logits(logits)
-    p = _softmax_values(z)
+    p = _softmax_values(_check_logits(logits.data))
     out = Tensor._from_op(p, (logits,))
 
     def backward(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        logits._accumulate(p * (g - dot), owned=True)
+        logits._accumulate(_softmax_dlogits(p, g), owned=True)
 
     out._backward = backward
     return out
 
 
-def _check_labels(z: np.ndarray, labels) -> np.ndarray:
+def _check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
     y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != z.shape[0]:
-        raise ShapeError(f"labels shape {y.shape} does not match batch of {z.shape[0]}")
+    if y.shape != (batch,):
+        raise ShapeError(f"labels shape {y.shape} does not match batch of {batch}")
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("labels must be integers")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= z.shape[1]:
-        raise IndexError(f"label out of range for {z.shape[1]} classes")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= num_classes:
+        raise IndexError(f"label out of range for {num_classes} classes")
     return y
+
+
+def _ce_rows(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row -log softmax(z)[y], via log-sum-exp."""
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    return lse - z[np.arange(z.shape[0]), y]
+
+
+def _ce_dlogits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the summed _ce_rows: softmax(z) - onehot(y)."""
+    d = _softmax_values(z)
+    d[np.arange(z.shape[0]), y] -= 1.0
+    return d
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     """Per-sample -log softmax(logits)[y], via log-sum-exp."""
-    z = _check_logits(logits)
-    y = _check_labels(z, labels)
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    rows = lse - z[np.arange(z.shape[0]), y]
-    out = Tensor._from_op(rows, (logits,))
+    z = _check_logits(logits.data)
+    y = _check_labels(labels, *z.shape)
+    out = Tensor._from_op(_ce_rows(z, y), (logits,))
 
     def backward(g):
-        d = _softmax_values(z)
-        d[np.arange(z.shape[0]), y] -= 1.0
-        logits._accumulate(d * g[:, None], owned=True)
+        logits._accumulate(_ce_dlogits(z, y) * g[:, None], owned=True)
 
     out._backward = backward
     return out
@@ -334,6 +348,17 @@ def _check_stochastic(name: str, t: Tensor) -> np.ndarray:
     if np.abs(v.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError(f"rows of {name} do not sum to 1 within 1e-9")
     return v
+
+
+def _kl_dq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gradient in q of the summed rows of KL(p || q); 0 where q is clamped."""
+    return np.where(q >= PROB_FLOOR, -p / np.maximum(q, PROB_FLOOR), 0.0)
+
+
+def _kl_softmax_dlogits(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient in z of the summed rows of KL(p || softmax(z)), p a constant."""
+    q = _softmax_values(z)
+    return _softmax_dlogits(q, _kl_dq(p, q))
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
@@ -357,10 +382,23 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
             p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0),
                           owned=True)
         if q.requires_grad:
-            q._accumulate(g * np.where(qv >= PROB_FLOOR, -pv / qc, 0.0), owned=True)
+            q._accumulate(g * _kl_dq(pv, qv), owned=True)
 
     out._backward = backward
     return out
+
+
+def _cw_margin_dlogits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the summed margins max_{j != y} z_j - z_y: +1 at the
+    first largest other logit, -1 at the label (exact ties resolve toward
+    the lowest class index)."""
+    rows = np.arange(z.shape[0])
+    masked = z.copy()
+    masked[rows, y] += -1e30
+    d = np.zeros(z.shape)
+    d[rows, np.argmax(masked, axis=1)] += 1.0
+    d[rows, y] -= 1.0
+    return d
 
 
 def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.ndarray:

@@ -105,6 +105,16 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray, c: int) -> np.ndarray:
     return m
 
 
+def check_fits(model: Classifier, dataset: Dataset) -> None:
+    """ConfigError naming the mismatch unless the dataset's rows and labels
+    fit the model's input width and class count."""
+    arch = model.arch
+    if dataset.dim != arch.input_dim:
+        raise ConfigError(f"dataset has {dataset.dim} features, model takes {arch.input_dim}")
+    if dataset.num_classes > arch.num_classes:
+        raise ConfigError(f"dataset has {dataset.num_classes} classes, model only {arch.num_classes}")
+
+
 def evaluate(model: Classifier, dataset: Dataset,
              attack_specs: list[AttackSpec]) -> EvalReport:
     """Clean and per-attack accuracy with one confusion matrix per condition.
@@ -116,11 +126,8 @@ def evaluate(model: Classifier, dataset: Dataset,
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    check_fits(model, dataset)
     c = model.arch.num_classes
-    if dataset.num_classes > c:
-        raise ConfigError(
-            f"dataset has {dataset.num_classes} classes, model only {c}"
-        )
     x, y = dataset.features, dataset.labels
     pred = np.argmax(model.forward(x).data, axis=1)
     confusions = {"clean": _confusion(y, pred, c)}

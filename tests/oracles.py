@@ -1,13 +1,16 @@
 """Test-only oracles that the package itself never calls."""
 
+import copy
 import math
 from typing import Callable
 
 import numpy as np
 
+from virlab.attacks import LossMode
 from virlab.errors import ConfigError
 from virlab.gmm import GmmSpec, LinearClassifier, std_normal_cdf
-from virlab.tensor import Tensor
+from virlab.tensor import (Tensor, _check_logits, cross_entropy_rows,
+                           kl_divergence, sliding_patches, softmax)
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -33,6 +36,56 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: np.ndarray, h: float = 1e-
         lo = evaluate(bumped)
         gflat[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def cw_margin_rows(logits: Tensor, y) -> Tensor:
+    """Per-sample margin max_{j != y} Z_j - Z_y as a graph of Tensor ops:
+    the CW-PGD loss the attacks used to differentiate through the graph,
+    kept as the oracle of their plain gradient."""
+    _check_logits(logits.data)
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(y)), y] = 1.0
+    z_true = (logits * onehot).sum(axis=1)
+    z_other = (logits + Tensor(-1e30 * onehot)).max(axis=1)
+    return z_other - z_true
+
+
+def layered_forward(model, x) -> Tensor:
+    """The network as a graph of Tensor layer ops, one node per op: the
+    forward the fused node replaced, kept as its bitwise oracle."""
+    p = model.params
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    conv = model.arch.conv
+    if conv is not None:
+        patches = sliding_patches(h, conv.height, conv.width, conv.kernel_size)
+        h = (patches @ p["conv.weight"] + p["conv.bias"]).relu()
+        h = h.reshape(x.shape[0], conv.out_dim)
+    n_dense = len(model.arch.layers) - 1
+    for i in range(n_dense):
+        h = h @ p[f"dense{i}.weight"] + p[f"dense{i}.bias"]
+        if i < n_dense - 1:
+            h = h.relu()
+    return h
+
+
+def graph_input_gradient(model, x, y, mode: LossMode, reference=None):
+    """(logits gradient, input gradient) of an attack loss summed over the
+    batch, taken through the layered Tensor graph with the parameters as
+    constants: the way the attacks took it before they went to plain numpy,
+    kept as their bitwise oracle. KL mode's reference is a constant
+    distribution."""
+    constant = copy.copy(model)
+    constant.params = {name: Tensor(p.data) for name, p in model.params.items()}
+    x_t = Tensor(x, requires_grad=True)
+    logits = layered_forward(constant, x_t)
+    if mode is LossMode.CE:
+        loss = cross_entropy_rows(logits, y)
+    elif mode is LossMode.KL:
+        loss = kl_divergence(Tensor(reference), softmax(logits))
+    else:
+        loss = cw_margin_rows(logits, y)
+    loss.sum().backward()
+    return logits.grad, x_t.grad
 
 
 def linear_risk(classifier: LinearClassifier, spec: GmmSpec) -> tuple[float, float]:

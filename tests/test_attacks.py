@@ -1,6 +1,7 @@
 """Attack semantics: projection arithmetic, gradient directions, ball
 containment, black-box purity, and determinism."""
 
+import ast
 import gc
 
 import numpy as np
@@ -154,6 +155,38 @@ def test_fgsm_label_validation(rng):
         fgsm(model, x, np.array([0, 3]), AttackSpec(AttackFamily.FGSM, epsilon=0.1))
     with pytest.raises(ShapeError):
         fgsm(model, x[0], np.array([0]), AttackSpec(AttackFamily.FGSM, epsilon=0.1))
+
+
+LABEL_CASES = {
+    "fgsm": lambda m, x, y: fgsm(m, x, y, AttackSpec(AttackFamily.FGSM, epsilon=0.1)),
+    "pgd": lambda m, x, y: pgd(m, x, y, AttackSpec(AttackFamily.PGD, epsilon=0.1,
+                                                   step_size=0.05)),
+    "pgd_kl": lambda m, x, y: pgd(m, x, y, AttackSpec(
+        AttackFamily.PGD, epsilon=0.1, step_size=0.05, loss_mode=LossMode.KL)),
+    "min_pgd_steps": lambda m, x, y: min_pgd_steps(m, x, y, AttackSpec(
+        AttackFamily.PGD, epsilon=0.1, step_size=0.05)),
+    "cw_pgd": lambda m, x, y: cw_pgd(m, x, y, AttackSpec(
+        AttackFamily.CW_PGD, epsilon=0.1, step_size=0.05)),
+    "spsa": lambda m, x, y: spsa(m, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.1,
+                                                     spsa_samples=4)),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_every_attack_checks_its_labels_once(rng, case, monkeypatch):
+    model = linear_model()
+    x = rng.standard_normal((2, 4))
+    attack = LABEL_CASES[case]
+    with pytest.raises(ValueError, match="labels must be integers"):
+        attack(model, x, np.array([0.0, 2.0]))
+    with pytest.raises(IndexError):
+        attack(model, x, np.array([0, 3]))
+    calls = []
+    check = attacks._check_labels
+    monkeypatch.setattr(attacks, "_check_labels",
+                        lambda *args: calls.append(args) or check(*args))
+    attack(model, x, np.array([0, 2]))
+    assert len(calls) == 1
 
 
 # -- PGD -------------------------------------------------------------------------
@@ -534,13 +567,13 @@ def test_batched_spsa_matches_the_batch1_oracle(rng):
 def test_spsa_scores_points_in_capped_batched_forwards(rng):
     model = conv_model()
     rows = []
-    forward = model.forward
+    forward = model._forward
 
-    def counting_forward(x_t):
-        rows.append(x_t.shape[0])
-        return forward(x_t)
+    def counting_forward(x, keep):
+        rows.append(x.shape[0])
+        return forward(x, keep)
 
-    model.forward = counting_forward
+    model._forward = counting_forward
     x = rng.uniform(0.0, 1.0, size=(3, 30))
     y = np.array([0, 1, 2])
     spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2, spsa_samples=40,
@@ -647,3 +680,36 @@ def test_graphs_are_freed_by_refcount(rng):
         assert live_tensors() == before
     finally:
         gc.enable()
+
+
+# Names whose use builds an autodiff graph: the Tensor class, the tensor
+# module's Tensor ops, and the model's graph-node forward and .backward.
+GRAPH_NAMES = {"Tensor", "cross_entropy_rows", "kl_divergence", "softmax",
+               "sliding_patches"}
+GRAPH_METHODS = {"forward", "backward"}
+
+
+def _graph_uses(source: str) -> list[int]:
+    """Lines of ``source`` that name a Tensor or Tensor op, import one, or
+    call .forward / .backward."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id in GRAPH_NAMES
+                or isinstance(node, ast.alias) and node.name in GRAPH_NAMES
+                or isinstance(node, ast.Attribute)
+                and node.attr in GRAPH_NAMES | GRAPH_METHODS):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_attacks_build_no_autodiff_graph():
+    # The guard sees each way a graph could come back ...
+    for source in ("from .tensor import Tensor", "t = tensor.Tensor(x)",
+                   "x_t = Tensor(x, requires_grad=True)", "loss.sum().backward()",
+                   "logits = model.forward(x)", "q = softmax(z)",
+                   "rows = cross_entropy_rows(z, y)"):
+        assert _graph_uses(source), source
+    # ... and finds none in the attacks' hot loop.
+    with open(attacks.__file__) as fh:
+        lines = _graph_uses(fh.read())
+    assert not lines, f"attacks.py builds an autodiff graph at lines {lines}"

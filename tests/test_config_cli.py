@@ -18,7 +18,8 @@ from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
                            desk_profile, resolve_config, set_dotted)
 from virlab.data import load_csv, save_idx, synth_multiclass
 from virlab.errors import ConfigError
-from virlab.models import ConvStem, load_checkpoint, save_checkpoint
+from virlab.models import (Arch, Classifier, ConvStem, load_checkpoint,
+                           save_checkpoint)
 from virlab.objectives import ObjectiveFamily, ObjectiveSpec
 from virlab.reweight import Ablation, WeightFamily, WeightScheme
 
@@ -529,6 +530,22 @@ def test_cli_non_finite_checkpoint_exits_3(train_run, tmp_path, capsys,
     assert main(argv + TINY) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / out_name).exists()
+
+
+@pytest.mark.parametrize("command, out_name", [("eval", "eval"),
+                                               ("attack", "adv.csv")])
+@pytest.mark.parametrize("layers, mismatch", [
+    ((4, 8, 2), "dataset has 3 classes, model only 2"),
+    ((5, 8, 3), "dataset has 4 features, model takes 5"),
+])
+def test_cli_checkpoint_that_does_not_fit_the_data_exits_2(
+        tmp_path, capsys, command, out_name, layers, mismatch):
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(Classifier(Arch(layers), seed=0), ckpt)
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / out_name)]
+    assert main(argv + TINY) == 2
+    assert mismatch in capsys.readouterr().err
     assert not (tmp_path / out_name).exists()
 
 

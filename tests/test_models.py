@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
-from oracles import finite_diff_grad
-from virlab.attacks import _cw_margin_rows
+from oracles import (cw_margin_rows, finite_diff_grad, graph_input_gradient,
+                     layered_forward)
+from virlab import attacks
+from virlab.attacks import LossMode
 from virlab.cli import main
 from virlab.errors import CheckpointError, ConfigError, ShapeError
 from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
                            predict_probs, save_checkpoint)
 from virlab.objectives import vir_trades_loss
-from virlab.tensor import (Tensor, cross_entropy_rows, kl_divergence,
-                           sliding_patches, softmax)
+from virlab.tensor import (Tensor, _kl_softmax_dlogits, cross_entropy_rows,
+                           kl_divergence, softmax)
 
 
 def test_arch_validation():
@@ -102,24 +104,6 @@ def test_conv_model_parameter_gradients_match_oracle():
 # -- the fused forward against the layered graph -----------------------------------
 
 
-def layered_forward(model, x) -> Tensor:
-    """The network as a graph of Tensor layer ops, one node per op: the
-    forward the fused node replaced, kept as its bitwise oracle."""
-    p = model.params
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    conv = model.arch.conv
-    if conv is not None:
-        patches = sliding_patches(h, conv.height, conv.width, conv.kernel_size)
-        h = (patches @ p["conv.weight"] + p["conv.bias"]).relu()
-        h = h.reshape(x.shape[0], conv.out_dim)
-    n_dense = len(model.arch.layers) - 1
-    for i in range(n_dense):
-        h = h @ p[f"dense{i}.weight"] + p[f"dense{i}.bias"]
-        if i < n_dense - 1:
-            h = h.relu()
-    return h
-
-
 ORACLE_MODELS = {
     "mlp": lambda: make_mlp((6, 8, 5, 3), seed=2),
     # 7x6 images (h != w), a hidden dense layer behind the stem ...
@@ -147,7 +131,7 @@ ORACLE_LOSSES = {
     "ce_rows": lambda model, f, xa, xb: cross_entropy_rows(f(xa), ORACLE_Y).sum(),
     "kl_both_sides": lambda model, f, xa, xb: kl_divergence(
         softmax(f(xa)), softmax(f(xb))).sum(),
-    "cw_margin": lambda model, f, xa, xb: _cw_margin_rows(f(xa), ORACLE_Y).sum(),
+    "cw_margin": lambda model, f, xa, xb: cw_margin_rows(f(xa), ORACLE_Y).sum(),
     "trades_two_pass": lambda model, f, xa, xb: (
         cross_entropy_rows(f(xa), ORACLE_Y)
         + 5.0 * (Tensor(ORACLE_W) * kl_divergence(softmax(f(xa)), softmax(f(xb))))
@@ -219,10 +203,61 @@ def test_forward_without_any_gradient_keeps_no_backward():
     for make in ORACLE_MODELS.values():
         model = make()
         x = np.zeros((2, model.arch.input_dim))
-        with model.frozen():
-            assert model.forward(x)._backward is None
-            assert model.forward(Tensor(x, requires_grad=True))._backward is not None
+        for p in model.params.values():
+            p.requires_grad = False
+        assert model.forward(x)._backward is None
+        assert model.forward(Tensor(x, requires_grad=True))._backward is not None
+        for p in model.params.values():
+            p.requires_grad = True
         assert model.forward(x)._backward is not None
+
+
+def _tie_row0_classes_1_and_2(model, x):
+    """Set the output biases of classes 1 and 2 so that both of row 0's
+    logits round to 1.5. Unlike a copied class, the tie is not shared by
+    the weights, so the two candidates for the largest other logit have
+    different gradients."""
+    bias = model.params[f"dense{len(model.arch.layers) - 2}.bias"].data
+    s = model._forward(x, keep=False)[0][0] - bias  # the bias is 0 at init
+    bias[1:3] = 1.5 - s[1:3]
+    z = model._forward(x, keep=False)[0]
+    assert z[0, 1] == z[0, 2] == 1.5 > z[0, 0]
+
+
+@pytest.mark.parametrize("mode", list(LossMode))
+@pytest.mark.parametrize("arch", ORACLE_MODELS)
+def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
+    model = ORACLE_MODELS[arch]()
+    x = np.random.default_rng(13).standard_normal((5, model.arch.input_dim))
+    batches = {"random": (model, x, predict_probs(model, 0.5 * x))}
+
+    tied = ORACLE_MODELS[arch]()
+    _tie_row0_classes_1_and_2(tied, x)
+    batches["tied"] = (tied, x, predict_probs(tied, 0.5 * x))
+
+    # Saturated logits against a one-hot reference on each row's least
+    # likely class: the KL gradient of the logits has -0.0 entries, which
+    # the graph stores as +0.0.
+    big = 1e3 * x
+    z = model._forward(big, keep=False)[0]
+    onehot = np.eye(z.shape[1])[np.argmin(z, axis=1)]
+    g = _kl_softmax_dlogits(onehot, z)
+    assert np.any((g == 0.0) & np.signbit(g))
+    batches["negative zero"] = (model, big, onehot)
+
+    for name, (m, xb, reference) in batches.items():
+        handed = []  # the logits gradient the layer backward is given
+
+        def spy(cache, g, *args, _m=m, **kwargs):
+            handed.append(g.copy())
+            return Classifier._backward(_m, cache, g, *args, **kwargs)
+
+        monkeypatch.setattr(m, "_backward", spy)
+        got = attacks._input_gradient(m, ORACLE_Y, mode, reference)(xb)
+        want_dlogits, want = graph_input_gradient(m, xb, ORACLE_Y, mode, reference)
+        np.testing.assert_array_equal(_bits(handed[0]), _bits(want_dlogits),
+                                      err_msg=name)
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
 
 
 def test_predict_probs_rows_are_distributions():

@@ -21,7 +21,7 @@ from .gmm import (CorollaryReport, GmmSpec, LinearClassifier, RiskReport,
                   optimal_linear, risk_report, sample_gmm, std_normal_cdf,
                   theorem1_risks)
 from .models import (Arch, Classifier, ConvStem, load_checkpoint,
-                     predict_probs, save_checkpoint)
+                     predict_labels, predict_probs, save_checkpoint)
 from .objectives import (ObjectiveFamily, ObjectiveSpec, at_loss, trades_loss,
                          vir_at_loss, vir_trades_loss)
 from .reweight import (Ablation, WeightFamily, WeightRecord, WeightScheme,

@@ -21,10 +21,12 @@ Attacks need only the input gradient, so they build no autodiff graph:
 each gradient is one plain forward that keeps its activations
 (``Classifier._forward``), the loss's gradient of the logits from the
 tensor module's ``_*_dlogits`` helpers, and one layer backward
-(``Classifier._backward``) that forms no parameter gradient. Prediction
-and SPSA scoring forwards keep no activations. The model's parameters,
-their ``.grad`` and ``requires_grad`` included, are never touched. Labels
-are checked once per attack, the logits at every forward.
+(``Classifier._backward``) that forms no parameter gradient. The KL
+reference, predictions and SPSA scoring keep no activations. The model's
+parameters, their ``.grad`` and ``requires_grad`` included, are never
+touched. Labels are checked once per attack; ``Classifier._forward``
+checks the logits, so a non-finite model raises NonFiniteError at its
+first forward.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .models import Classifier
-from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _check_logits,
-                     _cw_margin_dlogits, _kl_softmax_dlogits, _softmax_values)
+from .models import Classifier, predict_labels, predict_probs
+from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _cw_margin_dlogits,
+                     _kl_softmax_dlogits)
 
 
 class AttackFamily(Enum):
@@ -147,7 +149,7 @@ def _input_gradient(model: Classifier, y, mode: LossMode,
 
     def grad(x_np: np.ndarray) -> np.ndarray:
         logits, cache = model._forward(x_np, keep=True)
-        g = dlogits(_check_logits(logits))
+        g = dlogits(logits)
         # x + 0.0 stores a -0.0 entry as +0.0, as the graph stores the first
         # gradient a tensor receives: the gradients stay bitwise the graph's.
         np.add(g, 0.0, out=g)
@@ -161,10 +163,6 @@ def _row_rng(spec: AttackSpec, i: int) -> np.random.Generator:
     row's stream is keyed. The start noise and SPSA's directions draw
     from it."""
     return np.random.Generator(np.random.PCG64(spec.seed ^ i))
-
-
-def _predict(model: Classifier, x: np.ndarray) -> np.ndarray:
-    return np.argmax(model._forward(x, keep=False)[0], axis=1)
 
 
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
@@ -190,7 +188,7 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     x, y = _as_batch(x, y, model)
     first_miss = None
     if record_first_miss:
-        first_miss = np.where(_predict(model, x) != y, 0, spec.iterations)
+        first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
     if spec.epsilon == 0.0:
         return x.copy() if first_miss is None else first_miss
     cur = x.copy()
@@ -202,9 +200,8 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
         grad = _spsa_gradient(model, y, spec)
     else:
         step, iterations = spec.step_size, spec.iterations
-        reference = (
-            _softmax_values(_check_logits(model._forward(x, keep=False)[0]))
-            if spec.loss_mode is LossMode.KL else None)
+        reference = (predict_probs(model, x)
+                     if spec.loss_mode is LossMode.KL else None)
         grad = _input_gradient(model, y, spec.loss_mode, reference)
         if spec.start_noise_scale > 0:
             for i in range(x.shape[0]):
@@ -215,7 +212,7 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
                            spec.epsilon, spec.bounds)
         if first_miss is not None:
             undecided = first_miss == spec.iterations
-            first_miss[undecided & (_predict(model, cur) != y)] = k
+            first_miss[undecided & (predict_labels(model, cur) != y)] = k
     return cur if first_miss is None else first_miss
 
 
@@ -298,8 +295,7 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
     def ce_of_points(points: np.ndarray) -> np.ndarray:
         labels = np.full(len(points), label)
         return np.concatenate([
-            _ce_rows(_check_logits(model._forward(points[s:s + _SPSA_ROWS],
-                                                  keep=False)[0]),
+            _ce_rows(model._forward(points[s:s + _SPSA_ROWS], keep=False)[0],
                      labels[s:s + _SPSA_ROWS])
             for s in range(0, len(points), _SPSA_ROWS)])
 

@@ -26,7 +26,7 @@ from .config import PROFILES, resolve_config
 from .data import Dataset, save_csv
 from .errors import ConfigError, DataFormatError, NonFiniteError, NumericAbort
 from .gmm import GmmSpec, corollary_check, risk_report
-from .models import load_checkpoint, predict_probs
+from .models import load_checkpoint, predict_labels
 from .reweight import read_weight_records
 from .training import (check_fits, condition_names, evaluate, sweep, train,
                        write_confusions)
@@ -116,8 +116,8 @@ def _cmd_attack(args) -> int:
         )
     spec = specs[args.index]
     x_adv = run_attack(model, dataset.features, dataset.labels, spec)
+    flipped = predict_labels(model, x_adv) != dataset.labels
     save_csv(Dataset(x_adv, dataset.labels), args.out)
-    flipped = np.argmax(predict_probs(model, x_adv), axis=1) != dataset.labels
     print(f"{condition_names([spec])[0]}: wrote {len(dataset)} adversarial "
           f"examples to {args.out}; model now wrong on {flipped.mean():.4f}")
     return 0

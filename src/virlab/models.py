@@ -5,8 +5,9 @@ activations if asked) and ``_backward`` backpropagates by hand (relu masks,
 the dense layers in reverse, then the conv stem through the tensor module's
 reversed slice-add), bitwise what a graph of the tensor module's layer ops
 gives. That one layer backward serves both callers: ``forward`` wraps it as
-one autodiff node for the training losses, and the attacks call it directly
-for input gradients.
+one autodiff node for the training losses (the only graph built), and the
+attacks call it for input gradients. ``_forward``, which every forward
+runs, raises NonFiniteError on a non-finite logit.
 
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
@@ -27,7 +28,8 @@ import numpy as np
 
 from .codec import atomic_open, canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import Tensor, _patch_grad, _patch_rows, _softmax_values
+from .tensor import (Tensor, _check_logits, _patch_grad, _patch_rows,
+                     _softmax_values)
 
 MAGIC = b"VIRCKPT1"
 _U64 = struct.Struct("<Q")
@@ -125,8 +127,9 @@ class Classifier:
             self.params[f"dense{i}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def _forward(self, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
-        """Logits for a [batch, input_dim] array (rows are independent), and
-        the activations ``_backward`` needs when ``keep`` (else None)."""
+        """Logits for a [batch, input_dim] array, and the activations
+        ``_backward`` needs when ``keep`` (else None). NonFiniteError if a
+        logit is not finite."""
         x = np.asarray(x, dtype=np.float64, order="C")  # as a Tensor holds it
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected [batch, {self.arch.input_dim}] input, got {x.shape}")
@@ -148,7 +151,7 @@ class Classifier:
             h += p[f"dense{i}.bias"].data
             if i < n_dense - 1:
                 np.maximum(h, 0.0, out=h)
-        return h, ((patches, fmap, inputs) if keep else None)
+        return _check_logits(h), ((patches, fmap, inputs) if keep else None)
 
     def _backward(self, cache: tuple, g: np.ndarray, params: bool,
                   dx: bool = True) -> np.ndarray | None:
@@ -221,6 +224,11 @@ class Classifier:
 def predict_probs(model: Classifier, x) -> np.ndarray:
     """Softmax outputs as a plain array; no gradients are retained."""
     return _softmax_values(model._forward(x, keep=False)[0])
+
+
+def predict_labels(model: Classifier, x) -> np.ndarray:
+    """The predicted class of each row: the argmax of its logits."""
+    return np.argmax(model._forward(x, keep=False)[0], axis=1)
 
 
 # -- checkpoint I/O ------------------------------------------------------------

@@ -5,7 +5,9 @@ inputs, score the instance weights (all 1.0 until the burn-in epoch has
 passed), take one SGD-with-momentum step on the configured objective, and
 log. Everything emitted (config.json, metrics.csv, weights.csv, confusion
 CSVs, checkpoint) is a pure function of the config, byte for byte, and
-written atomically (``codec.atomic_open``).
+written atomically (``codec.atomic_open``). A non-finite logit or loss
+ends the run in one NumericAbort naming the batch or evaluation it hit.
+Only the training loss builds an autodiff graph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .codec import atomic_open, canonical_json, write_csv
 from .config import OptimConfig, TrainConfig, config_to_obj
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
-from .models import Classifier, save_checkpoint
+from .models import Classifier, predict_labels, save_checkpoint
 from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
                          vir_trades_loss)
 from .reweight import (WeightFamily, WeightRecord, batch_weights,
@@ -129,14 +131,13 @@ def evaluate(model: Classifier, dataset: Dataset,
     check_fits(model, dataset)
     c = model.arch.num_classes
     x, y = dataset.features, dataset.labels
-    pred = np.argmax(model.forward(x).data, axis=1)
+    pred = predict_labels(model, x)
     confusions = {"clean": _confusion(y, pred, c)}
     clean_acc = float((pred == y).mean())
 
     robust: dict[str, float] = {}
     for name, spec in zip(condition_names(attack_specs), attack_specs):
-        x_adv = run_attack(model, x, y, spec)
-        pred_adv = np.argmax(model.forward(x_adv).data, axis=1)
+        pred_adv = predict_labels(model, run_attack(model, x, y, spec))
         confusions[name] = _confusion(y, pred_adv, c)
         robust[name] = float((pred_adv == y).mean())
 
@@ -234,18 +235,20 @@ def train(config: TrainConfig, out_dir: str | None = None,
 
     with weights_file as weights_fh:
         best_score = -np.inf
-        for epoch in range(1, config.epochs + 1):
-            lr = lr_at(epoch, config.optimizer)
-            loss_total, seen = 0.0, 0
-            epoch_records: list[WeightRecord] = []
-            for batch_idx, idx in enumerate(
-                batch_indices(len(train_set), config.batch_size,
-                              config.seed, epoch)
-            ):
-                xb = train_set.features[idx]
-                yb = train_set.labels[idx]
-                spec = _train_attack_spec(config, epoch, batch_idx)
-                try:
+        where = ""  # the batch or evaluation running, for NumericAbort
+        try:
+            for epoch in range(1, config.epochs + 1):
+                lr = lr_at(epoch, config.optimizer)
+                loss_total, seen = 0.0, 0
+                epoch_records: list[WeightRecord] = []
+                for batch_idx, idx in enumerate(
+                    batch_indices(len(train_set), config.batch_size,
+                                  config.seed, epoch)
+                ):
+                    where = f"at epoch {epoch}, batch {batch_idx}"
+                    xb = train_set.features[idx]
+                    yb = train_set.labels[idx]
+                    spec = _train_attack_spec(config, epoch, batch_idx)
                     x_adv = run_attack(model, xb, yb, spec)
 
                     k_values = None
@@ -262,62 +265,50 @@ def train(config: TrainConfig, out_dir: str | None = None,
                     epoch_records.extend(records)
 
                     loss = _batch_loss(model, config.objective, xb, x_adv, yb, w)
-                except NonFiniteError as e:
-                    # Overflowing parameters surface as non-finite-logit
-                    # errors inside the attack or loss; label them with the
-                    # position.
-                    raise NumericAbort(
-                        f"numeric failure at epoch {epoch}, batch {batch_idx}: {e}"
-                    ) from e
-                if not np.isfinite(loss.data):
-                    raise NumericAbort(
-                        f"non-finite loss at epoch {epoch}, batch {batch_idx}"
-                    )
-                model.zero_grad()
-                loss.backward()
-                sgd_step(model.params, lr, config.optimizer.momentum,
-                         config.optimizer.weight_decay, velocity)
-                loss_total += loss.item() * len(idx)
-                seen += len(idx)
+                    if not np.isfinite(loss.data):
+                        raise NonFiniteError("non-finite loss")
+                    model.zero_grad()
+                    loss.backward()
+                    sgd_step(model.params, lr, config.optimizer.momentum,
+                             config.optimizer.weight_decay, velocity)
+                    loss_total += loss.item() * len(idx)
+                    seen += len(idx)
 
-            weight_sums = [0.0] * model.arch.num_classes
-            for r in epoch_records:
-                weight_sums[r.class_label] += r.weight
-            if weights_fh is not None and (
-                epoch % config.log_weights_every == 0 or epoch == config.epochs
-            ):
-                write_weight_records(epoch_records, weights_fh)
+                weight_sums = [0.0] * model.arch.num_classes
+                for r in epoch_records:
+                    weight_sums[r.class_label] += r.weight
+                if weights_fh is not None and (
+                    epoch % config.log_weights_every == 0 or epoch == config.epochs
+                ):
+                    write_weight_records(epoch_records, weights_fh)
 
-            run_robust = (epoch % config.eval_every == 0
-                          or epoch == config.epochs)
-            try:
+                run_robust = (epoch % config.eval_every == 0
+                              or epoch == config.epochs)
+                # The last step can push parameters non-finite after every
+                # batch loss was checked; the eval forward then meets it.
+                where = f"during evaluation at epoch {epoch}"
                 report = evaluate(model, eval_on,
                                   config.attack_eval if run_robust else [])
-            except NonFiniteError as e:
-                # A step can push parameters non-finite after the last
-                # batch loss was checked; the divergence then surfaces in
-                # the eval forward instead.
-                raise NumericAbort(
-                    f"numeric failure during evaluation at epoch {epoch}: {e}"
-                ) from e
-            robust: dict[str, float | None] = {
-                n: report.robust_accuracy.get(n) for n in attack_names
-            }
-            log.rows.append(MetricsRow(
-                epoch=epoch, lr=lr,
-                train_loss=loss_total / max(seen, 1),
-                clean_accuracy=report.clean_accuracy,
-                robust_accuracy=robust,
-                per_class_accuracy=[float(v) for v in report.per_class_accuracy],
-                weight_sums=weight_sums,
-            ))
-            if run_robust:
-                score = (report.mean_robust_accuracy
-                         if report.mean_robust_accuracy is not None
-                         else report.clean_accuracy)
-                if score > best_score:
-                    best_score = score
-                    log.best_epoch = epoch
+                robust: dict[str, float | None] = {
+                    n: report.robust_accuracy.get(n) for n in attack_names
+                }
+                log.rows.append(MetricsRow(
+                    epoch=epoch, lr=lr,
+                    train_loss=loss_total / max(seen, 1),
+                    clean_accuracy=report.clean_accuracy,
+                    robust_accuracy=robust,
+                    per_class_accuracy=report.per_class_accuracy.tolist(),
+                    weight_sums=weight_sums,
+                ))
+                if run_robust:
+                    score = (report.mean_robust_accuracy
+                             if report.mean_robust_accuracy is not None
+                             else report.clean_accuracy)
+                    if score > best_score:
+                        best_score = score
+                        log.best_epoch = epoch
+        except NonFiniteError as e:  # a non-finite logit or loss, wherever met
+            raise NumericAbort(f"numeric failure {where}: {e}") from e
         log.final_epoch = config.epochs
 
     if out_dir is not None:

@@ -137,9 +137,12 @@ def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
 def _input_gradient(model: Classifier, y, mode: LossMode,
                     reference: np.ndarray | None):
     """x -> gradient at x of the attack loss, summed over the batch so each
-    sample's gradient is independent of its batchmates: one forward that
-    keeps its activations, the loss's gradient of the logits, and one layer
-    backward, with no parameter gradient."""
+    sample's gradient is its own loss's: one forward that keeps its
+    activations, the loss's gradient of the logits, and one layer backward,
+    with no parameter gradient. It follows the forward's rounding rule:
+    consecutive chunks of 64 rows give bitwise the whole batch's gradient,
+    smaller chunks may not, and where the gradient is near zero (KL mode
+    from a noise-free start) a sign step turns that into a whole step."""
     def dlogits(z: np.ndarray) -> np.ndarray:
         if mode is LossMode.CE:
             return _ce_dlogits(z, y)

@@ -189,6 +189,10 @@ class TrainConfig:
             raise ConfigError(
                 "objective.weight_scheme.family GAIRAT needs "
                 f"attack_train.step_size > 0, got {self.attack_train.step_size}")
+        if self.attack_train.seed != 0:
+            raise ConfigError(
+                f"attack_train.seed must be 0, got {self.attack_train.seed}: the "
+                "training attack is keyed from seed, epoch and batch")
 
     def arch(self, train_set: Dataset) -> Arch:
         return self.model.arch(train_set.dim, train_set.num_classes)

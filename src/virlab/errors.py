@@ -2,9 +2,10 @@
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericAbort and NonFiniteError -> 3, DataFormatError (and OSError) -> 4.
-NonFiniteError is what the numeric kernels raise on NaN/inf input (say, a
-checkpoint with a NaN parameter); training turns it into NumericAbort with
-the epoch and batch where it happened.
+NonFiniteError is what the network forward (``Classifier._forward``, which
+checks every output) and the tensor kernels raise on NaN/inf values, say
+from a checkpoint with a NaN parameter; train() turns it into one
+NumericAbort naming the batch or evaluation where it happened.
 """
 
 

@@ -90,7 +90,7 @@ def vulnerability_score(prob_true, alpha: float, gamma: float):
     Accepts scalars or arrays of probabilities.
     """
     p = np.asarray(prob_true, dtype=np.float64)
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
         raise ValueError(f"prob_true must lie in [0, 1], got range "
                          f"[{p.min()}, {p.max()}]")
     out = alpha * np.exp(-gamma * p)
@@ -119,7 +119,7 @@ def vir_weight(s_v, s_d, beta: float):
 def gairat_weight(k, k_pgd: int, lambda_g: float = -1.0):
     """(1 + tanh(lambda + 5*(1 - 2k/K))) / 2: fewer steps to break, more weight."""
     karr = np.asarray(k, dtype=np.float64)
-    if karr.min() < 0 or karr.max() > k_pgd:
+    if not (karr.min() >= 0 and karr.max() <= k_pgd):  # NaN fails both
         raise ValueError(f"k must lie in [0, {k_pgd}]")
     out = (1.0 + np.tanh(lambda_g + 5.0 * (1.0 - 2.0 * karr / k_pgd))) / 2.0
     return float(out) if karr.ndim == 0 else out

@@ -191,7 +191,8 @@ class MetricsLog:
 
 
 def _train_attack_spec(config: TrainConfig, epoch: int, batch_idx: int) -> AttackSpec:
-    """Fresh per-batch randomness, still a pure function of the config seed."""
+    """attack_train keyed from the config seed, epoch and batch; its own
+    seed is always 0 (TrainConfig rejects any other)."""
     return replace(config.attack_train,
                    seed=mix_seed(config.seed, epoch, batch_idx))
 

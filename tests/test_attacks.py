@@ -3,12 +3,16 @@ containment, black-box purity, and determinism."""
 
 import ast
 import gc
+import inspect
+import os
+import textwrap
 
 import numpy as np
 import pytest
 
+import virlab
 from conftest import make_mlp
-from virlab import attacks
+from virlab import attacks, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, project_linf, run_attack,
                             spsa, spsa_gradient_estimate)
@@ -619,8 +623,8 @@ def test_attacks_leave_the_model_untouched(rng):
     y = np.array([0, 1, 2, 0])
     pgd_ce = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03,
                         iterations=3, seed=1)
-    # Every attack checks its logits, so a NaN weight makes it raise
-    # NonFiniteError inside the frozen block.
+    # Every forward checks its logits, so a NaN weight makes each attack
+    # raise NonFiniteError, and the model is still left untouched.
     cases = {
         "fgsm": lambda: run_attack(model, x, y, AttackSpec(AttackFamily.FGSM,
                                                            epsilon=0.1)),
@@ -709,7 +713,77 @@ def test_attacks_build_no_autodiff_graph():
                    "logits = model.forward(x)", "q = softmax(z)",
                    "rows = cross_entropy_rows(z, y)"):
         assert _graph_uses(source), source
-    # ... and finds none in the attacks' hot loop.
+    # ... and finds none in the attacks' hot loop or in evaluation, whose
+    # predictions are plain forwards: only the training loss builds a graph.
     with open(attacks.__file__) as fh:
         lines = _graph_uses(fh.read())
     assert not lines, f"attacks.py builds an autodiff graph at lines {lines}"
+    lines = _graph_uses(textwrap.dedent(inspect.getsource(training.evaluate)))
+    assert not lines, f"evaluate() builds an autodiff graph at lines {lines}"
+
+
+def _logit_checks(source: str) -> list[int]:
+    """Lines of ``source`` that name ``_check_logits``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "_check_logits"
+            or isinstance(node, ast.Attribute) and node.attr == "_check_logits"]
+
+
+def test_logits_are_checked_only_by_the_forward_and_the_tensor_ops():
+    # One numeric-failure path: Classifier._forward checks every network
+    # output and the tensor module's ops check what they are handed, so no
+    # other module repeats the check.
+    for source in ("z = _check_logits(logits)",
+                   "p = softmax_values(tensor._check_logits(z))"):
+        assert _logit_checks(source), source
+    package = os.path.dirname(virlab.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name not in ("tensor.py", "models.py"):
+            with open(os.path.join(package, name)) as fh:
+                lines = _logit_checks(fh.read())
+            assert not lines, f"{name} checks logits at lines {lines}"
+
+
+# -- batching --------------------------------------------------------------------
+
+
+def golden_conv_model() -> Classifier:
+    """The architecture of the golden conv-stem runs (tests/test_golden.py)."""
+    stem = ConvStem(height=7, width=6, filters=2, kernel_size=3)
+    return Classifier(Arch((stem.out_dim, 6, 3), conv=stem), seed=3)
+
+
+@pytest.mark.parametrize("make_model, scale", [
+    (golden_conv_model, 1.0),
+    (lambda: Classifier(Arch((8, 64, 64, 3)), seed=3), 4.0),  # the desk MLP
+], ids=["golden_conv", "desk_mlp"])
+def test_chunks_of_64_rows_reproduce_the_whole_batch(rng, make_model, scale):
+    # The batch-chunk rule: run in consecutive chunks of 64 rows, the
+    # forward and every gradient attack give bitwise the whole batch's
+    # output. Chunks of 1 and 3 may differ in the last bits (the BLAS
+    # build's edge kernels, see Classifier._forward), so the rule is pinned
+    # at 64 only. Start noise stays off: _row_rng keys a row by its
+    # position in the chunk, not in the batch.
+    model = make_model()
+    x = scale * rng.uniform(0.0, 1.0, size=(256, model.arch.input_dim))
+    y = rng.integers(0, 3, size=256)
+    gradient = dict(epsilon=0.1, step_size=0.04, iterations=3,
+                    start_noise_scale=0.0)
+    runs = {
+        "forward": lambda xs, ys: model._forward(xs, keep=False)[0],
+        "fgsm": lambda xs, ys: fgsm(model, xs, ys, AttackSpec(
+            AttackFamily.FGSM, epsilon=0.1)),
+        "pgd": lambda xs, ys: pgd(model, xs, ys, AttackSpec(
+            AttackFamily.PGD, **gradient)),
+        "pgd_kl": lambda xs, ys: pgd(model, xs, ys, AttackSpec(
+            AttackFamily.PGD, loss_mode=LossMode.KL, **gradient)),
+        "cw_pgd": lambda xs, ys: cw_pgd(model, xs, ys, AttackSpec(
+            AttackFamily.CW_PGD, **gradient)),
+    }
+    for name, run in runs.items():
+        whole = run(x, y)
+        chunked = np.concatenate([run(x[s:s + 64], y[s:s + 64])
+                                  for s in range(0, len(x), 64)])
+        np.testing.assert_array_equal(chunked, whole, err_msg=name)
+        if name != "forward":
+            assert not np.array_equal(whole, x), f"{name} did not move"

@@ -144,7 +144,7 @@ _POS = st.integers(1, 9) | st.floats(1e-6, 1e3, **_FINITE)
 
 
 @st.composite
-def _attacks(draw):
+def _attacks(draw, seeds=st.integers(0, 2**64 - 1)):
     family = draw(st.sampled_from(AttackFamily))
     lo = draw(st.floats(-10, 10, **_FINITE))
     # Each family ascends its own loss (PGD may take KL instead); AttackSpec
@@ -157,7 +157,7 @@ def _attacks(draw):
         iterations=draw(st.integers(1, 200)),
         loss_mode=draw(st.sampled_from(modes)),
         bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
-        seed=draw(st.integers(0, 2**64 - 1)),
+        seed=draw(seeds),
         start_noise_scale=draw(_NONNEG), spsa_samples=draw(st.integers(2, 512)),
         spsa_perturb=draw(_POS), spsa_lr=draw(_POS))
 
@@ -184,7 +184,8 @@ def _configs(draw):
         objective=ObjectiveSpec(draw(st.sampled_from(ObjectiveFamily)),
                                 trade_off=draw(_POS), weight_scheme=scheme,
                                 ablation=draw(st.sampled_from(Ablation))),
-        attack_train=draw(_attacks()),
+        # TrainConfig keys the training attack itself; its seed must be 0.
+        attack_train=draw(_attacks(seeds=st.just(0))),
         attack_eval=tuple(draw(st.lists(_attacks(), max_size=3))),
         dataset=dataset,
         optimizer=OptimConfig(base_lr=draw(_POS),
@@ -518,19 +519,38 @@ def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, out_name", [("eval", "eval"),
-                                               ("attack", "adv.csv")])
+# The last two run no attack forward: eval has only its clean predictions,
+# and a zero budget returns the inputs unchanged, so only the prediction
+# that `virlab attack` prints (made before it writes) meets the NaN.
+@pytest.mark.parametrize("command, out_name, sets", [
+    ("eval", "eval", ()),
+    ("attack", "adv.csv", ()),
+    ("eval", "eval", [("attack_eval", "[]")]),
+    ("attack", "adv.csv", [("attack_eval", '[{"family":"FGSM","epsilon":0}]')]),
+], ids=["eval-eval", "attack-adv.csv", "eval-no-attacks", "attack-zero-epsilon"])
 def test_cli_non_finite_checkpoint_exits_3(train_run, tmp_path, capsys,
-                                           command, out_name):
+                                           command, out_name, sets):
     model, epoch, seed = load_checkpoint(train_run / "checkpoint.ckpt")
     model.params["dense0.weight"].data[0, 0] = np.nan
     ckpt = tmp_path / "nan.ckpt"
     save_checkpoint(model, ckpt, epoch=epoch, rng_seed=seed)
     argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / out_name)]
-    assert main(argv + TINY) == 3
+    assert main(argv + set_args(sets)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert not (tmp_path / out_name).exists()
+
+
+def test_cli_train_rejects_a_training_attack_seed(tmp_path, capsys):
+    # train() keys each batch's attack from (seed, epoch, batch), so a
+    # nonzero attack_train.seed would be silently ignored.
+    out = tmp_path / "run"
+    assert main(["train", "--set", "attack_train.seed=7", "--out", str(out)]
+                + TINY) == 2
+    err = capsys.readouterr().err
+    assert "attack_train.seed must be 0, got 7" in err
+    assert "keyed from seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, out_name", [("eval", "eval"),

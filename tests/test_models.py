@@ -13,9 +13,10 @@ from oracles import (cw_margin_rows, finite_diff_grad, graph_input_gradient,
 from virlab import attacks
 from virlab.attacks import LossMode
 from virlab.cli import main
-from virlab.errors import CheckpointError, ConfigError, ShapeError
+from virlab.errors import (CheckpointError, ConfigError, NonFiniteError,
+                           ShapeError)
 from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
-                           predict_probs, save_checkpoint)
+                           predict_labels, predict_probs, save_checkpoint)
 from virlab.objectives import vir_trades_loss
 from virlab.tensor import (Tensor, _kl_softmax_dlogits, cross_entropy_rows,
                            kl_divergence, softmax)
@@ -266,6 +267,17 @@ def test_predict_probs_rows_are_distributions():
     assert p.shape == (6, 3)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert p.min() >= 0.0
+
+
+def test_predictions_raise_on_a_nan_parameter():
+    # The forward checks its logits, so no prediction turns NaN logits
+    # into NaN probabilities or an arbitrary argmax.
+    model = make_mlp((4, 8, 3), seed=1)
+    model.params["dense1.weight"].data[0, 0] = np.nan
+    x = np.random.default_rng(2).standard_normal((6, 4))
+    for predict in (predict_probs, predict_labels):
+        with pytest.raises(NonFiniteError, match="logits"):
+            predict(model, x)
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -49,6 +49,8 @@ def test_vulnerability_score_array_and_domain():
         vulnerability_score(1.01, 7.0, 10.0)
     with pytest.raises(ValueError):
         vulnerability_score(np.array([0.5, 1.2]), 7.0, 10.0)
+    with pytest.raises(ValueError):
+        vulnerability_score(np.array([0.5, np.nan]), 7.0, 10.0)
 
 
 def test_discrepancy_score_frozen_values():
@@ -88,6 +90,8 @@ def test_gairat_weight_domain_and_monotonicity():
         gairat_weight(-1, 10)
     with pytest.raises(ValueError):
         gairat_weight(11, 10)
+    with pytest.raises(ValueError):
+        gairat_weight(np.array([3.0, np.nan]), 10)
     vals = gairat_weight(np.arange(11), 10)
     assert np.all(np.diff(vals) < 0)
     assert np.all((vals > 0) & (vals < 1))

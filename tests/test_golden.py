@@ -57,6 +57,21 @@ CONV_SHA256 = {
         "confusion_spsa.csv":
             "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
     },
+    "GAIRAT_CE_PGD": {
+        "metrics.csv": "8df1835d1c1ea9709f8f601bd2f0ebb6a732482245c58d1ce8bc184f4f7f1f0b",
+        "weights.csv": "18d3dfef9ef8c589aec8f5df913d1d699f7b01190f4ebdb07568803947bce491",
+        "checkpoint.ckpt": "cf256d56fe03cc7c0430bdf7289830c63d19dcf0d60ef55ec05eee4612c8a802",
+        "confusion_clean.csv":
+            "c261129bbf22ce0d97eb8cf28066f4bb8094e35ec5818ebdfd1252c4ea6b7f52",
+        "confusion_pgd.csv":
+            "8562cfe3368c84ba31eeb6f79c237c388bdbc3bec17a150b74c36a54b79e567a",
+        "confusion_cw_pgd.csv":
+            "8562cfe3368c84ba31eeb6f79c237c388bdbc3bec17a150b74c36a54b79e567a",
+        "confusion_fgsm.csv":
+            "8562cfe3368c84ba31eeb6f79c237c388bdbc3bec17a150b74c36a54b79e567a",
+        "confusion_spsa.csv":
+            "c261129bbf22ce0d97eb8cf28066f4bb8094e35ec5818ebdfd1252c4ea6b7f52",
+    },
 }
 
 # `virlab attack --index i` on the eval split, one entry per family; SPSA
@@ -92,6 +107,13 @@ ATTACK_SHA256 = {
         "cw_pgd": "908783f2ff353420325dd136a5a85a1251f34c82b8be3f67bbe2ed044489b7fb",
         "fgsm": "89eba862fedf1e2a990b2746bcec7467bc86c64b8a971d184f80d0573c0ea29c",
         "spsa": "7381bf7e1a13edb236ed6d1e0594a16955b157eb716fc79a789868ed78ea47e4",
+    },
+    "GAIRAT_CE_PGD": {
+        "pgd": "776eb1904f2b0bc4c3ee46ee660b9a8282723c9df696232ed277101d2752b4ba",
+        "pgd_kl": "85091fe9a8be6d3dfe3cbf99509e4fa41b0e5c91c5b9881fc950d1c330b31c62",
+        "cw_pgd": "99f0ddd31ebbc847e4e658614680301ffa286e5715dcc1bad38308c6b1e6d302",
+        "fgsm": "b8da3d1389660e8b308306b96fb3ad5a3f66009f3b41f657fb0dac6dc8f2bf4f",
+        "spsa": "e2cef887c7ecbf6fe07ccf62052f31efb839ed6b8107de1f577bcc06b4587374",
     },
 }
 
@@ -130,12 +152,24 @@ def _set_args(sets: dict) -> list[str]:
     return args
 
 
+# Run name -> (objective, weight family, attack_train settings). The
+# GAIRAT_CE_PGD run's training attack is strong enough to break samples at
+# every step count, so its weights pin each first-miss iteration.
+CONV_RUNS = {
+    "VIR_AT": ("VIR_AT", "VIR", {"loss_mode": "CE"}),
+    "VIR_TRADES": ("VIR_TRADES", "GAIRAT", {"loss_mode": "KL"}),
+    "GAIRAT_CE_PGD": ("VIR_AT", "GAIRAT", {"loss_mode": "CE", "epsilon": 0.2,
+                                           "step_size": 0.06}),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(CONV_SHA256))
 def conv_run(request, tmp_path_factory):
-    """(objective, run directory, --set args, exit code) of one conv-stem
-    `virlab train`, shared by the tests of that objective."""
-    objective = request.param
-    tmp_path = tmp_path_factory.mktemp(objective)
+    """(run name, run directory, --set args, exit code) of one conv-stem
+    `virlab train`, shared by the tests of that run."""
+    name = request.param
+    objective, family, attack_train = CONV_RUNS[name]
+    tmp_path = tmp_path_factory.mktemp(name)
     paths = {}
     for split, n, seed in (("", 24, 7), ("eval_", 12, 8)):
         paths[f"{split}images"] = str(tmp_path / f"{split}images.idx")
@@ -154,9 +188,9 @@ def conv_run(request, tmp_path_factory):
                        "kernel_size": 3},
         "dataset": {"kind": "idx", **paths},
         "objective.family": objective,
-        "objective.weight_scheme": gairat if objective == "VIR_TRADES" else vir,
+        "objective.weight_scheme": gairat if family == "GAIRAT" else vir,
         "attack_train.iterations": 3,
-        "attack_train.loss_mode": "KL" if objective == "VIR_TRADES" else "CE",
+        **{f"attack_train.{key}": v for key, v in attack_train.items()},
         "attack_eval": [
             {"family": "PGD", "epsilon": 0.1, "step_size": 0.04,
              "iterations": 4, "loss_mode": "CE", "bounds": [0.0, 1.0],
@@ -173,18 +207,18 @@ def conv_run(request, tmp_path_factory):
     run = tmp_path / "run"
     code = main(["train", "--profile", "paper", "--out", str(run)]
                 + _set_args(sets))
-    return objective, run, sets, code
+    return name, run, sets, code
 
 
 def test_conv_stem_train_artifacts_are_pinned(conv_run):
-    objective, run, _, code = conv_run
+    name, run, _, code = conv_run
     assert code == 0
-    assert _digests(run, CONV_SHA256[objective]) == CONV_SHA256[objective]
+    assert _digests(run, CONV_SHA256[name]) == CONV_SHA256[name]
 
 
 @pytest.mark.parametrize("attack", list(ATTACKS))
 def test_attack_command_output_is_pinned(conv_run, tmp_path, attack):
-    objective, run, sets, code = conv_run
+    name, run, sets, code = conv_run
     assert code == 0
     out = tmp_path / "adv.csv"
     sets = {**sets, "attack_eval": list(ATTACKS.values())}
@@ -192,4 +226,4 @@ def test_attack_command_output_is_pinned(conv_run, tmp_path, attack):
                  "--checkpoint", str(run / "checkpoint.ckpt"),
                  "--index", str(list(ATTACKS).index(attack)),
                  "--out", str(out)] + _set_args(sets)) == 0
-    assert _sha256(out) == ATTACK_SHA256[objective][attack]
+    assert _sha256(out) == ATTACK_SHA256[name][attack]

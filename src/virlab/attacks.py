@@ -7,8 +7,8 @@ loop and differs only in data: the step, whether it starts from noise, and
 the gradient it ascends (the CE, KL or margin input gradient, or per-sample
 SPSA estimates). KL mode, the TRADES inner maximization, takes its
 reference from the model itself: the prediction at the natural input,
-computed inside the attack. The engine also provides the least-steps probe
-that GAIRAT weighting consumes.
+computed inside the attack. GAIRAT's least-steps probe is a CE-mode PGD
+walk that also returns each sample's first-miss iteration.
 
 Every attack is a pure function of (model, x, y, spec): the same inputs
 give bit-identical outputs, and per-sample randomness is drawn from one
@@ -169,7 +169,8 @@ def _row_rng(spec: AttackSpec, i: int) -> np.random.Generator:
 
 
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
-            record_first_miss: bool = False) -> np.ndarray:
+            record_first_miss: bool = False,
+            ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one attack engine: every family runs the projected sign ascent
 
         cur <- project_linf(cur + step * sign(grad(cur)), x, epsilon, bounds)
@@ -180,9 +181,9 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     takes ``iterations`` steps of spsa_lr on per-sample SPSA estimates of
     the CE gradient. KL mode's reference is the model's own prediction at x.
 
-    With record_first_miss (a CE-mode PGD spec) it returns, instead of the
-    adversarial batch, the first iteration at which each sample is
-    misclassified: 0 if it already is at x, the full budget if never.
+    Returns (x_adv, first_miss): with record_first_miss (a CE-mode PGD
+    spec) the iteration of the walk that first misclassifies each sample,
+    0 if x already is, the full budget if none; otherwise None.
     """
     if spec.family is not family:
         raise ConfigError(f"spec is for {spec.family.value}, not {family.value}")
@@ -193,7 +194,7 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     if record_first_miss:
         first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
     if spec.epsilon == 0.0:
-        return x.copy() if first_miss is None else first_miss
+        return x.copy(), first_miss
     cur = x.copy()
     if family is AttackFamily.FGSM:
         step, iterations = spec.epsilon, 1
@@ -216,39 +217,40 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
         if first_miss is not None:
             undecided = first_miss == spec.iterations
             first_miss[undecided & (predict_labels(model, cur) != y)] = k
-    return cur if first_miss is None else first_miss
+    return cur, first_miss
 
 
 def fgsm(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Single signed-gradient step of size epsilon on the CE loss; a
     coordinate with exactly zero gradient stays put (sign(0) = 0)."""
-    return _attack(model, x, y, spec, AttackFamily.FGSM)
+    return _attack(model, x, y, spec, AttackFamily.FGSM)[0]
 
 
 def pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Projected gradient ascent from a Gaussian start on the CE loss, or
     in KL mode (the TRADES inner maximization) on the divergence from the
     model's own prediction at x."""
-    return _attack(model, x, y, spec, AttackFamily.PGD)
+    return _attack(model, x, y, spec, AttackFamily.PGD)[0]
 
 
-def min_pgd_steps(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
-    """Least CE-mode PGD iteration at which each sample first misclassifies
-    (0 if already misclassified; the full budget, hence the smallest GAIRAT
-    weight, if the trajectory never breaks it)."""
+def min_pgd_steps(model: Classifier, x, y, spec: AttackSpec,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(x_adv, kappa) of one CE-mode PGD walk: x_adv is bitwise pgd's, and
+    kappa each sample's first-miss iteration along it (0 if x already is
+    misclassified; the full budget, the smallest GAIRAT weight, if never)."""
     return _attack(model, x, y, spec, AttackFamily.PGD, record_first_miss=True)
 
 
 def cw_pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """PGD on the margin loss max_{j != y} Z_j - Z_y (confidence offset 0)."""
-    return _attack(model, x, y, spec, AttackFamily.CW_PGD)
+    return _attack(model, x, y, spec, AttackFamily.CW_PGD)[0]
 
 
 def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Black-box ascent on SPSA estimates of the CE gradient: forward
     evaluations only, each sample's 2 * spsa_samples perturbed points
     scored in forwards of at most _SPSA_ROWS rows."""
-    return _attack(model, x, y, spec, AttackFamily.SPSA)
+    return _attack(model, x, y, spec, AttackFamily.SPSA)[0]
 
 
 # Rows per SPSA forward. One sample's perturbed points are scored in chunks

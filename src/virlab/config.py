@@ -284,8 +284,7 @@ def desk_profile() -> dict:
         "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
                       "weight_scheme": {"family": "VIR", "alpha": 7.0,
                                         "gamma": 10.0, "beta": 0.007,
-                                        "lambda_g": -1.0, "k_pgd": 10,
-                                        "burn_in_epoch": 18}},
+                                        "lambda_g": -1.0, "burn_in_epoch": 18}},
         "attack_train": {"family": "PGD", "epsilon": 0.75, "step_size": 0.1875,
                          "iterations": 10, "loss_mode": "CE", "bounds": None,
                          "seed": 0, "start_noise_scale": 0.001},
@@ -319,8 +318,7 @@ def paper_profile() -> dict:
         "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
                       "weight_scheme": {"family": "VIR", "alpha": 7.0,
                                         "gamma": 10.0, "beta": 0.007,
-                                        "lambda_g": -1.0, "k_pgd": 10,
-                                        "burn_in_epoch": 75}},
+                                        "lambda_g": -1.0, "burn_in_epoch": 75}},
         "attack_train": {"family": "PGD", "epsilon": 8 / 255,
                          "step_size": 2 / 255, "iterations": 10,
                          "loss_mode": "CE", "bounds": [0.0, 1.0], "seed": 0,

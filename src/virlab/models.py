@@ -20,6 +20,7 @@ little-endian unsigned.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -309,12 +310,15 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
 
     params: dict[str, np.ndarray] = {}
     while r.remaining > 0:
-        name = r.take(r.u64()).decode("utf-8")
+        try:
+            name = r.take(r.u64()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"parameter name is not UTF-8: {e}") from e
         rank = r.u64()
         if rank > 8:
             raise CheckpointError(f"implausible parameter rank {rank}")
         shape = tuple(r.u64() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: an int64 product could wrap
         data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
         if name in params:
             raise CheckpointError(f"duplicate parameter {name!r}")

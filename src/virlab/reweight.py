@@ -3,8 +3,8 @@
 VIR scores each sample by how vulnerable it is (low true-class probability
 on the natural input) times how far the attack moved its prediction
 (KL between natural and adversarial output rows), plus a floor beta.
-All scores are computed on detached predictions; weights enter the loss
-as constants.
+All scores are computed on plain predictions, with no autodiff graph;
+weights enter the loss as constants.
 
 Weight records serialize to CSV as
 ``epoch,sample_index,class,prob_true,s_v,s_d,weight`` with empty cells for
@@ -23,7 +23,7 @@ import numpy as np
 from .codec import read_csv
 from .errors import ConfigError, ShapeError
 from .models import Classifier, predict_probs
-from .tensor import Tensor, kl_divergence
+from .tensor import _check_kl_pair, _check_labels, _kl_rows
 
 
 class WeightFamily(Enum):
@@ -49,7 +49,6 @@ class WeightScheme:
     gamma: float = 10.0
     beta: float = 0.007
     lambda_g: float = -1.0
-    k_pgd: int = 10
     burn_in_epoch: int = 75
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class WeightScheme:
                 raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
             if self.beta < 0:
                 raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.k_pgd < 1:
-            raise ConfigError(f"k_pgd must be >= 1, got {self.k_pgd}")
         if self.burn_in_epoch < 0:
             raise ConfigError(f"burn_in_epoch must be >= 0, got {self.burn_in_epoch}")
 
@@ -98,7 +95,7 @@ def vulnerability_score(prob_true, alpha: float, gamma: float):
 
 
 def discrepancy_score(p_nat, p_adv):
-    """KL(p_nat || p_adv) on detached probability rows.
+    """KL(p_nat || p_adv) of checked probability rows, with no graph.
 
     1-D inputs give a float, matrices a per-row array.
     """
@@ -107,7 +104,7 @@ def discrepancy_score(p_nat, p_adv):
     single = p.ndim == 1
     if single:
         p, q = p[None, :], q[None, :]
-    rows = kl_divergence(Tensor(p), Tensor(q)).data
+    rows = _kl_rows(*_check_kl_pair(p, q))
     return float(rows[0]) if single else rows
 
 
@@ -128,13 +125,9 @@ def gairat_weight(k, k_pgd: int, lambda_g: float = -1.0):
 def probability_margin(p_adv, y) -> np.ndarray:
     """Per row, p_adv[i, y_i] minus the best non-true probability, in [-1, 1]."""
     p = np.asarray(p_adv, dtype=np.float64)
-    y = np.asarray(y)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ConfigError("probability margin needs rows over >= 2 classes")
-    if y.shape != (p.shape[0],):
-        raise ShapeError(f"labels shape {y.shape} does not match {p.shape[0]} rows")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= p.shape[1]:
-        raise IndexError(f"label out of range for {p.shape[1]} classes")
+    y = _check_labels(y, *p.shape)
     rows = np.arange(p.shape[0])
     others = p.copy()
     others[rows, y] = -np.inf
@@ -153,25 +146,25 @@ def mail_weight(pm, gamma_m: float = 10.0, beta_m: float = 0.0):
 
 
 def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
-                  x_nat, x_adv, y, k_values=None,
+                  x_nat, x_adv, y, k_values=None, k_budget: int | None = None,
                   ablation: Ablation = Ablation.FULL,
                   indices=None,
                   ) -> tuple[np.ndarray, list[WeightRecord]]:
     """Per-sample weights for one batch, plus the log records.
 
     Any epoch <= burn_in_epoch emits exactly 1.0 everywhere; afterwards the
-    scheme's family decides. GAIRAT needs k_values from the least-steps
-    probe. All predictions are detached: no gradient reaches the weights.
+    scheme's family decides. GAIRAT needs the least-steps probe's k_values
+    and their budget k_budget. No gradient reaches the weights.
 
     ``indices`` supplies dataset-level sample indices for the records
     (defaults to batch positions).
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     x_adv = np.asarray(x_adv, dtype=np.float64)
-    y = np.asarray(y)
-    if x_nat.shape != x_adv.shape or y.shape != (x_nat.shape[0],):
-        raise ShapeError("x_nat, x_adv, y are not batch-aligned")
+    if x_nat.shape != x_adv.shape:
+        raise ShapeError("x_nat and x_adv are not batch-aligned")
     n = x_nat.shape[0]
+    y = _check_labels(y, n, model.arch.num_classes)
     idx = np.arange(n) if indices is None else np.asarray(indices)
     if idx.shape != (n,):
         raise ShapeError("indices are not batch-aligned")
@@ -179,34 +172,31 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
     p_nat = predict_probs(model, x_nat)
     prob_true = p_nat[np.arange(n), y]
 
-    s_v = np.full(n, np.nan)
-    s_d = np.full(n, np.nan)
-    have_scores = False
+    scores = ([None] * n,) * 2  # s_v and s_d, which only VIR computes
     if epoch <= scheme.burn_in_epoch or scheme.family is WeightFamily.UNIFORM:
         w = np.ones(n)
     elif scheme.family is WeightFamily.VIR:
         p_adv = predict_probs(model, x_adv)
         s_v = vulnerability_score(prob_true, scheme.alpha, scheme.gamma)
         s_d = discrepancy_score(p_nat, p_adv)
-        have_scores = True
+        scores = (s_v.tolist(), s_d.tolist())
         if ablation is Ablation.FULL:
             w = vir_weight(s_v, s_d, scheme.beta)
         elif ablation is Ablation.SV_ONLY:
-            w = s_v.copy()
+            w = s_v
         else:
-            w = s_d.copy()
+            w = s_d
     elif scheme.family is WeightFamily.GAIRAT:
-        if k_values is None:
-            raise ConfigError("GAIRAT weighting requires k_values from the probe")
+        if k_values is None or k_budget is None:
+            raise ConfigError("GAIRAT needs k_values and k_budget from the probe")
         k_values = np.asarray(k_values)
         if k_values.shape != (n,):
             raise ShapeError("k_values are not batch-aligned")
-        w = gairat_weight(k_values, scheme.k_pgd, scheme.lambda_g)
+        w = gairat_weight(k_values, k_budget, scheme.lambda_g)
     else:  # MAIL
         p_adv = predict_probs(model, x_adv)
         w = mail_weight(probability_margin(p_adv, y), scheme.gamma, scheme.beta)
 
-    scores = (s_v.tolist(), s_d.tolist()) if have_scores else ([None] * n,) * 2
     records = list(map(WeightRecord, [epoch] * n, idx.tolist(), y.tolist(),
                        prob_true.tolist(), *scores, w.tolist()))
     return w, records

@@ -16,9 +16,10 @@ Closures compute a parent's gradient only when that parent has
 The probability-facing ops (softmax, cross entropy, KL divergence) are
 fused primitives with hand-derived gradients so the numerically stable
 forms (max-shifted exponentials, log-sum-exp) are used throughout. Their
-gradients are plain functions of arrays (``_ce_dlogits``, ``_kl_dq``,
-``_softmax_dlogits``) that the closures call; the attacks call them, and
-``_kl_softmax_dlogits`` and ``_cw_margin_dlogits``, with no graph at all.
+values and gradients are plain functions of arrays (``_ce_rows``,
+``_kl_rows``, ``_ce_dlogits``, ``_kl_dq``, ``_softmax_dlogits``) that the
+ops call; the attacks and the weight scores call them (and the attacks
+``_kl_softmax_dlogits`` and ``_cw_margin_dlogits``) with no graph at all.
 
 The network is one node (``models.Classifier.forward``) whose backward is
 the model's own layer backward, sharing the patch helpers below with
@@ -337,17 +338,20 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def _check_stochastic(name: str, t: Tensor) -> np.ndarray:
-    v = t.data
-    if v.ndim != 2:
-        raise ShapeError(f"{name} must be [batch, classes], got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError(f"{name} contains non-finite values")
-    if v.min() < -1e-12:
-        raise ValueError(f"{name} contains negative entries")
-    if np.abs(v.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError(f"rows of {name} do not sum to 1 within 1e-9")
-    return v
+def _check_kl_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q), once both are matrices of finite probability rows, one shape."""
+    for name, v in (("p", p), ("q", q)):
+        if v.ndim != 2:
+            raise ShapeError(f"{name} must be [batch, classes], got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError(f"{name} contains non-finite values")
+        if v.min() < -1e-12:
+            raise ValueError(f"{name} contains negative entries")
+        if np.abs(v.sum(axis=1) - 1.0).max() > 1e-9:
+            raise ValueError(f"rows of {name} do not sum to 1 within 1e-9")
+    if p.shape != q.shape:
+        raise ShapeError(f"p shape {p.shape} != q shape {q.shape}")
+    return p, q
 
 
 def _kl_dq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -361,25 +365,26 @@ def _kl_softmax_dlogits(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _softmax_dlogits(q, _kl_dq(p, q))
 
 
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """Row-wise KL(p || q) in nats.
+def _kl_log_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log p - log q, each clamped at PROB_FLOOR."""
+    return np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
 
-    Zero entries of p contribute nothing (the 0*log 0 convention) and q is
-    clamped at PROB_FLOOR inside the logarithm, so one-hot rows are legal.
-    """
-    pv = _check_stochastic("p", p)
-    qv = _check_stochastic("q", q)
-    if pv.shape != qv.shape:
-        raise ShapeError(f"p shape {pv.shape} != q shape {qv.shape}")
-    qc = np.maximum(qv, PROB_FLOOR)
-    pc = np.maximum(pv, PROB_FLOOR)
-    terms = np.where(pv > 0.0, pv * (np.log(pc) - np.log(qc)), 0.0)
-    out = Tensor._from_op(terms.sum(axis=1), (p, q))
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-row KL(p || q) in nats, taking 0 log 0 = 0 and clamping q at
+    PROB_FLOOR, so one-hot rows are legal."""
+    return np.where(p > 0.0, p * _kl_log_ratio(p, q), 0.0).sum(axis=1)
+
+
+def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
+    """Row-wise KL(p || q) in nats (``_kl_rows``) of two stochastic matrices."""
+    pv, qv = _check_kl_pair(p.data, q.data)
+    out = Tensor._from_op(_kl_rows(pv, qv), (p, q))
 
     def backward(g):
         g = g[:, None]
         if p.requires_grad:
-            p._accumulate(g * np.where(pv > 0.0, np.log(pc) - np.log(qc) + 1.0, 0.0),
+            p._accumulate(g * np.where(pv > 0.0, _kl_log_ratio(pv, qv) + 1.0, 0.0),
                           owned=True)
         if q.requires_grad:
             q._accumulate(g * _kl_dq(pv, qv), owned=True)

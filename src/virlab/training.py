@@ -215,9 +215,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
     out_dir gets config.json first; a run that raises writes no other
     artifact (weights.csv is streamed to a temporary file until the end).
 
-    Per batch: attack, weight, step. GAIRAT runs its least-steps probe
-    only after burn-in (weights are 1.0 before it, so the probe would be
-    wasted work).
+    Per batch: attack, weight, step. After burn-in (weights are 1.0 before
+    it) GAIRAT counts kappa on a CE-mode PGD walk of attack_train out of
+    K = its iterations; a CE PGD training attack is that walk, run once.
     """
     train_set, eval_set = config.dataset.load()
     eval_on = eval_set if eval_set is not None else train_set
@@ -250,17 +250,17 @@ def train(config: TrainConfig, out_dir: str | None = None,
                     xb = train_set.features[idx]
                     yb = train_set.labels[idx]
                     spec = _train_attack_spec(config, epoch, batch_idx)
-                    x_adv = run_attack(model, xb, yb, spec)
-
-                    k_values = None
+                    probe = k_values = None
                     if (scheme.family is WeightFamily.GAIRAT
                             and epoch > scheme.burn_in_epoch):
                         probe = replace(spec, family=AttackFamily.PGD,
-                                        loss_mode=LossMode.CE,
-                                        iterations=scheme.k_pgd)
-                        k_values = min_pgd_steps(model, xb, yb, probe)
+                                        loss_mode=LossMode.CE)
+                        x_adv, k_values = min_pgd_steps(model, xb, yb, probe)
+                    if probe != spec:  # the probe's walk is not the attack's
+                        x_adv = run_attack(model, xb, yb, spec)
                     w, records = batch_weights(
                         scheme, epoch, model, xb, x_adv, yb, k_values=k_values,
+                        k_budget=spec.iterations,
                         ablation=config.objective.ablation, indices=idx,
                     )
                     epoch_records.extend(records)

@@ -6,18 +6,20 @@ import gc
 import inspect
 import os
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import virlab
 from conftest import make_mlp
-from virlab import attacks, training
+from virlab import attacks, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, project_linf, run_attack,
                             spsa, spsa_gradient_estimate)
 from virlab.errors import ConfigError, NonFiniteError, ShapeError
-from virlab.models import Arch, Classifier, ConvStem, predict_probs
+from virlab.models import (Arch, Classifier, ConvStem, predict_labels,
+                           predict_probs)
 from virlab.tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
@@ -336,8 +338,9 @@ def test_min_pgd_steps_zero_for_already_misclassified(rng):
     wrong_y = (pred + 1) % 3  # every sample starts misclassified
     spec = AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.02,
                       iterations=5, start_noise_scale=0.0)
-    np.testing.assert_array_equal(min_pgd_steps(model, x, wrong_y, spec),
-                                  np.zeros(20, dtype=np.int64))
+    x_adv, k = min_pgd_steps(model, x, wrong_y, spec)
+    np.testing.assert_array_equal(k, np.zeros(20, dtype=np.int64))
+    np.testing.assert_array_equal(x_adv, pgd(model, x, wrong_y, spec))
 
 
 def test_min_pgd_steps_full_budget_when_unbreakable(rng):
@@ -346,7 +349,7 @@ def test_min_pgd_steps_full_budget_when_unbreakable(rng):
     pred = np.argmax(predict_probs(model, x), axis=1)
     spec = AttackSpec(AttackFamily.PGD, epsilon=1e-8, step_size=1e-9,
                       iterations=4, start_noise_scale=0.0)
-    k = min_pgd_steps(model, x, pred, spec)
+    _, k = min_pgd_steps(model, x, pred, spec)
     np.testing.assert_array_equal(k, np.full(20, 4, dtype=np.int64))
 
 
@@ -355,7 +358,7 @@ def test_min_pgd_steps_range_and_mode_check(rng):
     x = rng.standard_normal((16, 4))
     y = rng.integers(0, 3, size=16)
     spec = AttackSpec(AttackFamily.PGD, epsilon=0.5, step_size=0.1, iterations=6)
-    k = min_pgd_steps(model, x, y, spec)
+    _, k = min_pgd_steps(model, x, y, spec)
     assert k.dtype == np.int64
     assert k.min() >= 0 and k.max() <= 6
     with pytest.raises(ConfigError):
@@ -373,9 +376,32 @@ def test_min_pgd_steps_epsilon_zero_splits_on_current_prediction(rng):
     y = pred.copy()
     y[:3] = (pred[:3] + 1) % 3
     spec = AttackSpec(AttackFamily.PGD, epsilon=0.0, step_size=0.1, iterations=7)
-    k = min_pgd_steps(model, x, y, spec)
+    x_adv, k = min_pgd_steps(model, x, y, spec)
     np.testing.assert_array_equal(k[:3], 0)
     np.testing.assert_array_equal(k[3:], 7)
+    np.testing.assert_array_equal(x_adv, x)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.001])
+def test_min_pgd_steps_walks_pgds_trajectory(rng, noise):
+    # x_adv is bitwise pgd's for the same spec, and kappa is read off that
+    # walk: PGD with the first k of its iterations is a prefix of it, so
+    # kappa_i is the least k whose k-step PGD misclassifies sample i.
+    model = conv_model()
+    x = rng.uniform(0.0, 1.0, size=(24, 30))
+    y = rng.integers(0, 3, size=24)
+    spec = AttackSpec(AttackFamily.PGD, epsilon=0.3, step_size=0.05,
+                      iterations=5, bounds=(0.0, 1.0), seed=7,
+                      start_noise_scale=noise)
+    x_adv, k = min_pgd_steps(model, x, y, spec)
+    np.testing.assert_array_equal(x_adv, pgd(model, x, y, spec))
+    wrong = [predict_labels(model, x) != y] + [
+        predict_labels(model, pgd(model, x, y, replace(spec, iterations=i))) != y
+        for i in range(1, 6)]
+    expected = np.array([next((i for i in range(6) if wrong[i][r]), 5)
+                         for r in range(24)])
+    np.testing.assert_array_equal(k, expected)
+    assert len(set(k.tolist())) > 2  # the walk breaks samples at several steps
 
 
 # -- CW-PGD ----------------------------------------------------------------------
@@ -713,11 +739,14 @@ def test_attacks_build_no_autodiff_graph():
                    "logits = model.forward(x)", "q = softmax(z)",
                    "rows = cross_entropy_rows(z, y)"):
         assert _graph_uses(source), source
-    # ... and finds none in the attacks' hot loop or in evaluation, whose
-    # predictions are plain forwards: only the training loss builds a graph.
-    with open(attacks.__file__) as fh:
-        lines = _graph_uses(fh.read())
-    assert not lines, f"attacks.py builds an autodiff graph at lines {lines}"
+    # ... and finds none in the attacks' hot loop, in the weight scores or in
+    # evaluation, whose predictions are plain forwards: only the training
+    # loss builds a graph.
+    for module in (attacks, reweight):
+        with open(module.__file__) as fh:
+            lines = _graph_uses(fh.read())
+        name = os.path.basename(module.__file__)
+        assert not lines, f"{name} builds an autodiff graph at lines {lines}"
     lines = _graph_uses(textwrap.dedent(inspect.getsource(training.evaluate)))
     assert not lines, f"evaluate() builds an autodiff graph at lines {lines}"
 

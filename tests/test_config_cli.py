@@ -124,10 +124,12 @@ def test_config_round_trips_through_json():
 
 
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
-# config.json wire format of each shipped profile, byte for byte.
+# config.json wire format of each shipped profile, byte for byte. Re-pinned
+# when weight_scheme.k_pgd was removed: each is the earlier document with
+# only that key deleted.
 PROFILE_JSON_SHA256 = {
-    "desk": "675235426661410cefd2e4cda94cd09eec7f8382d4666ac37914463a0007adf8",
-    "paper": "497bae03420790847a731d431b9a0dd05530508de45e6c2b1eab1accfab0c97f",
+    "desk": "213698810f6ea3d5e619453603efe14bc95c840036edcd1e5601b13bb21e41be",
+    "paper": "43f0a98a2cf98a57e9e8b35cbd4cde1320114ae8f6620fdf070509358dba1ad5",
 }
 
 
@@ -173,7 +175,7 @@ def _configs(draw):
         draw(st.sampled_from(WeightFamily)), alpha=draw(_POS),
         gamma=draw(st.integers(1, 20) | st.floats(1, 20, **_FINITE)),
         beta=draw(_NONNEG), lambda_g=draw(st.floats(-5, 5, **_FINITE)),
-        k_pgd=draw(st.integers(1, 20)), burn_in_epoch=draw(st.integers(0, 100)))
+        burn_in_epoch=draw(st.integers(0, 100)))
     dataset = DataSource("synth", {
         "num_classes": draw(st.integers(2, 4)), "dim": draw(st.integers(3, 8)),
         "variances": draw(st.lists(_POS, min_size=2, max_size=4)),
@@ -516,6 +518,24 @@ def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, cap
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "weight_scheme.family GAIRAT" in err and "attack_train.step_size" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["config", "set"])
+def test_cli_train_rejects_a_gairat_k_pgd_before_writing(tmp_path, capsys, how):
+    # GAIRAT's budget is attack_train.iterations; the key that used to set
+    # it apart is unknown, not silently ignored.
+    out = tmp_path / "run"
+    scheme = {"family": "GAIRAT", "burn_in_epoch": 1, "k_pgd": 10}
+    if how == "config":
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"objective": {"weight_scheme": scheme}}))
+        args = ["--config", str(path)]
+    else:
+        args = ["--set", f"objective.weight_scheme={json.dumps(scheme)}"]
+    assert main(["train", "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert "weight_scheme has unknown keys: ['k_pgd']" in err
     assert not out.exists()
 
 

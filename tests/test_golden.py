@@ -6,7 +6,11 @@ means the arithmetic (or its summation order) moved, not just its speed.
 The desk run pins the MLP path; the tiny conv-stem runs on a saved IDX
 fixture pin the sliding_patches, matmul and KL backward paths, the CW and
 SPSA attacks, the GAIRAT least-steps probe and the final confusion
-matrices. ``virlab attack`` on each conv checkpoint pins every attack
+matrices. GAIRAT counts kappa on a CE-mode PGD walk out of
+attack_train.iterations steps: GAIRAT_CE_PGD, whose training attack is
+that walk, pins the shared trajectory, and VIR_TRADES, whose training
+attack ascends KL, pins the probe run beside it. Both were recorded while
+the budget was still a separate ``k_pgd`` key equal to the iterations. ``virlab attack`` on each conv checkpoint pins every attack
 family's adversarial examples, KL-mode PGD and multi-iteration SPSA
 included.
 """
@@ -176,8 +180,7 @@ def conv_run(request, tmp_path_factory):
         paths[f"{split}labels"] = str(tmp_path / f"{split}labels.idx")
         save_idx(_fixture(n, seed), paths[f"{split}images"],
                  paths[f"{split}labels"], rows=HEIGHT, cols=WIDTH)
-    gairat = {"family": "GAIRAT", "lambda_g": -1.0, "k_pgd": 3,
-              "burn_in_epoch": 2}
+    gairat = {"family": "GAIRAT", "lambda_g": -1.0, "burn_in_epoch": 2}
     vir = {"family": "VIR", "alpha": 7.0, "gamma": 10.0, "beta": 0.007,
            "burn_in_epoch": 2}
     sets = {

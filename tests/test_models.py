@@ -409,3 +409,22 @@ def test_checkpoint_rejects_ill_typed_metadata(tmp_path, field, value):
     with pytest.raises(CheckpointError, match=rf"metadata\.{field} must be int"):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path)]) == 4
+
+
+@pytest.mark.parametrize("name, shape", [
+    (b"dense0.weight", (2**62, 4)),  # the dims' product wraps an int64
+    (b"dense0.\xff", (2, 3)),  # the name is not UTF-8
+], ids=["huge-dims", "non-utf8-name"])
+def test_checkpoint_rejects_a_malformed_parameter_header(tmp_path, name, shape):
+    # A CRC-valid file whose parameter header is well framed but malformed.
+    meta = json.dumps({"arch": {"conv": None, "layers": [2, 3]}, "epoch": 0,
+                       "rng_seed": None}).encode()
+    body = (MAGIC + struct.pack("<Q", len(meta)) + meta
+            + struct.pack("<Q", len(name)) + name
+            + struct.pack("<Q", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+            + b"\x00" * 48)
+    path = tmp_path / "param.ckpt"
+    path.write_bytes(body + struct.pack("<I", __import__("zlib").crc32(body)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path)]) == 4

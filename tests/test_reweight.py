@@ -116,6 +116,8 @@ def test_probability_margin_examples():
         probability_margin([[0.5, 0.5]], [-1])
     with pytest.raises(ShapeError):
         probability_margin([[0.5, 0.5], [0.2, 0.8]], [0])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        probability_margin([[0.5, 0.5]], [1.0])
 
 
 def margin_loop(p, y):
@@ -209,8 +211,6 @@ def test_weight_scheme_validation():
         WeightScheme(WeightFamily.VIR, gamma=0.5)
     with pytest.raises(ConfigError):
         WeightScheme(WeightFamily.VIR, beta=-0.1)
-    with pytest.raises(ConfigError):
-        WeightScheme(WeightFamily.GAIRAT, k_pgd=0)
     with pytest.raises(ConfigError):
         WeightScheme(WeightFamily.VIR, burn_in_epoch=-1)
     assert WeightScheme("UNIFORM").family is WeightFamily.UNIFORM
@@ -317,14 +317,23 @@ def test_gairat_batch_weights_and_errors(rng):
     model = make_mlp((4, 8, 3), seed=4)
     x = rng.standard_normal((4, 4))
     y = rng.integers(0, 3, size=4)
-    scheme = WeightScheme(WeightFamily.GAIRAT, k_pgd=10, burn_in_epoch=0)
+    scheme = WeightScheme(WeightFamily.GAIRAT, burn_in_epoch=0)
     k = np.array([0, 3, 5, 10])
-    w, _ = batch_weights(scheme, 1, model, x, x, y, k_values=k)
+    w, _ = batch_weights(scheme, 1, model, x, x, y, k_values=k, k_budget=10)
     np.testing.assert_allclose(w, gairat_weight(k, 10), rtol=1e-12)
+    w, _ = batch_weights(scheme, 1, model, x, x, y, k_values=k // 2, k_budget=5)
+    np.testing.assert_allclose(w, gairat_weight(k // 2, 5), rtol=1e-12)
     with pytest.raises(ConfigError):
         batch_weights(scheme, 1, model, x, x, y)  # probe output missing
+    with pytest.raises(ConfigError):
+        batch_weights(scheme, 1, model, x, x, y, k_values=k)  # budget missing
     with pytest.raises(ShapeError):
-        batch_weights(scheme, 1, model, x, x, y, k_values=k[:2])
+        batch_weights(scheme, 1, model, x, x, y, k_values=k[:2], k_budget=10)
+    with pytest.raises(ValueError):
+        batch_weights(scheme, 1, model, x, x, y, k_values=k, k_budget=5)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        batch_weights(scheme, 1, model, x, x, y.astype(float), k_values=k,
+                      k_budget=10)
 
 
 def test_mail_batch_weights(rng):
@@ -338,6 +347,8 @@ def test_mail_batch_weights(rng):
     p_adv = predict_probs(model, x_adv)
     np.testing.assert_allclose(w, mail_weight(margin_loop(p_adv, y), 10.0, 0.0),
                                rtol=1e-12)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        batch_weights(scheme, 1, model, x_nat, x_adv, y.astype(float))
 
 
 def test_batch_weights_alignment_errors(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mlp
-from virlab import training
+from virlab import attacks, training
 from virlab.attacks import AttackFamily, AttackSpec
 from virlab.codec import write_csv
 from virlab.config import OptimConfig, config_from_obj, resolve_config
@@ -254,6 +254,29 @@ def test_burn_in_weight_sums_match_class_counts(tmp_path):
         idxs = sorted(int(r["sample_index"]) for r in rows
                       if r["epoch"] == epoch)
         assert idxs == list(range(75))
+
+
+@pytest.mark.parametrize("loss_mode, burn_in, walks", [
+    ("CE", 0, ["CE"]), ("KL", 0, ["CE", "KL"]), ("CE", 1, ["CE"]),
+    ("KL", 1, ["KL"]),
+], ids=["CE-past-burn-in", "KL-past-burn-in", "CE-in-burn-in", "KL-in-burn-in"])
+def test_gairat_batch_walks_one_trajectory_per_attack(monkeypatch, loss_mode,
+                                                      burn_in, walks):
+    # After burn-in, GAIRAT counts kappa on a CE-mode PGD walk: a CE PGD
+    # training attack is that walk, a KL one runs beside it. Before burn-in
+    # there is no probe.
+    calls = []
+    engine = attacks._attack
+    monkeypatch.setattr(attacks, "_attack",
+                        lambda *a, **k: calls.append(a[3]) or engine(*a, **k))
+    config = tiny_config([
+        ("epochs", 1), ("eval_every", 1), ("batch_size", 75),
+        ("attack_eval", []), ("attack_train.loss_mode", loss_mode),
+        ("objective.weight_scheme", {"family": "GAIRAT",
+                                     "burn_in_epoch": burn_in}),
+    ])
+    train(config)
+    assert sorted(spec.loss_mode.value for spec in calls) == walks
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

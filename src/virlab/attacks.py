@@ -18,11 +18,11 @@ index. In training it is the position within the minibatch, not a dataset
 index, so a sample's noise depends on where its batch puts it.
 
 Attacks need only the input gradient, so they build no autodiff graph:
-each gradient is one plain forward that keeps its activations
-(``Classifier._forward``), the loss's gradient of the logits from the
-tensor module's ``_*_dlogits`` helpers, and one layer backward
-(``Classifier._backward``) that forms no parameter gradient. The KL
-reference, predictions and SPSA scoring keep no activations. The model's
+each gradient is one input-mode forward (``Classifier._forward(x,
+"input")``, which keeps no stem patches), the loss's gradient of the
+logits from the tensor module's ``_*_dlogits`` helpers, and one layer
+backward (``Classifier._backward``) that forms no parameter gradient.
+The KL reference, predictions and SPSA scoring keep nothing. The model's
 parameters, their ``.grad`` and ``requires_grad`` included, are never
 touched. Labels are checked once per attack; ``Classifier._forward``
 checks the logits, so a non-finite model raises NonFiniteError at its
@@ -137,9 +137,9 @@ def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
 def _input_gradient(model: Classifier, y, mode: LossMode,
                     reference: np.ndarray | None):
     """x -> gradient at x of the attack loss, summed over the batch so each
-    sample's gradient is its own loss's: one forward that keeps its
-    activations, the loss's gradient of the logits, and one layer backward,
-    with no parameter gradient. It follows the forward's rounding rule:
+    sample's gradient is its own loss's: one input-mode forward, the loss's
+    gradient of the logits, and one layer backward, with no parameter
+    gradient. It follows the forward's rounding rule:
     consecutive chunks of 64 rows give bitwise the whole batch's gradient,
     smaller chunks may not, and where the gradient is near zero (KL mode
     from a noise-free start) a sign step turns that into a whole step."""
@@ -151,12 +151,12 @@ def _input_gradient(model: Classifier, y, mode: LossMode,
         return _cw_margin_dlogits(z, y)
 
     def grad(x_np: np.ndarray) -> np.ndarray:
-        logits, cache = model._forward(x_np, keep=True)
+        logits, cache = model._forward(x_np, "input")
         g = dlogits(logits)
         # x + 0.0 stores a -0.0 entry as +0.0, as the graph stores the first
         # gradient a tensor receives: the gradients stay bitwise the graph's.
         np.add(g, 0.0, out=g)
-        dx = model._backward(cache, g, params=False)
+        dx = model._backward(cache, g)
         return np.add(dx, 0.0, out=dx)
     return grad
 
@@ -300,7 +300,7 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
     def ce_of_points(points: np.ndarray) -> np.ndarray:
         labels = np.full(len(points), label)
         return np.concatenate([
-            _ce_rows(model._forward(points[s:s + _SPSA_ROWS], keep=False)[0],
+            _ce_rows(model._forward(points[s:s + _SPSA_ROWS])[0],
                      labels[s:s + _SPSA_ROWS])
             for s in range(0, len(points), _SPSA_ROWS)])
 

@@ -141,13 +141,15 @@ def from_obj(tp, obj, where: str):
 
 @contextmanager
 def atomic_open(path, mode: str = "w"):
-    """Open a temporary file beside path for writing ("w" or "wb"); on a
-    clean exit it replaces path, on an exception it is deleted. Created
-    like a plain open(), so path gets the same permission bits."""
+    """Open a temporary file beside path for writing ("w" or "wb", text as
+    UTF-8 whatever the locale); on a clean exit it replaces path, on an
+    exception it is deleted. Created like a plain open(), so path gets the
+    same permission bits."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), newline=None if "b" in mode else "")
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+    fh = open(tmp, mode.replace("w", "x"), **text)
     try:
         with fh:
             yield fh

@@ -207,7 +207,7 @@ def config_to_obj(c: TrainConfig) -> dict:
 
 
 def load_config_file(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError

@@ -1,13 +1,14 @@
 """Feed-forward classifiers: an MLP and an optional single-conv-block net.
 
-The network is plain numpy: ``_forward`` computes the logits (keeping the
-activations if asked) and ``_backward`` backpropagates by hand (relu masks,
-the dense layers in reverse, then the conv stem through the tensor module's
-reversed slice-add), bitwise what a graph of the tensor module's layer ops
-gives. That one layer backward serves both callers: ``forward`` wraps it as
-one autodiff node for the training losses (the only graph built), and the
-attacks call it for input gradients. ``_forward``, which every forward
-runs, raises NonFiniteError on a non-finite logit.
+The network is plain numpy: ``_forward`` computes the logits and
+``_backward`` backpropagates by hand (relu masks, the dense layers in
+reverse, then the conv stem through the tensor module's reversed
+slice-add), bitwise what a graph of the tensor module's layer ops gives.
+``_forward``'s one mode, ``grad``, fixes what it keeps and what
+``_backward`` does: None keeps nothing, "input" gives the attacks the
+input's gradient, "params" every parameter's, which ``forward`` wraps as
+one autodiff node for the training losses (the only graph built). Every
+forward raises NonFiniteError on a non-finite logit.
 
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
@@ -127,15 +128,19 @@ class Classifier:
             )
             self.params[f"dense{i}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    def _forward(self, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
-        """Logits for a [batch, input_dim] array, and the activations
-        ``_backward`` needs when ``keep`` (else None). NonFiniteError if a
+    def _forward(self, x: np.ndarray, grad: str | None = None) -> tuple:
+        """Logits for a [batch, input_dim] array, and the cache ``_backward``
+        needs for the gradient ``grad`` names: None keeps nothing,
+        "params" every activation, "input" all but the stem's patches,
+        which only the stem's weight gradient reads. NonFiniteError if a
         logit is not finite.
 
         A row's logits depend on that row alone only up to rounding: the
         BLAS kernel may round a row by where the batch puts it. Consecutive
         chunks of 64 rows give bitwise the whole batch's logits (tested);
         on OpenBLAS 0.3.31 chunks of 1 and 3 differ by up to 2e-16."""
+        if grad not in (None, "input", "params"):
+            raise ValueError(f"grad must be None, 'input' or 'params', got {grad!r}")
         x = np.asarray(x, dtype=np.float64, order="C")  # as a Tensor holds it
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected [batch, {self.arch.input_dim}] input, got {x.shape}")
@@ -143,8 +148,10 @@ class Classifier:
         patches = fmap = None
         h = x
         if conv:
-            patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
-            h = patches @ p["conv.weight"].data
+            h = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+            if grad == "params":
+                patches = h
+            h = h @ p["conv.weight"].data
             h += p["conv.bias"].data
             np.maximum(h, 0.0, out=h)
             fmap = h  # [batch * positions, filters]
@@ -157,37 +164,24 @@ class Classifier:
             h += p[f"dense{i}.bias"].data
             if i < n_dense - 1:
                 np.maximum(h, 0.0, out=h)
-        return _check_logits(h), ((patches, fmap, inputs) if keep else None)
+        return _check_logits(h), ((grad, patches, fmap, inputs) if grad else None)
 
-    def _backward(self, cache: tuple, g: np.ndarray, params: bool,
-                  dx: bool = True) -> np.ndarray | None:
+    def _backward(self, cache: tuple, g: np.ndarray) -> np.ndarray | None:
         """Backpropagate ``g``, the gradient of the logits of the forward that
-        kept ``cache``. With ``params``, each parameter that requires a
-        gradient accumulates it. Returns the input's gradient if ``dx``, else
-        None, stopping at the first layer in front of which nothing needs one.
+        kept ``cache``. A "params" cache: every parameter accumulates its
+        gradient (a frozen one drops it) and None is returned. An "input"
+        cache: the input's gradient is returned and no parameter is touched.
         """
-        patches, fmap, inputs = cache
+        grad, patches, fmap, inputs = cache
+        params = grad == "params"
         conv = self.arch.conv
-        stem = (self.params["conv.weight"], self.params["conv.bias"]) if conv else ()
-        dense = [(self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"])
-                 for i in range(len(inputs))]
-
-        def asks(*ts):  # whether one of these parameters accumulates a gradient
-            return params and any(t.requires_grad for t in ts)
-
-        # wants[i]: whether the input of dense layer i needs a gradient, i.e.
-        # whether x or a parameter in front of that layer asks for one.
-        wants = [dx or asks(*stem)]
-        for w, b in dense:
-            wants.append(wants[-1] or asks(w, b))
-        for i in reversed(range(len(dense))):
-            w, b = dense[i]
-            if asks(w):
+        for i in reversed(range(len(inputs))):
+            w, b = self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"]
+            if params:
                 w._accumulate(inputs[i].T @ g, owned=True)
-            if asks(b):
                 b._accumulate(g.sum(axis=0), owned=True)
-            if not wants[i]:
-                return None
+                if i == 0 and not conv:
+                    return None
             g = g @ w.data.T
             if i > 0:
                 g *= inputs[i] > 0.0  # the relu mask of the layer in front
@@ -195,31 +189,26 @@ class Classifier:
             return g
         g = g.reshape(fmap.shape)
         g *= fmap > 0.0
-        if asks(stem[0]):
-            stem[0]._accumulate(patches.T @ g, owned=True)
-        if asks(stem[1]):
-            stem[1]._accumulate(g.sum(axis=0), owned=True)
-        if not dx:
+        w, b = self.params["conv.weight"], self.params["conv.bias"]
+        if params:
+            w._accumulate(patches.T @ g, owned=True)
+            b._accumulate(g.sum(axis=0), owned=True)
             return None
-        return _patch_grad(g @ stem[0].data.T, inputs[0].shape[0], conv.height,
+        return _patch_grad(g @ w.data.T, inputs[0].shape[0], conv.height,
                            conv.width, conv.kernel_size)
 
     def forward(self, x) -> Tensor:
-        """Logits as one graph node whose parents are the input and every
-        parameter, backpropagated by ``_backward``. When no parent requires
-        a gradient, the node has no backward and keeps no activations."""
+        """Logits as one graph node whose parents are the parameters,
+        backpropagated by ``_backward``. The input is a constant: one that
+        requires a gradient is a ValueError (attacks take input gradients
+        with ``_forward(x, "input")``)."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        params = tuple(self.params.values())
-        keep = x.requires_grad or any(p.requires_grad for p in params)
-        logits, cache = self._forward(x.data, keep)
-        out = Tensor._from_op(logits, (x, *params))
-        if keep:
-            def backward(g):
-                dx = self._backward(cache, g, params=True, dx=x.requires_grad)
-                if dx is not None:
-                    x._accumulate(dx, owned=True)
-
-            out._backward = backward
+        if x.requires_grad:
+            raise ValueError("Classifier.forward takes no input gradient; "
+                             "use _forward(x, 'input')")
+        logits, cache = self._forward(x.data, "params")
+        out = Tensor._from_op(logits, tuple(self.params.values()))
+        out._backward = lambda g: self._backward(cache, g)
         return out
 
     def zero_grad(self) -> None:
@@ -229,12 +218,12 @@ class Classifier:
 
 def predict_probs(model: Classifier, x) -> np.ndarray:
     """Softmax outputs as a plain array; no gradients are retained."""
-    return _softmax_values(model._forward(x, keep=False)[0])
+    return _softmax_values(model._forward(x)[0])
 
 
 def predict_labels(model: Classifier, x) -> np.ndarray:
     """The predicted class of each row: the argmax of its logits."""
-    return np.argmax(model._forward(x, keep=False)[0], axis=1)
+    return np.argmax(model._forward(x)[0], axis=1)
 
 
 # -- checkpoint I/O ------------------------------------------------------------

@@ -113,12 +113,12 @@ def vir_weight(s_v, s_d, beta: float):
     return s_v * s_d + beta
 
 
-def gairat_weight(k, k_pgd: int, lambda_g: float = -1.0):
+def gairat_weight(k, k_budget: int, lambda_g: float = -1.0):
     """(1 + tanh(lambda + 5*(1 - 2k/K))) / 2: fewer steps to break, more weight."""
     karr = np.asarray(k, dtype=np.float64)
-    if not (karr.min() >= 0 and karr.max() <= k_pgd):  # NaN fails both
-        raise ValueError(f"k must lie in [0, {k_pgd}]")
-    out = (1.0 + np.tanh(lambda_g + 5.0 * (1.0 - 2.0 * karr / k_pgd))) / 2.0
+    if not (karr.min() >= 0 and karr.max() <= k_budget):  # NaN fails both
+        raise ValueError(f"k must lie in [0, {k_budget}]")
+    out = (1.0 + np.tanh(lambda_g + 5.0 * (1.0 - 2.0 * karr / k_budget))) / 2.0
     return float(out) if karr.ndim == 0 else out
 
 

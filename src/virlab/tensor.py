@@ -10,8 +10,9 @@ Each closure receives its output's gradient as its argument and holds
 only the parents and the arrays it needs, never the output tensor, so a
 graph has no reference cycle: it is freed by refcount as soon as its
 last tensor is dropped, not whenever the cyclic collector next runs.
-Closures compute a parent's gradient only when that parent has
-``requires_grad`` set; gradients nobody asked for are never formed.
+The op closures compute a parent's gradient only when that parent has
+``requires_grad`` set; the network node forms every parameter's, and
+``_accumulate`` drops a frozen parameter's.
 
 The probability-facing ops (softmax, cross entropy, KL divergence) are
 fused primitives with hand-derived gradients so the numerically stable
@@ -21,11 +22,11 @@ values and gradients are plain functions of arrays (``_ce_rows``,
 ops call; the attacks and the weight scores call them (and the attacks
 ``_kl_softmax_dlogits`` and ``_cw_margin_dlogits``) with no graph at all.
 
-The network is one node (``models.Classifier.forward``) whose backward is
-the model's own layer backward, sharing the patch helpers below with
-``sliding_patches``. The layer ops (``@``, ``+``, ``relu``, ``reshape``,
-``sliding_patches``) remain for the benchmark's op cases and the tests'
-layered oracle.
+The network is one node over its parameters (``Classifier.forward``)
+whose backward is the model's own layer backward, sharing the patch
+helpers below with ``sliding_patches``. The layer ops (``@``, ``+``,
+``relu``, ``reshape``, ``sliding_patches``) remain for the benchmark's op
+cases and the tests' layered oracle.
 """
 
 from __future__ import annotations

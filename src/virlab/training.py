@@ -334,7 +334,8 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
           out_dir: str | None = None) -> list[dict]:
     """Train+evaluate once per (alpha, gamma, beta) grid point.
 
-    Missing axes default to the config's current value. A ConfigError or
+    Missing axes default to the config's current value; an empty axis is
+    a ConfigError before anything is written. A ConfigError or
     NumericAbort fails only its own row, unless every row fails: then
     sweep.csv is still written and the first point's error is raised.
     """
@@ -342,6 +343,9 @@ def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
     alphas = [scheme.alpha] if alphas is None else list(alphas)
     gammas = [scheme.gamma] if gammas is None else list(gammas)
     betas = [scheme.beta] if betas is None else list(betas)
+    for name, axis in (("alphas", alphas), ("gammas", gammas), ("betas", betas)):
+        if not axis:
+            raise ConfigError(f"sweep grid axis {name} is empty")
     attack_names = condition_names(config.attack_eval)
     header = (["alpha", "gamma", "beta", "status", "error", "clean_acc"]
               + [f"robust_acc_{n}" for n in attack_names])

@@ -13,6 +13,7 @@ import pytest
 
 import virlab
 from conftest import make_mlp
+from oracles import layered_forward
 from virlab import attacks, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, project_linf, run_attack,
@@ -261,7 +262,7 @@ def test_pgd_kl_mode_takes_its_reference_from_the_model(rng):
         cur[i] += spec.start_noise_scale * row.standard_normal(x.shape[1])
     for _ in range(spec.iterations):
         x_t = Tensor(cur, requires_grad=True)
-        kl_divergence(ref, softmax(model.forward(x_t))).sum().backward()
+        kl_divergence(ref, softmax(layered_forward(model, x_t))).sum().backward()
         cur = project_linf(cur + spec.step_size * np.sign(x_t.grad), x,
                            spec.epsilon, spec.bounds)
     model.zero_grad()
@@ -599,9 +600,9 @@ def test_spsa_scores_points_in_capped_batched_forwards(rng):
     rows = []
     forward = model._forward
 
-    def counting_forward(x, keep):
+    def counting_forward(x, grad=None):
         rows.append(x.shape[0])
-        return forward(x, keep)
+        return forward(x, grad)
 
     model._forward = counting_forward
     x = rng.uniform(0.0, 1.0, size=(3, 30))
@@ -799,7 +800,7 @@ def test_chunks_of_64_rows_reproduce_the_whole_batch(rng, make_model, scale):
     gradient = dict(epsilon=0.1, step_size=0.04, iterations=3,
                     start_noise_scale=0.0)
     runs = {
-        "forward": lambda xs, ys: model._forward(xs, keep=False)[0],
+        "forward": lambda xs, ys: model._forward(xs)[0],
         "fgsm": lambda xs, ys: fgsm(model, xs, ys, AttackSpec(
             AttackFamily.FGSM, epsilon=0.1)),
         "pgd": lambda xs, ys: pgd(model, xs, ys, AttackSpec(

@@ -3,13 +3,17 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import virlab
 from virlab.attacks import AttackFamily, AttackSpec, LossMode
 from virlab.cli import main
 from virlab.codec import canonical_json
@@ -332,6 +336,44 @@ def test_cli_config_file_with_undecodable_bytes_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_C_LOCALE_CHILD = """
+import json, locale, sys
+from virlab.codec import write_csv
+from virlab.config import resolve_config
+config = resolve_config("paper", sys.argv[1])
+write_csv(sys.argv[2], [["name", "n"], ["caf\\u00e9", 1]])
+write_csv(sys.argv[3], [["name", "n"], ["cafe", 1]])
+print(json.dumps([locale.getpreferredencoding(False),
+                  config.dataset.params["images"]]))
+"""
+
+
+def test_text_is_read_and_written_as_utf8_under_the_c_locale(tmp_path):
+    # Under LC_ALL=C with UTF-8 mode and locale coercion off, open()'s
+    # default text encoding is ASCII: a UTF-8 config with a non-ASCII
+    # value and a CSV with a non-ASCII cell must not depend on it.
+    images = "donn\u00e9es/images-\u00fc.idx"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"dataset": {"images": images}},
+                               ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(virlab.__file__))]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONIOENCODING", None)
+    wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", _C_LOCALE_CHILD, str(cfg), str(wide), str(narrow)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    encoding, got = json.loads(done.stdout)
+    if encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("this platform's C locale is UTF-8")
+    assert got == images
+    assert wide.read_bytes() == "name,n\ncaf\u00e9,1\n".encode("utf-8")
+    assert narrow.read_bytes() == b"name,n\ncafe,1\n"  # ASCII keeps its bytes
+
+
 @pytest.mark.parametrize("row, cause", [
     ("1,nan,2.0", "non-finite feature"),
     ("1,-inf,2.0", "non-finite feature"),
@@ -429,6 +471,14 @@ def test_cli_sweep_with_no_ok_point_exits_nonzero(tmp_path, capsys):
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["failed", "failed"]
+
+
+@pytest.mark.parametrize("axis", ["--alphas", "--gammas", "--betas"])
+def test_cli_sweep_with_an_empty_grid_axis_exits_2(tmp_path, capsys, axis):
+    out = tmp_path / "sweep"
+    assert main(["sweep", axis, ",", "--out", str(out)]) == 2
+    assert f"axis {axis[2:]} is empty" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_cli_report(train_run, capsys):

@@ -140,14 +140,9 @@ ORACLE_LOSSES = {
     "vir_trades_loss": _vir_trades,
 }
 
-# Which leaves require a gradient: (parameters, input). "partial" freezes
-# the first layer (the stem, or dense0 of the MLP) and leaves the rest on.
-GRAD_MODES = {
-    "train": (True, False),
-    "attack": (False, True),
-    "all": (True, True),
-    "partial": ("partial", False),
-}
+# Which parameters require a gradient: "train" all of them, "partial" all
+# but the first layer (the stem, or dense0 of the MLP).
+GRAD_MODES = ("train", "partial")
 
 
 def _bits(a):
@@ -158,15 +153,14 @@ def _bits(a):
 @pytest.mark.parametrize("arch", ORACLE_MODELS)
 def test_fused_forward_is_bitwise_the_layered_graph(arch, mode, monkeypatch):
     model = ORACLE_MODELS[arch]()
-    params_on, input_on = GRAD_MODES[mode]
     first = "conv." if model.arch.conv is not None else "dense0."
     for name, p in model.params.items():
-        p.requires_grad = params_on is True or (
-            params_on == "partial" and not name.startswith(first))
+        p.requires_grad = mode == "train" or not name.startswith(first)
     rng = np.random.default_rng(7)
-    xs = [rng.standard_normal((5, model.arch.input_dim)) for _ in range(2)]
+    xs = [Tensor(rng.standard_normal((5, model.arch.input_dim))) for _ in range(2)]
 
-    # A gradient is only ever handed to a tensor that asked for one.
+    # With every parameter on, a gradient is only handed to a tensor that
+    # asked for one. (A frozen parameter is handed one and drops it.)
     handed = []
     accumulate = Tensor._accumulate
 
@@ -174,43 +168,70 @@ def test_fused_forward_is_bitwise_the_layered_graph(arch, mode, monkeypatch):
         handed.append(self.requires_grad)
         accumulate(self, grad, owned)
 
-    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    if mode == "train":
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
 
     def run(forward, loss):
         model.zero_grad()
-        inputs = [Tensor(x, requires_grad=input_on) for x in xs]
-        loss(model, forward, *inputs).backward()
-        return [_bits(t.grad) for t in inputs] + [
-            _bits(p.grad) for p in model.params.values()]
+        loss(model, forward, *xs).backward()
+        return [_bits(p.grad) for p in model.params.values()]
 
-    fused = model.forward(Tensor(xs[0]))
+    fused = model.forward(xs[0])
     np.testing.assert_array_equal(
-        _bits(fused.data), _bits(layered_forward(model, Tensor(xs[0])).data))
+        _bits(fused.data), _bits(layered_forward(model, xs[0]).data))
     for name, loss in ORACLE_LOSSES.items():
-        if loss is _vir_trades and not params_on:
-            continue  # it takes arrays: with frozen parameters nothing has a gradient
         got = run(model.forward, loss)
         want = run(lambda x: layered_forward(model, x), loss)
-        labels = ["x_a", "x_b", *model.params]
-        for label, g, w in zip(labels, got, want):
+        for label, g, w in zip(model.params, got, want):
             assert (g is None) == (w is None), (name, label)
             if g is not None:
                 np.testing.assert_array_equal(g, w, err_msg=f"{name}: {label}")
         assert any(g is not None for g in got), name
-    assert handed and all(handed)
+    assert mode != "train" or (handed and all(handed))
 
 
-def test_forward_without_any_gradient_keeps_no_backward():
+def test_forward_rejects_an_input_that_requires_a_gradient():
+    # forward is a node over the parameters only: the input's gradient is
+    # the attacks' _forward(x, "input"), not the graph's.
+    for make in ORACLE_MODELS.values():
+        model = make()
+        x = Tensor(np.zeros((2, model.arch.input_dim)), requires_grad=True)
+        with pytest.raises(ValueError, match="input"):
+            model.forward(x)
+        assert model.forward(Tensor(x.data))._backward is not None
+
+
+def test_forward_without_a_gradient_mode_keeps_nothing():
     for make in ORACLE_MODELS.values():
         model = make()
         x = np.zeros((2, model.arch.input_dim))
-        for p in model.params.values():
-            p.requires_grad = False
-        assert model.forward(x)._backward is None
-        assert model.forward(Tensor(x, requires_grad=True))._backward is not None
-        for p in model.params.values():
-            p.requires_grad = True
-        assert model.forward(x)._backward is not None
+        logits, cache = model._forward(x)
+        assert cache is None
+        np.testing.assert_array_equal(logits, model._forward(x, "params")[0])
+
+
+def test_input_mode_keeps_no_stem_patches():
+    # The stem's [batch * positions, k * k] patches feed only its weight
+    # gradient, so an input-gradient forward drops them.
+    model = ORACLE_MODELS["conv"]()
+    conv = model.arch.conv
+    x = np.random.default_rng(3).standard_normal((4, model.arch.input_dim))
+    patch_shape = (4 * conv.out_height * conv.out_width, conv.kernel_size ** 2)
+
+    def arrays(obj):
+        if isinstance(obj, (tuple, list)):
+            return [a for o in obj for a in arrays(o)]
+        return [obj] if isinstance(obj, np.ndarray) else []
+
+    assert patch_shape in [a.shape for a in arrays(model._forward(x, "params")[1])]
+    assert patch_shape not in [a.shape for a in arrays(model._forward(x, "input")[1])]
+
+
+@pytest.mark.parametrize("grad", ["inputs", "param", True, ""])
+def test_unknown_gradient_mode_is_rejected(grad):
+    model = make_mlp((4, 8, 3), seed=1)
+    with pytest.raises(ValueError, match="grad must be"):
+        model._forward(np.zeros((2, 4)), grad)
 
 
 def _tie_row0_classes_1_and_2(model, x):
@@ -219,9 +240,9 @@ def _tie_row0_classes_1_and_2(model, x):
     the weights, so the two candidates for the largest other logit have
     different gradients."""
     bias = model.params[f"dense{len(model.arch.layers) - 2}.bias"].data
-    s = model._forward(x, keep=False)[0][0] - bias  # the bias is 0 at init
+    s = model._forward(x)[0][0] - bias  # the bias is 0 at init
     bias[1:3] = 1.5 - s[1:3]
-    z = model._forward(x, keep=False)[0]
+    z = model._forward(x)[0]
     assert z[0, 1] == z[0, 2] == 1.5 > z[0, 0]
 
 
@@ -240,7 +261,7 @@ def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
     # likely class: the KL gradient of the logits has -0.0 entries, which
     # the graph stores as +0.0.
     big = 1e3 * x
-    z = model._forward(big, keep=False)[0]
+    z = model._forward(big)[0]
     onehot = np.eye(z.shape[1])[np.argmin(z, axis=1)]
     g = _kl_softmax_dlogits(onehot, z)
     assert np.any((g == 0.0) & np.signbit(g))
@@ -249,9 +270,9 @@ def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
     for name, (m, xb, reference) in batches.items():
         handed = []  # the logits gradient the layer backward is given
 
-        def spy(cache, g, *args, _m=m, **kwargs):
+        def spy(cache, g, _m=m):
             handed.append(g.copy())
-            return Classifier._backward(_m, cache, g, *args, **kwargs)
+            return Classifier._backward(_m, cache, g)
 
         monkeypatch.setattr(m, "_backward", spy)
         got = attacks._input_gradient(m, ORACLE_Y, mode, reference)(xb)

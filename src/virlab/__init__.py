@@ -30,6 +30,6 @@ from .reweight import (Ablation, WeightFamily, WeightRecord, WeightScheme,
                        vir_weight, vulnerability_score, write_weight_records)
 from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 from .training import (EvalReport, MetricsLog, MetricsRow, evaluate, lr_at,
-                       mix_seed, sgd_step, sweep, train)
+                       sgd_step, sweep, train)
 
 __version__ = "0.1.0"

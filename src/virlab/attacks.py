@@ -11,11 +11,11 @@ computed inside the attack. GAIRAT's least-steps probe is a CE-mode PGD
 walk that also returns each sample's first-miss iteration.
 
 Every attack is a pure function of (model, x, y, spec): the same inputs
-give bit-identical outputs, and per-sample randomness is drawn from one
-PCG64 stream keyed by seed XOR i (``_row_rng``), where i is the sample's
-row in the x handed to the attack. In evaluation that row is the dataset
-index. In training it is the position within the minibatch, not a dataset
-index, so a sample's noise depends on where its batch puts it.
+give bit-identical outputs. ``_rng`` keys its streams from spec.seed with
+numpy's SeedSequence: the start noise is one draw of the attack's stream,
+row i taking the i-th block, and SPSA row i draws from its own stream
+(spawn key (i,)). Row i is the sample's row in the x handed to the attack:
+the dataset index in evaluation, the position in the minibatch in training.
 
 Attacks need only the input gradient, so they build no autodiff graph:
 each gradient is one input-mode forward (``Classifier._forward(x,
@@ -161,11 +161,12 @@ def _input_gradient(model: Classifier, y, mode: LossMode,
     return grad
 
 
-def _row_rng(spec: AttackSpec, i: int) -> np.random.Generator:
-    """Row i's random stream, PCG64 keyed by seed XOR i: the only place a
-    row's stream is keyed. The start noise and SPSA's directions draw
-    from it."""
-    return np.random.Generator(np.random.PCG64(spec.seed ^ i))
+def _rng(spec: AttackSpec, *row: int) -> np.random.Generator:
+    """The attack's stream, or row i's own for ``_rng(spec, i)``: PCG64 from
+    ``SeedSequence(spec.seed, spawn_key=row)``. A spawn key never equals a
+    bare seed, so no two (seed, row) pairs share a stream."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(spec.seed, spawn_key=row)))
 
 
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
@@ -208,9 +209,7 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
                      if spec.loss_mode is LossMode.KL else None)
         grad = _input_gradient(model, y, spec.loss_mode, reference)
         if spec.start_noise_scale > 0:
-            for i in range(x.shape[0]):
-                cur[i] += (spec.start_noise_scale
-                           * _row_rng(spec, i).standard_normal(x.shape[1]))
+            cur += spec.start_noise_scale * _rng(spec).standard_normal(x.shape)
     for k in range(1, iterations + 1):
         cur = project_linf(cur + step * np.sign(grad(cur)), x,
                            spec.epsilon, spec.bounds)
@@ -312,7 +311,7 @@ def _spsa_gradient(model: Classifier, y, spec: AttackSpec):
     """cur -> per-sample SPSA estimates at cur. Each row keeps its own
     stream across iterations, so its draws come in the same order whatever
     order the rows are visited in."""
-    rngs = [_row_rng(spec, i) for i in range(len(y))]
+    rngs = [_rng(spec, i) for i in range(len(y))]
 
     def grad(cur: np.ndarray) -> np.ndarray:
         out = np.empty_like(cur)

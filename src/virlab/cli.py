@@ -150,9 +150,12 @@ def _parse_grid(text: str | None) -> list[float] | None:
     if text is None:
         return None
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as e:
         raise ConfigError(f"bad grid {text!r}: {e}") from e
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"bad grid {text!r}: values must be finite")
+    return grid
 
 
 def _cmd_sweep(args) -> int:
@@ -294,6 +297,10 @@ def main(argv=None) -> int:
         return 3
     except (DataFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except UnicodeEncodeError as e:  # a path or text the locale cannot encode
+        print(f"error: cannot encode {e.object!r} as {e.encoding}: {e.reason}",
+              file=sys.stderr)
         return 4
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

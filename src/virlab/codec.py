@@ -8,8 +8,9 @@ it, reading each field's name, required-ness and default from
 ``dataclasses.fields`` and its type from the annotations, so the dataclass
 is the only place a field is declared. Decoding is strict: unknown or
 missing keys, ill-typed scalars (a bool is not an int; an int is accepted
-for a float and kept as written), wrong tuple lengths and bad enum values
-raise ConfigError naming the dotted path of the offending value.
+for a float and kept as written; NaN and +-inf are not), wrong tuple
+lengths and bad enum values raise ConfigError naming the dotted path of
+the offending value.
 
 A class whose wire shape differs from its fields defines its own
 ``to_obj()`` method and ``from_obj(obj, where)`` classmethod; the codec
@@ -91,6 +92,8 @@ def _fields(cls) -> tuple[dict, dict]:
 def _scalar(tp, value, where: str):
     if tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     elif tp is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:

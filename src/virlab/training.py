@@ -1,12 +1,14 @@
 """Training loop, evaluation harness, and hyperparameter sweeps.
 
 One train() call runs the whole recipe: per batch, attack the natural
-inputs, score the instance weights (all 1.0 until the burn-in epoch has
-passed), take one SGD-with-momentum step on the configured objective, and
-log. Everything emitted (config.json, metrics.csv, weights.csv, confusion
-CSVs, checkpoint) is a pure function of the config, byte for byte, and
-written atomically (``codec.atomic_open``). A non-finite logit or loss
-ends the run in one NumericAbort naming the batch or evaluation it hit.
+inputs (batch b of epoch e seeds its attack from the config seed's
+SeedSequence spawned at (e, b)), score the instance weights (all 1.0 until
+the burn-in epoch has passed), take one SGD-with-momentum step on the
+configured objective, and log. Everything emitted (config.json,
+metrics.csv, weights.csv, confusion CSVs, checkpoint) is a pure function
+of the config, byte for byte, and written atomically
+(``codec.atomic_open``). A non-finite logit or loss ends the run in one
+NumericAbort naming the batch or evaluation it hit.
 Only the training loss builds an autodiff graph.
 """
 
@@ -29,20 +31,6 @@ from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
                          vir_trades_loss)
 from .reweight import (WeightFamily, WeightRecord, batch_weights,
                        write_weight_records)
-
-_MASK64 = (1 << 64) - 1
-
-
-def mix_seed(*parts: int) -> int:
-    """Fold integers into one well-spread 64-bit seed (splitmix64 chain)."""
-    state = 0x9E3779B97F4A7C15
-    for p in parts:
-        state = (state + int(p)) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        state = z ^ (z >> 31)
-    return state
-
 
 # -- optimizer -----------------------------------------------------------------
 
@@ -123,8 +111,8 @@ def evaluate(model: Classifier, dataset: Dataset,
 
     Confusion rows are true classes, columns predictions; per-class accuracy
     is the clean diagonal over row sums (0 for absent classes). Each attack
-    runs over the whole dataset in one call so its per-sample seeds key off
-    global sample indices.
+    runs over the whole dataset in one call, so a row's randomness is keyed
+    by its dataset index.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -191,10 +179,10 @@ class MetricsLog:
 
 
 def _train_attack_spec(config: TrainConfig, epoch: int, batch_idx: int) -> AttackSpec:
-    """attack_train keyed from the config seed, epoch and batch; its own
-    seed is always 0 (TrainConfig rejects any other)."""
-    return replace(config.attack_train,
-                   seed=mix_seed(config.seed, epoch, batch_idx))
+    """attack_train seeded from the config seed's SeedSequence spawned at
+    (epoch, batch); its own seed is always 0 (TrainConfig rejects any other)."""
+    seq = np.random.SeedSequence(config.seed, spawn_key=(epoch, batch_idx))
+    return replace(config.attack_train, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
 def _batch_loss(model, objective, x_nat, x_adv, y, weights):

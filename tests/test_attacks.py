@@ -256,10 +256,9 @@ def test_pgd_kl_mode_takes_its_reference_from_the_model(rng):
                       start_noise_scale=0.01, bounds=(-1.0, 1.0))
     # Oracle: the loop with the natural prediction handed in as a constant.
     ref = Tensor(predict_probs(model, x))
-    cur = x.copy()
-    for i in range(len(x)):
-        row = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
-        cur[i] += spec.start_noise_scale * row.standard_normal(x.shape[1])
+    # The start noise is one draw of the attack's stream, SeedSequence(seed).
+    stream = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    cur = x + spec.start_noise_scale * stream.standard_normal(x.shape)
     for _ in range(spec.iterations):
         x_t = Tensor(cur, requires_grad=True)
         kl_divergence(ref, softmax(layered_forward(model, x_t))).sum().backward()
@@ -316,10 +315,8 @@ def test_pgd_is_deterministic_in_seed(rng):
 
 
 def test_pgd_start_noise_is_per_sample_not_per_batch(rng):
-    # Sample i's noise stream is keyed by seed XOR i, so prepending a row
-    # must not change what happens to the rows that were already there...
-    # but indices shift. The invariant that MUST hold: the same batch run
-    # twice gives the same noise, and two distinct samples get distinct noise.
+    # Row i takes the i-th block of draws from the attack's stream, so two
+    # rows with the same input get distinct noise.
     model = linear_model()
     x = np.zeros((2, 4))
     y = np.array([0, 0])
@@ -534,7 +531,9 @@ def batch1_spsa(model, x, y, spec):
     """SPSA with one forward per perturbed point: the batched attack's oracle."""
     out = np.empty_like(x)
     for i in range(x.shape[0]):
-        rng = np.random.default_rng(np.random.PCG64(spec.seed ^ i))
+        # Row i's own stream: the seed's SeedSequence spawned at key (i,).
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
+                                                           spawn_key=(i,)))
         cur = x[i].copy()
         for _ in range(spec.iterations):
             g = old_spsa_gradient_estimate(batch1_ce(model, y[i]), cur,
@@ -774,6 +773,41 @@ def test_logits_are_checked_only_by_the_forward_and_the_tensor_ops():
             assert not lines, f"{name} checks logits at lines {lines}"
 
 
+# Names that key or build a random stream.
+RNG_NAMES = {"PCG64", "SeedSequence", "default_rng"}
+
+
+def _stream_keys(source: str) -> list[int]:
+    """Lines of ``source`` outside a function named ``_rng`` that name
+    PCG64, SeedSequence or default_rng."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_rng"
+              for node in ast.walk(f)}
+    return [node.lineno for node in ast.walk(tree) if id(node) not in inside
+            and (isinstance(node, ast.Name) and node.id in RNG_NAMES
+                 or isinstance(node, ast.Attribute) and node.attr in RNG_NAMES
+                 or isinstance(node, ast.alias) and node.name in RNG_NAMES)]
+
+
+def test_attacks_key_their_streams_only_in_rng():
+    # One RNG-keying rule: _rng is the only place attacks.py builds a
+    # generator. The guard sees each way a second key could come back ...
+    for source in ("rng = np.random.default_rng(seed)",
+                   "g = np.random.Generator(np.random.PCG64(spec.seed ^ i))",
+                   "from numpy.random import SeedSequence",
+                   "def _row_rng(spec, i):\n"
+                   "    return np.random.default_rng([spec.seed, i])"):
+        assert _stream_keys(source), source
+    assert not _stream_keys(
+        "def _rng(spec, *row):\n    return np.random.Generator(np.random.PCG64("
+        "np.random.SeedSequence(spec.seed, spawn_key=row)))")
+    # ... and finds none in attacks.py.
+    with open(attacks.__file__) as fh:
+        lines = _stream_keys(fh.read())
+    assert not lines, f"attacks.py keys a stream outside _rng at lines {lines}"
+
+
 # -- batching --------------------------------------------------------------------
 
 
@@ -783,17 +817,21 @@ def golden_conv_model() -> Classifier:
     return Classifier(Arch((stem.out_dim, 6, 3), conv=stem), seed=3)
 
 
-@pytest.mark.parametrize("make_model, scale", [
+batch_models = pytest.mark.parametrize("make_model, scale", [
     (golden_conv_model, 1.0),
     (lambda: Classifier(Arch((8, 64, 64, 3)), seed=3), 4.0),  # the desk MLP
 ], ids=["golden_conv", "desk_mlp"])
+
+
+@batch_models
 def test_chunks_of_64_rows_reproduce_the_whole_batch(rng, make_model, scale):
     # The batch-chunk rule: run in consecutive chunks of 64 rows, the
     # forward and every gradient attack give bitwise the whole batch's
     # output. Chunks of 1 and 3 may differ in the last bits (the BLAS
     # build's edge kernels, see Classifier._forward), so the rule is pinned
-    # at 64 only. Start noise stays off: _row_rng keys a row by its
-    # position in the chunk, not in the batch.
+    # at 64 only. Start noise stays off: a row's noise is keyed by its
+    # position in the chunk, not in the batch (the noise-on rule is pinned
+    # on prefixes below).
     model = make_model()
     x = scale * rng.uniform(0.0, 1.0, size=(256, model.arch.input_dim))
     y = rng.integers(0, 3, size=256)
@@ -817,3 +855,52 @@ def test_chunks_of_64_rows_reproduce_the_whole_batch(rng, make_model, scale):
         np.testing.assert_array_equal(chunked, whole, err_msg=name)
         if name != "forward":
             assert not np.array_equal(whole, x), f"{name} did not move"
+
+
+@batch_models
+def test_a_prefix_of_64_rows_reproduces_its_rows_with_noise_on(rng, make_model,
+                                                                scale):
+    # Row i's start noise is the i-th block of draws from the attack's
+    # stream and SPSA row i draws from its own stream, so a row's randomness
+    # does not depend on how many rows follow it: with noise on, the attack
+    # on the first 64 rows is bitwise the first 64 rows of the whole batch's.
+    model = make_model()
+    x = scale * rng.uniform(0.0, 1.0, size=(256, model.arch.input_dim))
+    y = rng.integers(0, 3, size=256)
+    gradient = dict(epsilon=0.1, step_size=0.04, iterations=3, seed=7)
+    specs = {
+        "pgd": AttackSpec(AttackFamily.PGD, **gradient),
+        "pgd_kl": AttackSpec(AttackFamily.PGD, loss_mode=LossMode.KL, **gradient),
+        "cw_pgd": AttackSpec(AttackFamily.CW_PGD, **gradient),
+        "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2,
+                           spsa_samples=8, seed=7),
+    }
+    for name, spec in specs.items():
+        whole = run_attack(model, x, y, spec)
+        np.testing.assert_array_equal(run_attack(model, x[:64], y[:64], spec),
+                                      whole[:64], err_msg=name)
+        assert not np.array_equal(whole, x), f"{name} did not move"
+
+
+@pytest.mark.parametrize("family", [AttackFamily.PGD, AttackFamily.SPSA],
+                         ids=["pgd", "spsa"])
+def test_no_two_seed_row_pairs_share_a_stream(rng, family):
+    # Seed s at row 1 and seed s + 1 at row 0 draw from different streams
+    # (keying rows by seed XOR i made them one). Two equal rows isolate the
+    # stream: a zero model has a zero input gradient, so PGD returns its
+    # noisy start; SPSA's two directions set each coordinate's step.
+    if family is AttackFamily.PGD:
+        model = make_mlp((30, 8, 3))
+        for p in model.params.values():
+            p.data = np.zeros_like(p.data)
+        spec = AttackSpec(family, epsilon=1.0, step_size=0.1,
+                          start_noise_scale=0.1)
+    else:
+        model = conv_model()
+        spec = AttackSpec(family, epsilon=0.1, spsa_samples=2)
+    x = np.repeat(rng.uniform(0.0, 1.0, size=(1, 30)), 2, axis=0)
+    y = np.array([1, 1])
+    row1 = run_attack(model, x, y, replace(spec, seed=1234))[1]
+    row0 = run_attack(model, x, y, replace(spec, seed=1235))[0]
+    assert not np.array_equal(row1, x[1]) and not np.array_equal(row0, x[0])
+    assert not np.array_equal(row1, row0)

@@ -89,6 +89,15 @@ def test_unknown_keys_rejected_at_every_level(tmp_path, capsys):
         ("attack_eval", {}, r"config\.attack_eval must be a list"),
         ("dataset.per_class_n", "abc", r"dataset\[synth\]\.per_class_n must be int"),
         ("dataset.per_class_n", 20.5, r"dataset\[synth\]\.per_class_n must be int"),
+        # non-finite floats: rejected before training, never written back
+        ("attack_train.epsilon", float("nan"),
+         r"config\.attack_train\.epsilon must be finite, got nan"),
+        ("optimizer.base_lr", float("inf"),
+         r"config\.optimizer\.base_lr must be finite, got inf"),
+        ("objective.weight_scheme.beta", float("nan"),
+         r"weight_scheme\.beta must be finite, got nan"),
+        ("dataset.separation", float("-inf"),
+         r"dataset\[synth\]\.separation must be finite, got -inf"),
     ]
     for path, value, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
@@ -372,6 +381,17 @@ def test_text_is_read_and_written_as_utf8_under_the_c_locale(tmp_path):
     assert got == images
     assert wide.read_bytes() == "name,n\ncaf\u00e9,1\n".encode("utf-8")
     assert narrow.read_bytes() == b"name,n\ncafe,1\n"  # ASCII keeps its bytes
+    # A data path the locale cannot encode is an I/O failure: exit 4 with
+    # an error line, not a traceback.
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "virlab.cli", "train", "--profile", "paper",
+         "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error: cannot encode "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, cause", [
@@ -471,6 +491,14 @@ def test_cli_sweep_with_no_ok_point_exits_nonzero(tmp_path, capsys):
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["failed", "failed"]
+
+
+@pytest.mark.parametrize("grid", [["--betas", "nan"], ["--alphas", "1,inf"]])
+def test_cli_sweep_rejects_a_non_finite_grid_value(tmp_path, capsys, grid):
+    out = tmp_path / "sweep"
+    assert main(["sweep", *grid, "--out", str(out)]) == 2
+    assert "values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis", ["--alphas", "--gammas", "--betas"])

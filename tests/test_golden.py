@@ -25,16 +25,16 @@ from virlab.cli import main
 from virlab.data import Dataset, save_idx
 
 DESK_SHA256 = {
-    "metrics.csv": "c5e15f0b8b42f784ec51da8b1e543690615ac20c8de4db4e1f481c7082271ff1",
-    "weights.csv": "cf390dbd49e09704712a717dd88eeff27142245b322a070eaae645ed5a02b929",
-    "checkpoint.ckpt": "19758b4ed9cdb86b8552bbab6194585e13c96a1b00f9cdeda77487c4acf19e0a",
+    "metrics.csv": "e902bb1c3340d4219bf930653994f9737d07c6b51365c18f371e8fb7a253c141",
+    "weights.csv": "37b844484ee69b89aa207c957b8f1f22c4c1b3a990aeba7a6dbec8267e839aae",
+    "checkpoint.ckpt": "8b74d0603c4636ce9610b3593a5b57d1fd1bf0ff97d65431f338befec0603d66",
 }
 
 CONV_SHA256 = {
     "VIR_AT": {
-        "metrics.csv": "f4ffa5e0c601e9464cc3be80ceaf904c6b4b5202fb8f84ee436fc0104c5c505c",
-        "weights.csv": "01187efb0ac06ccc0a9d8558ca4d6dcac4ccbb89d8c0f10d340f66c18b41e94f",
-        "checkpoint.ckpt": "4a4dbaa87d237f8603e326bb1757e127149f2d715eb4edae76c918410fbd1245",
+        "metrics.csv": "ad9f41a38fa0c3d3b32a2b2a409e73915ec6a5b82efa572483c3e01cbe86e900",
+        "weights.csv": "b39faa78af5076fe7fd7397a3294e782dac18900aff629b9c6e45a1de93ad7c0",
+        "checkpoint.ckpt": "95f961d1995e0e4906397cbe08e9d684f262a5f85924b2c776a95a17a68978ef",
         "confusion_clean.csv":
             "b0d820786f090f8a49c93d5e617e19f48ca1d2436d6459df2d0c621577b1b6d7",
         "confusion_pgd.csv":
@@ -47,24 +47,24 @@ CONV_SHA256 = {
             "b0d820786f090f8a49c93d5e617e19f48ca1d2436d6459df2d0c621577b1b6d7",
     },
     "VIR_TRADES": {
-        "metrics.csv": "a4eeb265cec06cc53bb26f793a6e45bd987394459d721d5747cbefaf0336d78a",
-        "weights.csv": "92d3fc2a1e02047748150d77db8cc86384b5824017795652d7f366ed6ba20020",
-        "checkpoint.ckpt": "6abd89d05dd7f0cec4c5aa6e10741b5e4adc6141573e9406a221b2efdcd2fb5b",
+        "metrics.csv": "7f1729c3726a9c9341b38ece4e04a796df908bcb6b9817d3ab2bba8a3d942e5c",
+        "weights.csv": "d68f49912e2a5d084b79e110caab77ec3c950513135e1f5adef8cc09acec1580",
+        "checkpoint.ckpt": "12b66c679856444a376d07455d424473b85260aafca21bce8c54ad3f12cd760a",
         "confusion_clean.csv":
             "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
         "confusion_pgd.csv":
-            "b0cc507beb92c3c7630765f7f7d23fdfaa1fde89518292b3b7d02a654512fd2a",
+            "f40f0a0ce35866a6af3121f0d820b79ad8ecbd47db9f60ea50b43df82676a259",
         "confusion_cw_pgd.csv":
-            "b0cc507beb92c3c7630765f7f7d23fdfaa1fde89518292b3b7d02a654512fd2a",
+            "f40f0a0ce35866a6af3121f0d820b79ad8ecbd47db9f60ea50b43df82676a259",
         "confusion_fgsm.csv":
-            "b0cc507beb92c3c7630765f7f7d23fdfaa1fde89518292b3b7d02a654512fd2a",
+            "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
         "confusion_spsa.csv":
             "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
     },
     "GAIRAT_CE_PGD": {
-        "metrics.csv": "8df1835d1c1ea9709f8f601bd2f0ebb6a732482245c58d1ce8bc184f4f7f1f0b",
-        "weights.csv": "18d3dfef9ef8c589aec8f5df913d1d699f7b01190f4ebdb07568803947bce491",
-        "checkpoint.ckpt": "cf256d56fe03cc7c0430bdf7289830c63d19dcf0d60ef55ec05eee4612c8a802",
+        "metrics.csv": "ff98eb5e4309b8a174500b17e23388cb328877c2112841546ad589f9c5efdef2",
+        "weights.csv": "6f837713daabeb7712e1e8426672db741a2d4f44c17dff6c999a0a2e82878a61",
+        "checkpoint.ckpt": "d3ee36e6044c2d83e0453e1a5267a3c1ed5452d58701e0d5ad9fb94e7279d891",
         "confusion_clean.csv":
             "c261129bbf22ce0d97eb8cf28066f4bb8094e35ec5818ebdfd1252c4ea6b7f52",
         "confusion_pgd.csv":
@@ -99,25 +99,25 @@ ATTACKS = {
 
 ATTACK_SHA256 = {
     "VIR_AT": {
-        "pgd": "1355002d4dd989f27cc0089cb9c11b69732ca929afa53bbb0a17e199a63e2b7e",
-        "pgd_kl": "6ab3c19ceb166015cd3a1c9684f9039cd67f58d88163e7accd9b79f16acb4788",
-        "cw_pgd": "7c50bec7e865699726d4122c7973bdb8eba6ce75024d6eaab35ae911bc79b44a",
-        "fgsm": "34d55db2c9269a5e7e4ba3affc6ac96bb98d7626d723a73300b5525c9aadeef3",
-        "spsa": "a9ef3edd1deaa7a445cd2aec5c1f67ca0d3faad386a9e826472abbe1d66eeb53",
+        "pgd": "7b37b4113b57fb520f992e5af4228b39b4c5d7a9fd6a1d595761467698bad402",
+        "pgd_kl": "2f682d316115407f59bdd92001d276ca9b1244e8cb85e7413786a7bdacc7c7d0",
+        "cw_pgd": "26ebf1e93ac832318923e78a196d730eb85d63f74d5b240e4ea5b81985b2aa2d",
+        "fgsm": "0e7e6c656f6adb127af28c22d9973f85bafb60ca6fde46045a047f1377e1f118",
+        "spsa": "b1e4988f3f6ae691f24982718b82e4e2fd426f988e37fcb7d55b2074a77548e3",
     },
     "VIR_TRADES": {
-        "pgd": "af5efd1499b2fad8304274b60034b0f117ca1a34c15f0a0d4dd92b3e3e764f45",
-        "pgd_kl": "899df809cb032c870901de057ddea46a1529285dbbc306e1538da267e4e337d3",
-        "cw_pgd": "908783f2ff353420325dd136a5a85a1251f34c82b8be3f67bbe2ed044489b7fb",
-        "fgsm": "89eba862fedf1e2a990b2746bcec7467bc86c64b8a971d184f80d0573c0ea29c",
-        "spsa": "7381bf7e1a13edb236ed6d1e0594a16955b157eb716fc79a789868ed78ea47e4",
+        "pgd": "c47efbf804fc034ed2907bf441b7246ab49d97f798591644cc2003cf3d43c89b",
+        "pgd_kl": "549c3fc7dbf7f9c86e0717dbc672448aff9b1a5ac2f85b69e8f685dff93b381f",
+        "cw_pgd": "19006c1b39ffc476baefdb6c84439d9ed37487ae2d24b377b4a54f6272039fa2",
+        "fgsm": "ba53b801ebdc9e08532255d4fbee6d57595191c569c76fcd9a5a37f14644040d",
+        "spsa": "e52427f56f20381010aa557c875afc9d6ac309955cbf805be4115f6e5a4e6ced",
     },
     "GAIRAT_CE_PGD": {
-        "pgd": "776eb1904f2b0bc4c3ee46ee660b9a8282723c9df696232ed277101d2752b4ba",
-        "pgd_kl": "85091fe9a8be6d3dfe3cbf99509e4fa41b0e5c91c5b9881fc950d1c330b31c62",
-        "cw_pgd": "99f0ddd31ebbc847e4e658614680301ffa286e5715dcc1bad38308c6b1e6d302",
-        "fgsm": "b8da3d1389660e8b308306b96fb3ad5a3f66009f3b41f657fb0dac6dc8f2bf4f",
-        "spsa": "e2cef887c7ecbf6fe07ccf62052f31efb839ed6b8107de1f577bcc06b4587374",
+        "pgd": "3b08c0e6715cc058b86ac306486915e339951e0151360ac59b0e475b34281c48",
+        "pgd_kl": "75724ed9f9ddccdec71886f6a802bc264630603d29ec5875ea5810d113e2d548",
+        "cw_pgd": "d5a63fe50282a209d068197619e7eb11864353861186bab273e2078d6d806bf0",
+        "fgsm": "1c90ff771a70ab5fbb176ad3be9efeba5c0e0f29de24b3eb3352cfcb69883e3f",
+        "spsa": "515e52c893f28c8599114660f7668a9cc600fa991921905302f1a5a6f569e146",
     },
 }
 

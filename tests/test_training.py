@@ -16,8 +16,8 @@ from virlab.data import Dataset
 from virlab.errors import ConfigError, NumericAbort
 from virlab.tensor import Tensor
 from virlab.training import (EvalReport, MetricsLog, MetricsRow,
-                             condition_names, evaluate, lr_at, mix_seed,
-                             sgd_step, sweep, train, write_confusions)
+                             _train_attack_spec, condition_names, evaluate,
+                             lr_at, sgd_step, sweep, train, write_confusions)
 
 PGD_EVAL = {"family": "PGD", "epsilon": 0.5, "step_size": 0.125,
             "iterations": 5, "loss_mode": "CE", "seed": 1234}
@@ -42,14 +42,18 @@ def tiny_config(extra=()):
 # -- seeds and optimizer ---------------------------------------------------------
 
 
-def test_mix_seed_spreads_and_repeats():
-    assert mix_seed(0, 1, 2) == mix_seed(0, 1, 2)
-    assert mix_seed(0, 1, 2) != mix_seed(0, 2, 1)
-    assert mix_seed(1) != mix_seed(2)
-    seen = {mix_seed(s, e, b) for s in range(4) for e in range(8)
-            for b in range(8)}
-    assert len(seen) == 4 * 8 * 8
-    assert all(0 <= v < 2**64 for v in seen)
+def test_train_attack_seeds_are_distinct_and_repeat():
+    # Batch b of epoch e attacks with a seed spawned from the config seed at
+    # (e, b): distinct over the grid, 64-bit, and the same on a second call.
+    configs = [resolve_config(overrides=[("seed", s)]) for s in range(4)]
+
+    def seeds():
+        return [_train_attack_spec(c, e, b).seed for c in configs
+                for e in range(1, 9) for b in range(8)]
+    first = seeds()
+    assert len(set(first)) == 4 * 8 * 8
+    assert all(isinstance(v, int) and 0 <= v < 2**64 for v in first)
+    assert seeds() == first
 
 
 def test_sgd_step_momentum_arithmetic():

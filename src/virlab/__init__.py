@@ -8,7 +8,7 @@ training/evaluation harness with CSV artifacts.
 """
 
 from .attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
-                      min_pgd_steps, pgd, project_linf, run_attack, spsa,
+                      min_pgd_steps, pgd, run_attack, spsa,
                       spsa_gradient_estimate)
 from .config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
                      desk_profile, paper_profile, resolve_config)

@@ -8,7 +8,7 @@ the gradient it ascends (the CE, KL or margin input gradient, or per-sample
 SPSA estimates). KL mode, the TRADES inner maximization, takes its
 reference from the model itself: the prediction at the natural input,
 computed inside the attack. GAIRAT's least-steps probe is a CE-mode PGD
-walk that also returns each sample's first-miss iteration.
+walk that reads each sample's first-miss iteration off its own forwards.
 
 Every attack is a pure function of (model, x, y, spec): the same inputs
 give bit-identical outputs. ``_rng`` keys its streams from spec.seed with
@@ -87,6 +87,8 @@ class AttackSpec:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.family in (AttackFamily.PGD, AttackFamily.CW_PGD) and self.step_size <= 0:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
         own = (LossMode.CW_MARGIN if self.family is AttackFamily.CW_PGD
@@ -111,20 +113,6 @@ class AttackSpec:
             raise ConfigError("start_noise_scale must be >= 0")
 
 
-def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:
-    """Clamp x_adv into the epsilon-ball of x_nat, then into bounds. Idempotent."""
-    x_adv = np.asarray(x_adv, dtype=np.float64)
-    x_nat = np.asarray(x_nat, dtype=np.float64)
-    if x_adv.shape != x_nat.shape:
-        raise ShapeError(f"shapes {x_adv.shape} and {x_nat.shape} differ")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    out = np.clip(x_adv, x_nat - epsilon, x_nat + epsilon)
-    if bounds is not None:
-        out = np.clip(out, bounds[0], bounds[1])
-    return out
-
-
 def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
     """The attack's inputs as a float batch, and its labels, checked once
     for the whole attack."""
@@ -136,10 +124,10 @@ def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
 
 def _input_gradient(model: Classifier, y, mode: LossMode,
                     reference: np.ndarray | None):
-    """x -> gradient at x of the attack loss, summed over the batch so each
-    sample's gradient is its own loss's: one input-mode forward, the loss's
-    gradient of the logits, and one layer backward, with no parameter
-    gradient. It follows the forward's rounding rule:
+    """x -> (gradient at x of the attack loss summed over the batch, so each
+    sample's gradient is its own loss's; the logits at x): one input-mode
+    forward, the loss's gradient of the logits, and one layer backward,
+    with no parameter gradient. It follows the forward's rounding rule:
     consecutive chunks of 64 rows give bitwise the whole batch's gradient,
     smaller chunks may not, and where the gradient is near zero (KL mode
     from a noise-free start) a sign step turns that into a whole step."""
@@ -150,14 +138,14 @@ def _input_gradient(model: Classifier, y, mode: LossMode,
             return _kl_softmax_dlogits(reference, z)
         return _cw_margin_dlogits(z, y)
 
-    def grad(x_np: np.ndarray) -> np.ndarray:
+    def grad(x_np: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         logits, cache = model._forward(x_np, "input")
         g = dlogits(logits)
         # x + 0.0 stores a -0.0 entry as +0.0, as the graph stores the first
         # gradient a tensor receives: the gradients stay bitwise the graph's.
         np.add(g, 0.0, out=g)
         dx = model._backward(cache, g)
-        return np.add(dx, 0.0, out=dx)
+        return np.add(dx, 0.0, out=dx), logits
     return grad
 
 
@@ -174,7 +162,8 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
             ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one attack engine: every family runs the projected sign ascent
 
-        cur <- project_linf(cur + step * sign(grad(cur)), x, epsilon, bounds)
+        cur <- clip(cur + step * sign(grad(cur)), x - epsilon, x + epsilon)
+        cur <- clip(cur, *bounds)
 
     FGSM takes one step of epsilon on the CE gradient. PGD and CW-PGD start
     from per-sample Gaussian noise and take ``iterations`` steps of
@@ -184,7 +173,8 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
 
     Returns (x_adv, first_miss): with record_first_miss (a CE-mode PGD
     spec) the iteration of the walk that first misclassifies each sample,
-    0 if x already is, the full budget if none; otherwise None.
+    0 if x already is, the full budget if none (so the last iterate needs
+    no forward: step k + 1's gives iterate k's logits); otherwise None.
     """
     if spec.family is not family:
         raise ConfigError(f"spec is for {spec.family.value}, not {family.value}")
@@ -210,12 +200,18 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
         grad = _input_gradient(model, y, spec.loss_mode, reference)
         if spec.start_noise_scale > 0:
             cur += spec.start_noise_scale * _rng(spec).standard_normal(x.shape)
-    for k in range(1, iterations + 1):
-        cur = project_linf(cur + step * np.sign(grad(cur)), x,
-                           spec.epsilon, spec.bounds)
-        if first_miss is not None:
+    for k in range(iterations):
+        g, logits = grad(cur)
+        if first_miss is not None and k > 0:  # the logits of iterate k
             undecided = first_miss == spec.iterations
-            first_miss[undecided & (predict_labels(model, cur) != y)] = k
+            first_miss[undecided & (logits.argmax(axis=1) != y)] = k
+        # The step is taken in g's buffer, which becomes the next iterate.
+        np.sign(g, out=g)
+        g *= step
+        g += cur
+        cur = np.clip(g, x - spec.epsilon, x + spec.epsilon, out=g)
+        if spec.bounds is not None:
+            np.clip(cur, *spec.bounds, out=cur)
     return cur, first_miss
 
 
@@ -308,16 +304,16 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
 
 
 def _spsa_gradient(model: Classifier, y, spec: AttackSpec):
-    """cur -> per-sample SPSA estimates at cur. Each row keeps its own
+    """cur -> (per-sample SPSA estimates at cur, None). Each row keeps its own
     stream across iterations, so its draws come in the same order whatever
     order the rows are visited in."""
     rngs = [_rng(spec, i) for i in range(len(y))]
 
-    def grad(cur: np.ndarray) -> np.ndarray:
+    def grad(cur: np.ndarray) -> tuple[np.ndarray, None]:
         out = np.empty_like(cur)
         for i, rng in enumerate(rngs):
             out[i] = _spsa_ce_estimate(model, cur[i], y[i], spec, rng)
-        return out
+        return out, None
     return grad
 
 

@@ -106,6 +106,8 @@ class DataSource:
         declared = {**required, **optional}
         for key, value in self.params.items():
             from_obj(declared[key], value, f"{where}.{key}")
+            if key in ("seed", "eval_seed") and value < 0:
+                raise ConfigError(f"{where}.{key} must be >= 0, got {value}")
         if self.kind == "idx":
             have = [k for k in ("eval_images", "eval_labels") if k in self.params]
             if len(have) == 1:
@@ -175,6 +177,8 @@ class TrainConfig:
         object.__setattr__(self, "attack_eval", tuple(self.attack_eval))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 1 or self.log_weights_every < 1:

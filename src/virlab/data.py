@@ -10,6 +10,7 @@ symmetric and difficulty is governed purely by the variance vector.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -51,33 +52,29 @@ class Dataset:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise DataFormatError(f"{path}: truncated while reading {what}")
-    return buf
+def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[list[int], bytes]:
+    """(dims, body) of an IDX file of ndim big-endian u32 dims: the body's
+    byte count is checked against the file's size before it is read."""
+    with open(path, "rb") as fh:
+        header = fh.read(4 + 4 * ndim)
+        if len(header) != 4 + 4 * ndim:
+            raise DataFormatError(f"{path}: truncated while reading header")
+        got, *dims = struct.unpack(f">{1 + ndim}I", header)
+        if got != magic:
+            raise DataFormatError(f"{path}: magic {got:#010x}, expected {magic:#010x}")
+        count, left = math.prod(dims), os.fstat(fh.fileno()).st_size - len(header)
+        if count > left:
+            raise DataFormatError(f"{path}: truncated: header declares {dims[0]} "
+                                  f"{what} ({count} bytes), {left} follow it")
+        if count < left:
+            raise DataFormatError(f"{path}: trailing bytes after {dims[0]} {what}")
+        return dims, fh.read(count)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a [0,1]-scaled flat dataset."""
-    with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}"
-            )
-        raw = _read_exact(fh, n * rows * cols, images_path, f"{n} images")
-        if fh.read(1):
-            raise DataFormatError(f"{images_path}: trailing bytes after {n} images")
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}"
-            )
-        label_raw = _read_exact(fh, n_labels, labels_path, f"{n_labels} labels")
-        if fh.read(1):
-            raise DataFormatError(f"{labels_path}: trailing bytes after {n_labels} labels")
+    (n, rows, cols), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    (n_labels,), label_raw = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if n != n_labels:
         raise DataFormatError(
             f"count mismatch: {images_path} has {n} images but "

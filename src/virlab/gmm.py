@@ -66,6 +66,8 @@ def sample_gmm(spec: GmmSpec, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     """Draw (features, labels in {-1,+1}); deterministic in seed."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     labels = np.where(rng.random(n) < spec.prior, 1, -1)
     x = rng.standard_normal((n, spec.d))

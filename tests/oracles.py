@@ -68,6 +68,13 @@ def layered_forward(model, x) -> Tensor:
     return h
 
 
+def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:
+    """Clip x_adv into the epsilon-ball of x_nat, then into bounds: the
+    attack engine's projection, written out for the loops that replay it."""
+    out = np.clip(x_adv, x_nat - epsilon, x_nat + epsilon)
+    return out if bounds is None else np.clip(out, bounds[0], bounds[1])
+
+
 def graph_input_gradient(model, x, y, mode: LossMode, reference=None):
     """(logits gradient, input gradient) of an attack loss summed over the
     batch, taken through the layered Tensor graph with the parameters as

@@ -13,11 +13,11 @@ import pytest
 
 import virlab
 from conftest import make_mlp
-from oracles import layered_forward
+from oracles import layered_forward, project_linf
 from virlab import attacks, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
-                            min_pgd_steps, pgd, project_linf, run_attack,
-                            spsa, spsa_gradient_estimate)
+                            min_pgd_steps, pgd, run_attack, spsa,
+                            spsa_gradient_estimate)
 from virlab.errors import ConfigError, NonFiniteError, ShapeError
 from virlab.models import (Arch, Classifier, ConvStem, predict_labels,
                            predict_probs)
@@ -33,34 +33,42 @@ def ce_sum(model, x, y) -> float:
     return cross_entropy_rows(model.forward(Tensor(x)), y).sum().item()
 
 
-# -- the projection --------------------------------------------------------------
+# -- the projection: into the epsilon-ball, then the bounds ---------------------
 
 
-def test_project_linf_clamps_to_ball():
-    out = project_linf(np.array([0.8]), np.array([0.5]), 8.0 / 255.0)
-    np.testing.assert_allclose(out, [0.5 + 8.0 / 255.0], rtol=1e-12)
-    np.testing.assert_allclose(out, [0.5313725490196078], rtol=1e-12)
+PROJECTION_SPECS = {
+    "fgsm": AttackSpec(AttackFamily.FGSM, epsilon=0.1),
+    "pgd": AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.3,
+                      start_noise_scale=0.0),
+    "cw_pgd": AttackSpec(AttackFamily.CW_PGD, epsilon=0.1, step_size=0.3,
+                         start_noise_scale=0.0),
+    "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=4,
+                       spsa_lr=0.3),
+}
 
 
-def test_project_linf_applies_bounds_after_ball():
-    out = project_linf(np.array([-0.5]), np.array([0.02]), 0.1, bounds=(0.0, 1.0))
-    np.testing.assert_array_equal(out, [0.0])
+@pytest.mark.parametrize("family", ["pgd", "cw_pgd", "spsa"])
+def test_engine_clamps_to_ball(family):
+    # A step of 0.3 overshoots the 8/255 ball: each moved coordinate lands
+    # on its edge, x + epsilon or x - epsilon exactly.
+    eps = 8.0 / 255.0
+    spec = replace(PROJECTION_SPECS[family], epsilon=eps)
+    x = np.full((3, 4), 0.5)
+    y = np.array([0, 1, 2])
+    out = run_attack(linear_model(), x, y, spec)
+    assert np.all((out == x + eps) | (out == x - eps))
 
 
-def test_project_linf_is_idempotent(rng):
-    x_nat = rng.uniform(-1.0, 2.0, size=(6, 5))
-    x_adv = x_nat + rng.uniform(-3, 3, size=(6, 5))
-    once = project_linf(x_adv, x_nat, 0.3, bounds=(-1.0, 2.0))
-    twice = project_linf(once, x_nat, 0.3, bounds=(-1.0, 2.0))
-    np.testing.assert_array_equal(once, twice)
-    assert np.abs(once - x_nat).max() <= 0.3 + 1e-15
-
-
-def test_project_linf_validation():
-    with pytest.raises(ConfigError):
-        project_linf(np.ones(3), np.ones(3), 0.0)
-    with pytest.raises(ShapeError):
-        project_linf(np.ones(3), np.ones(4), 0.1)
+@pytest.mark.parametrize("family", list(PROJECTION_SPECS))
+def test_engine_applies_bounds_after_ball(family):
+    # x lies more than epsilon below the bounds: clipped to the ball first,
+    # then to the bounds, every coordinate is the lower bound, whichever
+    # way the step went. The other order would leave it at -0.4, the
+    # ball's upper edge.
+    spec = replace(PROJECTION_SPECS[family], bounds=(0.0, 1.0))
+    x = np.full((3, 4), -0.5)
+    out = run_attack(linear_model(), x, np.array([0, 1, 2]), spec)
+    np.testing.assert_array_equal(out, np.zeros_like(x))
 
 
 # -- spec validation -------------------------------------------------------------
@@ -400,6 +408,31 @@ def test_min_pgd_steps_walks_pgds_trajectory(rng, noise):
                          for r in range(24)])
     np.testing.assert_array_equal(k, expected)
     assert len(set(k.tolist())) > 2  # the walk breaks samples at several steps
+
+
+def test_min_pgd_steps_makes_one_forward_beyond_pgd(rng):
+    # kappa for iterate k is read from step k + 1's gradient forward, so
+    # the probe adds only the prediction at x to pgd's forwards.
+    model = make_mlp((8, 16, 3), seed=1)
+    calls = []
+    forward = model._forward
+
+    def counting_forward(x, grad=None):
+        calls.append(grad)
+        return forward(x, grad)
+
+    model._forward = counting_forward
+    x = rng.standard_normal((64, 8))
+    y = rng.integers(0, 3, size=64)
+    spec = AttackSpec(AttackFamily.PGD, epsilon=0.5, step_size=0.1,
+                      iterations=10, seed=3)
+    x_pgd = pgd(model, x, y, spec)
+    walk = list(calls)
+    calls.clear()
+    x_adv, k = min_pgd_steps(model, x, y, spec)
+    assert calls == [None] + walk
+    np.testing.assert_array_equal(x_adv, x_pgd)
+    assert len(set(k.tolist())) > 2
 
 
 # -- CW-PGD ----------------------------------------------------------------------

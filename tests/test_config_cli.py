@@ -649,6 +649,32 @@ def test_cli_train_rejects_a_training_attack_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+ONE_EPOCH = ["--epochs", "1", "--set", "optimizer.milestones=[]"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", *ONE_EPOCH, "--seed", "-3"], "config: seed must be >= 0, got -3"),
+    (["train", *ONE_EPOCH, "--set", "dataset.seed=-2"],
+     "dataset[synth].seed must be >= 0, got -2"),
+    (["train", *ONE_EPOCH, "--set", "dataset.eval_seed=-5"],
+     "dataset[synth].eval_seed must be >= 0, got -5"),
+    (["train", *ONE_EPOCH, "--set",
+      'attack_eval=[{"family":"FGSM","epsilon":0.1,"seed":-3}]'],
+     "config.attack_eval[0]: seed must be >= 0, got -3"),
+    (["sweep", "--seed", "-3"], "config: seed must be >= 0, got -3"),
+    (["theory", "--seed", "-1", "--n", "20000"], "seed must be >= 0, got -1"),
+], ids=["train-seed", "dataset-seed", "dataset-eval-seed", "attack-eval-seed",
+        "sweep-seed", "theory-seed"])
+def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys, argv, message):
+    # numpy's seeding rejects a negative seed only when a stream is drawn,
+    # which for an eval attack is after config.json is written.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, out_name", [("eval", "eval"),
                                                ("attack", "adv.csv")])
 @pytest.mark.parametrize("layers, mismatch", [

@@ -1,11 +1,13 @@
 """Dataset containers, IDX/CSV serialization, synthetic mixtures, and
 seeded batching."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from virlab.cli import main
 from virlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset,
                          batch_indices, from_gmm, load_csv, load_idx,
                          save_csv, save_idx, simplex_means, synth_multiclass)
@@ -83,6 +85,29 @@ def test_load_idx_truncation_and_trailing_bytes(tmp_path):
     ip.write_bytes(raw[:10])
     with pytest.raises(DataFormatError, match="header"):
         load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_cli_train_rejects_an_idx_header_larger_than_its_file(tmp_path, capsys, which):
+    # 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels is more bytes than a read
+    # can ask for; the header is checked against the file's size first.
+    ds = pixel_dataset()
+    paths = {"images": tmp_path / "imgs.idx", "labels": tmp_path / "lbls.idx"}
+    save_idx(ds, paths["images"], paths["labels"], rows=3, cols=4)
+    raw = paths[which].read_bytes()
+    header = (struct.pack(">IIII", IDX_IMAGES_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF)
+              if which == "images" else
+              struct.pack(">II", IDX_LABELS_MAGIC, 0xFFFFFFFF))
+    paths[which].write_bytes(header + raw[len(header):])
+    dataset = {"kind": "idx", "images": str(paths["images"]),
+               "labels": str(paths["labels"])}
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "1", "--set", "optimizer.milestones=[]",
+                 "--set", f"dataset={json.dumps(dataset)}", "--set",
+                 "attack_eval=[]", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[which]}: truncated"), err
+    assert not out.exists()
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -1,18 +1,18 @@
 """Golden byte-identity gate: `virlab train` artifacts pinned by sha256.
 
 Performance work on the autodiff engine must not change a single output
-bit. These digests were recorded before any hot-path change; a mismatch
-means the arithmetic (or its summation order) moved, not just its speed.
+bit. Every digest was last recorded when the attacks' random streams were
+rekeyed with SeedSequence, a declared change of output; a mismatch means
+the arithmetic (or its summation order) moved, not just its speed.
 The desk run pins the MLP path; the tiny conv-stem runs on a saved IDX
 fixture pin the sliding_patches, matmul and KL backward paths, the CW and
 SPSA attacks, the GAIRAT least-steps probe and the final confusion
 matrices. GAIRAT counts kappa on a CE-mode PGD walk out of
 attack_train.iterations steps: GAIRAT_CE_PGD, whose training attack is
 that walk, pins the shared trajectory, and VIR_TRADES, whose training
-attack ascends KL, pins the probe run beside it. Both were recorded while
-the budget was still a separate ``k_pgd`` key equal to the iterations. ``virlab attack`` on each conv checkpoint pins every attack
-family's adversarial examples, KL-mode PGD and multi-iteration SPSA
-included.
+attack ascends KL, pins the probe run beside it. ``virlab attack`` on
+each conv checkpoint pins every attack family's adversarial examples,
+KL-mode PGD and multi-iteration SPSA included.
 """
 
 import hashlib

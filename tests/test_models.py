@@ -275,11 +275,15 @@ def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
             return Classifier._backward(_m, cache, g)
 
         monkeypatch.setattr(m, "_backward", spy)
-        got = attacks._input_gradient(m, ORACLE_Y, mode, reference)(xb)
+        got, logits = attacks._input_gradient(m, ORACLE_Y, mode, reference)(xb)
         want_dlogits, want = graph_input_gradient(m, xb, ORACLE_Y, mode, reference)
         np.testing.assert_array_equal(_bits(handed[0]), _bits(want_dlogits),
                                       err_msg=name)
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+        # The logits it hands back, which the least-steps probe reads, are
+        # the plain forward's.
+        np.testing.assert_array_equal(_bits(logits), _bits(m._forward(xb)[0]),
+                                      err_msg=name)
 
 
 def test_predict_probs_rows_are_distributions():

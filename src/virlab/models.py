@@ -2,8 +2,10 @@
 
 The network is plain numpy: ``_forward`` computes the logits and
 ``_backward`` backpropagates by hand (relu masks, the dense layers in
-reverse, then the conv stem through the tensor module's reversed
-slice-add), bitwise what a graph of the tensor module's layer ops gives.
+reverse, then the conv stem, whose input gradient is formed as
+offset-major slabs, one contiguous [batch * positions] run per kernel
+offset, and added back by the tensor module's reversed slice-add),
+bitwise what a graph of the tensor module's layer ops gives.
 ``_forward``'s one mode, ``grad``, fixes what it keeps and what
 ``_backward`` does: None keeps nothing, "input" gives the attacks the
 input's gradient, "params" every parameter's, which ``forward`` wraps as
@@ -171,6 +173,13 @@ class Classifier:
         kept ``cache``. A "params" cache: every parameter accumulates its
         gradient (a frozen one drops it) and None is returned. An "input"
         cache: the input's gradient is returned and no parameter is touched.
+
+        The stem's input gradient is taken as ``W @ g.T``, offset-major
+        [kernel_size**2, batch * positions] slabs, rather than the patch
+        rows' ``g @ W.T``: each offset is one contiguous slab for
+        ``_patch_grad`` to add back. Every element is the same dot product
+        over the filters; on OpenBLAS 0.3.31 dx is bitwise the row-major
+        layout's, tested against the layered graph at the paper's shape.
         """
         grad, patches, fmap, inputs = cache
         params = grad == "params"
@@ -194,7 +203,7 @@ class Classifier:
             w._accumulate(patches.T @ g, owned=True)
             b._accumulate(g.sum(axis=0), owned=True)
             return None
-        return _patch_grad(g @ w.data.T, inputs[0].shape[0], conv.height,
+        return _patch_grad(w.data @ g.T, inputs[0].shape[0], conv.height,
                            conv.width, conv.kernel_size)
 
     def forward(self, x) -> Tensor:

@@ -418,23 +418,26 @@ def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.
     return np.ascontiguousarray(patches)
 
 
-def _patch_grad(g: np.ndarray, batch: int, height: int, width: int,
+def _patch_grad(slabs: np.ndarray, batch: int, height: int, width: int,
                 kernel_size: int) -> np.ndarray:
-    """Gradient of the flattened images from the gradient ``g`` of their
-    patch rows: the reverse of _patch_rows, as a fresh [batch, height * width].
+    """Gradient of the flattened images from the gradient of their patch
+    rows: the reverse of _patch_rows, as a fresh [batch, height * width].
 
-    Each kernel offset's slab is added back onto its shifted window. Offsets
-    run in reverse so every pixel sums its contributions in increasing patch
-    order, the order an np.add.at scatter over the row-major patch layout
-    uses: the result is bitwise the same.
+    ``slabs`` is that gradient offset-major, [kernel_size**2, batch * out_h *
+    out_w] (the transpose of the patch rows' layout), in any strides: a
+    C-contiguous array makes each kernel offset's slab one contiguous run.
+    Each slab is added back onto its shifted window. Offsets run in reverse
+    so every pixel sums its contributions in increasing patch order, the
+    order an np.add.at scatter over the row-major patch layout uses: the
+    result is bitwise the same.
     """
     out_h = height - kernel_size + 1
     out_w = width - kernel_size + 1
-    per_offset = g.reshape(batch, out_h, out_w, kernel_size, kernel_size)
+    per_offset = slabs.reshape(kernel_size, kernel_size, batch, out_h, out_w)
     full = np.zeros((batch, height, width))
     for ki in reversed(range(kernel_size)):
         for kj in reversed(range(kernel_size)):
-            full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[:, :, :, ki, kj]
+            full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[ki, kj]
     return full.reshape(batch, height * width)
 
 
@@ -453,7 +456,7 @@ def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Ten
     out = Tensor._from_op(_patch_rows(v, height, width, kernel_size), (x,))
 
     def backward(g):
-        x._accumulate(_patch_grad(g, v.shape[0], height, width, kernel_size),
+        x._accumulate(_patch_grad(g.T, v.shape[0], height, width, kernel_size),
                       owned=True)
 
     out._backward = backward

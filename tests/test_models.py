@@ -286,6 +286,27 @@ def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
                                       err_msg=name)
 
 
+@pytest.fixture(scope="module")
+def paper_model():
+    # The paper's shape: a 28x28 k5 F8 stem, then dense 128-64-10.
+    stem = ConvStem(height=28, width=28, filters=8, kernel_size=5)
+    return Classifier(Arch((stem.out_dim, 128, 64, 10), conv=stem), seed=5)
+
+
+@pytest.mark.parametrize("mode", [LossMode.CE, LossMode.CW_MARGIN])
+@pytest.mark.parametrize("batch", [1, 7, 64, 128])
+def test_attack_input_gradient_is_bitwise_the_graph_at_paper_shape(
+        paper_model, batch, mode):
+    # The stem's offset-major input backward against the graph's row-major
+    # one, at the shape and batch sizes the attacks run.
+    rng = np.random.default_rng(batch)
+    x = rng.uniform(0.0, 1.0, size=(batch, paper_model.arch.input_dim))
+    y = rng.integers(0, 10, size=batch)
+    got, _ = attacks._input_gradient(paper_model, y, mode, None)(x)
+    _, want = graph_input_gradient(paper_model, x, y, mode)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 def test_predict_probs_rows_are_distributions():
     model = make_mlp((4, 8, 3), seed=1)
     p = predict_probs(model, np.random.default_rng(2).standard_normal((6, 4)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
 from virlab.errors import ShapeError
-from virlab.tensor import (PROB_FLOOR, Tensor, cross_entropy_rows,
+from virlab.tensor import (PROB_FLOOR, Tensor, _patch_grad, cross_entropy_rows,
                            kl_divergence, sliding_patches, softmax)
 
 
@@ -310,9 +310,27 @@ def test_sliding_patches_gradient():
     check_grad(lambda t: projected(sliding_patches(t, 3, 4, 2), seed=29), x0)
 
 
-@pytest.mark.parametrize("h, w, k", [(28, 28, 5), (28, 28, 1), (28, 28, 28),
-                                     (9, 13, 4)])
+PATCH_SHAPES = [(28, 28, 5), (28, 28, 1), (28, 28, 28), (9, 13, 4)]
+
+
+def scatter_add_oracle(g, batch, h, w, k):
+    """Input gradient from ``g``, the row-major patch rows' gradient
+    [batch * out_h * out_w, k * k]: scatter-add every patch element onto
+    its flat input index, patches in row-major scan order, elements
+    row-major within a patch."""
+    out_h, out_w = h - k + 1, w - k + 1
+    rows = np.arange(out_h)[:, None, None, None] + np.arange(k)[None, None, :, None]
+    cols = np.arange(out_w)[None, :, None, None] + np.arange(k)[None, None, None, :]
+    flat_idx = (rows * w + cols).reshape(-1)
+    expected = np.zeros((batch, h * w))
+    np.add.at(expected.T, flat_idx, g.reshape(batch, -1).T)
+    return expected
+
+
+@pytest.mark.parametrize("h, w, k", PATCH_SHAPES)
 def test_sliding_patches_backward_is_bitwise_the_scatter_add(h, w, k):
+    # The Tensor op hands _patch_grad the strided g.T of its row-major
+    # gradient.
     rng = np.random.default_rng(13)
     batch = 4
     x = Tensor(rng.standard_normal((batch, h * w)), requires_grad=True)
@@ -320,15 +338,22 @@ def test_sliding_patches_backward_is_bitwise_the_scatter_add(h, w, k):
     g = rng.standard_normal(out.shape)
     (out * Tensor(g)).sum().backward()  # out.grad is exactly g
 
-    # Oracle: scatter-add every patch element onto its flat input index,
-    # patches in row-major scan order, elements row-major within a patch.
-    out_h, out_w = h - k + 1, w - k + 1
-    rows = np.arange(out_h)[:, None, None, None] + np.arange(k)[None, None, :, None]
-    cols = np.arange(out_w)[None, :, None, None] + np.arange(k)[None, None, None, :]
-    flat_idx = (rows * w + cols).reshape(-1)
-    expected = np.zeros((batch, h * w))
-    np.add.at(expected.T, flat_idx, g.reshape(batch, -1).T)
+    expected = scatter_add_oracle(g, batch, h, w, k)
     assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("h, w, k", PATCH_SHAPES)
+def test_patch_grad_of_offset_major_slabs_is_bitwise_the_scatter_add(h, w, k, batch):
+    # The conv stem hands _patch_grad C-contiguous offset-major slabs,
+    # [k * k, batch * out_h * out_w], one contiguous run per offset.
+    rng = np.random.default_rng(17)
+    slabs = rng.standard_normal((k * k, batch * (h - k + 1) * (w - k + 1)))
+    got = _patch_grad(slabs, batch, h, w, k)
+
+    expected = scatter_add_oracle(slabs.T, batch, h, w, k)
+    assert got.shape == (batch, h * w)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_sliding_patches_shape_validation():

@@ -17,7 +17,7 @@ from .codec import check_keys, from_obj, to_obj
 from .data import Dataset, from_gmm, load_csv, load_idx, synth_multiclass
 from .errors import ConfigError
 from .gmm import GmmSpec
-from .models import Arch, ConvStem
+from .models import DTYPES, Arch, ConvStem
 from .objectives import ObjectiveSpec
 from .reweight import WeightFamily
 
@@ -47,15 +47,20 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dense widths plus an optional single conv stem (needs image geometry)."""
+    """Dense widths plus an optional single conv stem (needs image geometry),
+    and the dtype the network computes in."""
 
     hidden: tuple[int, ...] = (64, 64)
     conv: ConvStem | None = None
+    dtype: str = "float64"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(
+                f"model.dtype must be one of {list(DTYPES)}, got {self.dtype!r}")
 
     def arch(self, input_dim: int, num_classes: int) -> Arch:
         if self.conv is not None:
@@ -64,8 +69,9 @@ class ModelConfig:
                     f"conv stem expects {self.conv.height}x{self.conv.width}"
                     f"={self.conv.height * self.conv.width} inputs, data has {input_dim}"
                 )
-            return Arch((self.conv.out_dim, *self.hidden, num_classes), self.conv)
-        return Arch((input_dim, *self.hidden, num_classes))
+            return Arch((self.conv.out_dim, *self.hidden, num_classes), self.conv,
+                        self.dtype)
+        return Arch((input_dim, *self.hidden, num_classes), dtype=self.dtype)
 
 
 _DATA_KEYS: dict[str, tuple[dict, dict]] = {
@@ -297,7 +303,7 @@ def desk_profile() -> dict:
              "iterations": 20, "loss_mode": "CE", "seed": 1234},
             {"family": "FGSM", "epsilon": 0.75, "seed": 1234},
         ],
-        "model": {"hidden": [64, 64], "conv": None},
+        "model": {"hidden": [64, 64], "conv": None, "dtype": "float64"},
         "dataset": {"kind": "synth", "num_classes": 3, "dim": 8,
                     "variances": [1.0, 1.0, 4.0], "separation": 4.0,
                     "per_class_n": 200, "seed": 0,
@@ -342,7 +348,8 @@ def paper_profile() -> dict:
         ],
         "model": {"hidden": [128, 64],
                   "conv": {"height": 28, "width": 28, "filters": 8,
-                           "kernel_size": 5}},
+                           "kernel_size": 5},
+                  "dtype": "float32"},
         "dataset": {"kind": "idx", "images": "train-images-idx3-ubyte",
                     "labels": "train-labels-idx1-ubyte"},
     }

@@ -5,7 +5,11 @@ The network is plain numpy: ``_forward`` computes the logits and
 reverse, then the conv stem, whose input gradient is formed as
 offset-major slabs, one contiguous [batch * positions] run per kernel
 offset, and added back by the tensor module's reversed slice-add),
-bitwise what a graph of the tensor module's layer ops gives.
+bitwise what a graph of the tensor module's layer ops gives. The network
+computes in its arch's ``dtype`` (float64 or float32) and its boundary is
+float64: ``_forward`` casts its input in and returns float64 logits, and
+``_backward`` casts the logits' gradient in and returns float64 (an exact
+upcast). At float64 every cast is a no-op.
 ``_forward``'s one mode, ``grad``, fixes what it keeps and what
 ``_backward`` does: None keeps nothing, "input" gives the attacks the
 input's gradient, "params" every parameter's, which ``forward`` wraps as
@@ -17,7 +21,8 @@ a length-prefixed canonical-JSON metadata document (architecture, epoch,
 rng seed), then each parameter as length-prefixed name, 8-byte little-endian
 rank, dims, and raw little-endian float64 payload, then a trailing 4-byte
 little-endian CRC32 of everything prior. All integer prefixes are 8-byte
-little-endian unsigned.
+little-endian unsigned. A float32 parameter is stored upcast, which is
+exact; loading casts it back and rejects a value float32 cannot hold.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .tensor import (Tensor, _check_logits, _patch_grad, _patch_rows,
 
 MAGIC = b"VIRCKPT1"
 _U64 = struct.Struct("<Q")
+# The dtypes a network may compute in (``model.dtype``).
+DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -75,10 +82,12 @@ class Arch:
 
     ``layers`` runs from the dense input width through the class count; with a
     conv stem, layers[0] must equal the stem's flattened output size.
+    ``dtype`` is the one the parameters and activations are held in.
     """
 
     layers: tuple[int, ...]
     conv: ConvStem | None = None
+    dtype: str = "float64"
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(int(w) for w in self.layers))
@@ -90,6 +99,16 @@ class Arch:
             raise ConfigError(
                 f"dense input {self.layers[0]} != conv output {self.conv.out_dim}"
             )
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {list(DTYPES)}, got {self.dtype!r}")
+
+    def to_obj(self) -> dict:
+        """The wire form; a float64 arch omits its dtype, so it serialises
+        (and its checkpoints hash) as before the field existed."""
+        obj = {"layers": list(self.layers), "conv": to_obj(self.conv)}
+        if self.dtype != "float64":
+            obj["dtype"] = self.dtype
+        return obj
 
     @property
     def input_dim(self) -> int:
@@ -106,44 +125,46 @@ class Classifier:
     """MLP (optionally behind a conv stem) producing raw logits.
 
     Weights start uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases at
-    zero, drawn from a PCG64 stream so a seed pins every parameter.
+    zero, drawn from a PCG64 stream so a seed pins every parameter; a
+    float32 model rounds the same float64 draws.
     """
 
     def __init__(self, arch: Arch, seed: int = 0):
         self.arch = arch
+        self.dtype = np.dtype(arch.dtype)
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(np.random.PCG64(seed))
+
+        def param(values: np.ndarray) -> Tensor:
+            return Tensor(values.astype(self.dtype, copy=False), requires_grad=True)
+
         if arch.conv is not None:
             k = arch.conv.kernel_size
             bound = 1.0 / np.sqrt(k * k)
-            self.params["conv.weight"] = Tensor(
-                rng.uniform(-bound, bound, size=(k * k, arch.conv.filters)),
-                requires_grad=True,
-            )
-            self.params["conv.bias"] = Tensor(
-                np.zeros(arch.conv.filters), requires_grad=True
-            )
+            self.params["conv.weight"] = param(
+                rng.uniform(-bound, bound, size=(k * k, arch.conv.filters)))
+            self.params["conv.bias"] = param(np.zeros(arch.conv.filters))
         for i, (fan_in, fan_out) in enumerate(zip(arch.layers, arch.layers[1:])):
             bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"dense{i}.weight"] = Tensor(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True
-            )
-            self.params[f"dense{i}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
+            self.params[f"dense{i}.weight"] = param(
+                rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            self.params[f"dense{i}.bias"] = param(np.zeros(fan_out))
 
     def _forward(self, x: np.ndarray, grad: str | None = None) -> tuple:
-        """Logits for a [batch, input_dim] array, and the cache ``_backward``
-        needs for the gradient ``grad`` names: None keeps nothing,
-        "params" every activation, "input" all but the stem's patches,
-        which only the stem's weight gradient reads. NonFiniteError if a
-        logit is not finite.
+        """Float64 logits for a [batch, input_dim] array, computed in the
+        model's dtype, and the cache ``_backward`` needs for the gradient
+        ``grad`` names: None keeps nothing, "params" every activation,
+        "input" all but the stem's patches, which only the stem's weight
+        gradient reads. NonFiniteError if a logit is not finite.
 
         A row's logits depend on that row alone only up to rounding: the
         BLAS kernel may round a row by where the batch puts it. Consecutive
-        chunks of 64 rows give bitwise the whole batch's logits (tested);
-        on OpenBLAS 0.3.31 chunks of 1 and 3 differ by up to 2e-16."""
+        chunks of 64 rows give bitwise the whole batch's logits (tested, in
+        both dtypes); on OpenBLAS 0.3.31 chunks of 1 and 3 differ by up to
+        2e-16 in float64."""
         if grad not in (None, "input", "params"):
             raise ValueError(f"grad must be None, 'input' or 'params', got {grad!r}")
-        x = np.asarray(x, dtype=np.float64, order="C")  # as a Tensor holds it
+        x = np.asarray(x, dtype=self.dtype, order="C")
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected [batch, {self.arch.input_dim}] input, got {x.shape}")
         conv, p = self.arch.conv, self.params
@@ -166,13 +187,15 @@ class Classifier:
             h += p[f"dense{i}.bias"].data
             if i < n_dense - 1:
                 np.maximum(h, 0.0, out=h)
-        return _check_logits(h), ((grad, patches, fmap, inputs) if grad else None)
+        logits = _check_logits(h.astype(np.float64, copy=False))
+        return logits, ((grad, patches, fmap, inputs) if grad else None)
 
     def _backward(self, cache: tuple, g: np.ndarray) -> np.ndarray | None:
         """Backpropagate ``g``, the gradient of the logits of the forward that
-        kept ``cache``. A "params" cache: every parameter accumulates its
-        gradient (a frozen one drops it) and None is returned. An "input"
-        cache: the input's gradient is returned and no parameter is touched.
+        kept ``cache``, in the model's dtype. A "params" cache: every
+        parameter accumulates its gradient (a frozen one drops it) and None
+        is returned. An "input" cache: the input's gradient is returned as
+        float64 and no parameter is touched.
 
         The stem's input gradient is taken as ``W @ g.T``, offset-major
         [kernel_size**2, batch * positions] slabs, rather than the patch
@@ -184,6 +207,7 @@ class Classifier:
         grad, patches, fmap, inputs = cache
         params = grad == "params"
         conv = self.arch.conv
+        g = g.astype(self.dtype, copy=False)
         for i in reversed(range(len(inputs))):
             w, b = self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"]
             if params:
@@ -195,7 +219,7 @@ class Classifier:
             if i > 0:
                 g *= inputs[i] > 0.0  # the relu mask of the layer in front
         if not conv:
-            return g
+            return g.astype(np.float64, copy=False)
         g = g.reshape(fmap.shape)
         g *= fmap > 0.0
         w, b = self.params["conv.weight"], self.params["conv.bias"]
@@ -203,8 +227,9 @@ class Classifier:
             w._accumulate(patches.T @ g, owned=True)
             b._accumulate(g.sum(axis=0), owned=True)
             return None
-        return _patch_grad(w.data @ g.T, inputs[0].shape[0], conv.height,
-                           conv.width, conv.kernel_size)
+        dx = _patch_grad(w.data @ g.T, inputs[0].shape[0], conv.height,
+                         conv.width, conv.kernel_size)
+        return dx.astype(np.float64, copy=False)
 
     def forward(self, x) -> Tensor:
         """Logits as one graph node whose parents are the parameters,
@@ -263,11 +288,14 @@ def save_checkpoint(model: Classifier, path, epoch: int = 0, rng_seed: int | Non
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Reads a checkpoint body through a memoryview: a parameter payload is
+    not copied before numpy views it."""
+
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError("checkpoint truncated")
         out = self.buf[self.pos : self.pos + n]
@@ -283,7 +311,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
-    """Rebuild a model from disk; returns (model, epoch, rng_seed)."""
+    """Rebuild a model from disk, in the dtype its arch names; returns
+    (model, epoch, rng_seed). CheckpointError if a stored value would round
+    in that dtype."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4:
@@ -295,21 +325,22 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
             )
         raise CheckpointError("not a checkpoint file (bad magic)")
     (stored_crc,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    body = memoryview(raw)[:-4]
+    if zlib.crc32(body) != stored_crc:
         raise CheckpointError("checkpoint CRC mismatch")
 
-    r = _Reader(raw[:-4])
+    r = _Reader(body)
     r.take(len(MAGIC))
     try:
-        meta = from_obj(CheckpointMeta, json.loads(r.take(r.u64()).decode("utf-8")),
-                        "metadata")
+        meta = from_obj(CheckpointMeta,
+                        json.loads(bytes(r.take(r.u64())).decode("utf-8")), "metadata")
     except ValueError as e:  # a ConfigError, JSONDecodeError or UnicodeDecodeError
         raise CheckpointError(f"bad checkpoint architecture or metadata: {e}") from e
 
     params: dict[str, np.ndarray] = {}
     while r.remaining > 0:
         try:
-            name = r.take(r.u64()).decode("utf-8")
+            name = bytes(r.take(r.u64())).decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"parameter name is not UTF-8: {e}") from e
         rank = r.u64()
@@ -320,7 +351,7 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
         data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
         if name in params:
             raise CheckpointError(f"duplicate parameter {name!r}")
-        params[name] = data.astype(np.float64)
+        params[name] = data
 
     model = Classifier(meta.arch, seed=0)
     if set(params) != set(model.params):
@@ -333,5 +364,12 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
                 f"parameter {name!r} has shape {params[name].shape}, "
                 f"expected {tensor.data.shape}"
             )
-        tensor.data = np.ascontiguousarray(params[name])
+        with np.errstate(over="ignore"):  # an overflow is caught just below
+            value = params[name].astype(model.dtype)
+        off = value != params[name]  # NaN too, which the cast keeps
+        if off.any() and not np.isnan(params[name][off]).all():
+            raise CheckpointError(
+                f"parameter {name!r} holds a value {model.dtype} cannot represent "
+                "exactly")
+        tensor.data = value
     return model, meta.epoch, meta.rng_seed

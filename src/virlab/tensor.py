@@ -1,4 +1,5 @@
-"""Reverse-mode automatic differentiation on float64 numpy arrays.
+"""Reverse-mode automatic differentiation on numpy arrays: float64, or
+float32 for the parameters of a float32 network.
 
 A Tensor wraps an ndarray and remembers how it was produced; the implicit
 DAG of parent links doubles as the computation graph. Calling backward()
@@ -57,7 +58,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # asarray(order="C"), not ascontiguousarray: the latter promotes
         # 0-d scalars to shape (1,), breaking the scalar-loss contract.
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        # float32 data stays float32; anything else becomes float64.
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.asarray(data, dtype=dtype, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -421,7 +424,8 @@ def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.
 def _patch_grad(slabs: np.ndarray, batch: int, height: int, width: int,
                 kernel_size: int) -> np.ndarray:
     """Gradient of the flattened images from the gradient of their patch
-    rows: the reverse of _patch_rows, as a fresh [batch, height * width].
+    rows: the reverse of _patch_rows, as a fresh [batch, height * width] of
+    the slabs' dtype.
 
     ``slabs`` is that gradient offset-major, [kernel_size**2, batch * out_h *
     out_w] (the transpose of the patch rows' layout), in any strides: a
@@ -434,7 +438,7 @@ def _patch_grad(slabs: np.ndarray, batch: int, height: int, width: int,
     out_h = height - kernel_size + 1
     out_w = width - kernel_size + 1
     per_offset = slabs.reshape(kernel_size, kernel_size, batch, out_h, out_w)
-    full = np.zeros((batch, height, width))
+    full = np.zeros((batch, height, width), dtype=slabs.dtype)
     for ki in reversed(range(kernel_size)):
         for kj in reversed(range(kernel_size)):
             full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[ki, kj]

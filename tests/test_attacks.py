@@ -844,16 +844,18 @@ def test_attacks_key_their_streams_only_in_rng():
 # -- batching --------------------------------------------------------------------
 
 
-def golden_conv_model() -> Classifier:
+def golden_conv_model(dtype: str = "float64") -> Classifier:
     """The architecture of the golden conv-stem runs (tests/test_golden.py)."""
     stem = ConvStem(height=7, width=6, filters=2, kernel_size=3)
-    return Classifier(Arch((stem.out_dim, 6, 3), conv=stem), seed=3)
+    return Classifier(Arch((stem.out_dim, 6, 3), conv=stem, dtype=dtype), seed=3)
 
 
 batch_models = pytest.mark.parametrize("make_model, scale", [
     (golden_conv_model, 1.0),
     (lambda: Classifier(Arch((8, 64, 64, 3)), seed=3), 4.0),  # the desk MLP
-], ids=["golden_conv", "desk_mlp"])
+    (lambda: golden_conv_model("float32"), 1.0),
+    (lambda: Classifier(Arch((8, 64, 64, 3), dtype="float32"), seed=3), 4.0),
+], ids=["golden_conv", "desk_mlp", "golden_conv_f32", "desk_mlp_f32"])
 
 
 @batch_models

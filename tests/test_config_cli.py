@@ -139,8 +139,8 @@ def test_config_round_trips_through_json():
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
 # config.json wire format of each shipped profile, byte for byte.
 PROFILE_JSON_SHA256 = {
-    "desk": "213698810f6ea3d5e619453603efe14bc95c840036edcd1e5601b13bb21e41be",
-    "paper": "43f0a98a2cf98a57e9e8b35cbd4cde1320114ae8f6620fdf070509358dba1ad5",
+    "desk": "ace3873c6131a938313ce1fb52b5539fcd8f7b6ea5287e7b421c7cdc4f46cf8b",
+    "paper": "d71190521aa944c7c4aa592933016b13ade7c35595844a5d25bfe0db065cb8b3",
 }
 
 

@@ -12,7 +12,8 @@ attack_train.iterations steps: GAIRAT_CE_PGD, whose training attack is
 that walk, pins the shared trajectory, and VIR_TRADES, whose training
 attack ascends KL, pins the probe run beside it. ``virlab attack`` on
 each conv checkpoint pins every attack family's adversarial examples,
-KL-mode PGD and multi-iteration SPSA included.
+KL-mode PGD and multi-iteration SPSA included. VIR_AT_F32 pins the same
+run computed in float32 (``model.dtype``).
 """
 
 import hashlib
@@ -60,6 +61,21 @@ CONV_SHA256 = {
             "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
         "confusion_spsa.csv":
             "ddabe81a2d2fd9849aadfcbe0fd05fae1edbb7da1e66e489717e5b3b0d5acd34",
+    },
+    "VIR_AT_F32": {
+        "metrics.csv": "a857badb43ccf06de993cf6283fb33de1cebfad64e7f68d4416317dacb944135",
+        "weights.csv": "f79efaf2c7649f8bcc5b02663162a10394914c8b8646d8025162bb3d652f1836",
+        "checkpoint.ckpt": "edad217a963ee1d5eb400711c0d9232c99f4bde3abb278e4a7d49bd4ecc25ddf",
+        "confusion_clean.csv":
+            "b0d820786f090f8a49c93d5e617e19f48ca1d2436d6459df2d0c621577b1b6d7",
+        "confusion_pgd.csv":
+            "987282af7aae6cf2079ed11e0759e59ea33763219fe1dac5cdaaa973d7094ef5",
+        "confusion_cw_pgd.csv":
+            "280644d80978fc257fffd3b1dcd9190dcebb4093479edf9ac311b04c4d7fd234",
+        "confusion_fgsm.csv":
+            "987282af7aae6cf2079ed11e0759e59ea33763219fe1dac5cdaaa973d7094ef5",
+        "confusion_spsa.csv":
+            "b0d820786f090f8a49c93d5e617e19f48ca1d2436d6459df2d0c621577b1b6d7",
     },
     "GAIRAT_CE_PGD": {
         "metrics.csv": "ff98eb5e4309b8a174500b17e23388cb328877c2112841546ad589f9c5efdef2",
@@ -112,6 +128,15 @@ ATTACK_SHA256 = {
         "fgsm": "ba53b801ebdc9e08532255d4fbee6d57595191c569c76fcd9a5a37f14644040d",
         "spsa": "e52427f56f20381010aa557c875afc9d6ac309955cbf805be4115f6e5a4e6ced",
     },
+    # The same bytes as VIR_AT's: at this size no float32 gradient flips
+    # the sign of a step.
+    "VIR_AT_F32": {
+        "pgd": "7b37b4113b57fb520f992e5af4228b39b4c5d7a9fd6a1d595761467698bad402",
+        "pgd_kl": "2f682d316115407f59bdd92001d276ca9b1244e8cb85e7413786a7bdacc7c7d0",
+        "cw_pgd": "26ebf1e93ac832318923e78a196d730eb85d63f74d5b240e4ea5b81985b2aa2d",
+        "fgsm": "0e7e6c656f6adb127af28c22d9973f85bafb60ca6fde46045a047f1377e1f118",
+        "spsa": "b1e4988f3f6ae691f24982718b82e4e2fd426f988e37fcb7d55b2074a77548e3",
+    },
     "GAIRAT_CE_PGD": {
         "pgd": "3b08c0e6715cc058b86ac306486915e339951e0151360ac59b0e475b34281c48",
         "pgd_kl": "75724ed9f9ddccdec71886f6a802bc264630603d29ec5875ea5810d113e2d548",
@@ -156,14 +181,17 @@ def _set_args(sets: dict) -> list[str]:
     return args
 
 
-# Run name -> (objective, weight family, attack_train settings). The
-# GAIRAT_CE_PGD run's training attack is strong enough to break samples at
-# every step count, so its weights pin each first-miss iteration.
+# Run name -> (objective, weight family, attack_train settings, model.dtype).
+# The GAIRAT_CE_PGD run's training attack is strong enough to break samples
+# at every step count, so its weights pin each first-miss iteration.
+# VIR_AT_F32 is VIR_AT computed in float32; the others set float64, which
+# the paper profile they start from does not.
 CONV_RUNS = {
-    "VIR_AT": ("VIR_AT", "VIR", {"loss_mode": "CE"}),
-    "VIR_TRADES": ("VIR_TRADES", "GAIRAT", {"loss_mode": "KL"}),
+    "VIR_AT": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float64"),
+    "VIR_AT_F32": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float32"),
+    "VIR_TRADES": ("VIR_TRADES", "GAIRAT", {"loss_mode": "KL"}, "float64"),
     "GAIRAT_CE_PGD": ("VIR_AT", "GAIRAT", {"loss_mode": "CE", "epsilon": 0.2,
-                                           "step_size": 0.06}),
+                                           "step_size": 0.06}, "float64"),
 }
 
 
@@ -172,7 +200,7 @@ def conv_run(request, tmp_path_factory):
     """(run name, run directory, --set args, exit code) of one conv-stem
     `virlab train`, shared by the tests of that run."""
     name = request.param
-    objective, family, attack_train = CONV_RUNS[name]
+    objective, family, attack_train, dtype = CONV_RUNS[name]
     tmp_path = tmp_path_factory.mktemp(name)
     paths = {}
     for split, n, seed in (("", 24, 7), ("eval_", 12, 8)):
@@ -187,6 +215,7 @@ def conv_run(request, tmp_path_factory):
         "epochs": 4, "batch_size": 4, "eval_every": 1, "log_weights_every": 1,
         "optimizer.milestones": [], "optimizer.base_lr": 0.1,
         "model.hidden": [6],
+        "model.dtype": dtype,
         "model.conv": {"height": HEIGHT, "width": WIDTH, "filters": 2,
                        "kernel_size": 3},
         "dataset": {"kind": "idx", **paths},

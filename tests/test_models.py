@@ -428,6 +428,7 @@ def test_checkpoint_rejects_mismatched_parameters(tmp_path):
     {"conv": None, "layers": [2, 3.5]},
     {"conv": {"height": 4}, "layers": [2, 3]},
     {"conv": None, "layers": [2, 3], "extra": 1},
+    {"conv": None, "layers": [2, 3], "dtype": "float16"},
 ])
 def test_checkpoint_rejects_malformed_arch(tmp_path, arch):
     # A CRC-valid file whose metadata decodes but describes no valid network.

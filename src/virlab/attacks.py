@@ -16,6 +16,9 @@ numpy's SeedSequence: the start noise is one draw of the attack's stream,
 row i taking the i-th block, and SPSA row i draws from its own stream
 (spawn key (i,)). Row i is the sample's row in the x handed to the attack:
 the dataset index in evaluation, the position in the minibatch in training.
+A split larger than the model's rows per forward (``models._chunk_rows``)
+is walked in chunks of that many rows, each row keeping its global index,
+so an attack's memory is bounded intermediates plus its split-sized output.
 
 Attacks need only the input gradient, so they build no autodiff graph:
 each gradient is one input-mode forward (``Classifier._forward(x,
@@ -24,9 +27,9 @@ logits from the tensor module's ``_*_dlogits`` helpers, and one layer
 backward (``Classifier._backward``) that forms no parameter gradient.
 The KL reference, predictions and SPSA scoring keep nothing. The model's
 parameters, their ``.grad`` and ``requires_grad`` included, are never
-touched. Labels are checked once per attack; ``Classifier._forward``
-checks the logits, so a non-finite model raises NonFiniteError at its
-first forward.
+touched. Inputs and labels are checked once per attack;
+``Classifier._forward`` checks the logits, so a non-finite model raises
+NonFiniteError at its first forward.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .models import Classifier, predict_labels, predict_probs
+from .errors import ConfigError
+from .models import (Classifier, _check_input, _chunk_rows, predict_labels,
+                     predict_probs)
 from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _cw_margin_dlogits,
                      _kl_softmax_dlogits)
 
@@ -117,8 +121,7 @@ def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
     """The attack's inputs as a float batch, and its labels, checked once
     for the whole attack."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected [batch, dim] inputs, got shape {x.shape}")
+    _check_input(model.arch, x)
     return x, _check_labels(y, x.shape[0], model.arch.num_classes)
 
 
@@ -171,6 +174,16 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     takes ``iterations`` steps of spsa_lr on per-sample SPSA estimates of
     the CE gradient. KL mode's reference is the model's own prediction at x.
 
+    The split runs in consecutive chunks of ``_chunk_rows`` rows, each
+    walked to the end before the next starts, so the network's
+    intermediates stay bounded whatever the split's size; only x_adv (and
+    first_miss) are the split's size, preallocated once. Each row keeps its
+    global index: the start noise is drawn chunk after chunk from one
+    stream (numpy's normals are sequential, so the chunks' draws are the
+    whole split's), and SPSA row i draws from ``_rng(spec, i)``. Chunks of
+    a multiple of 64 rows are bitwise the whole split's walk (the
+    batch-chunk rule).
+
     Returns (x_adv, first_miss): with record_first_miss (a CE-mode PGD
     spec) the iteration of the walk that first misclassifies each sample,
     0 if x already is, the full budget if none (so the last iterate needs
@@ -181,25 +194,45 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     if record_first_miss and spec.loss_mode is not LossMode.CE:
         raise ConfigError("least-steps probe requires a CE-mode PGD spec")
     x, y = _as_batch(x, y, model)
+    noise = (_rng(spec) if family in (AttackFamily.PGD, AttackFamily.CW_PGD)
+             and spec.start_noise_scale > 0 else None)
+    rows = _chunk_rows(model.arch)
+    x_adv = np.empty_like(x)
+    first_miss = np.empty(len(x), dtype=int) if record_first_miss else None
+    for s in range(0, len(x), rows):
+        part, miss = _walk(model, x[s:s + rows], y[s:s + rows], spec,
+                           record_first_miss, noise, s)
+        x_adv[s:s + rows] = part
+        if first_miss is not None:
+            first_miss[s:s + rows] = miss
+    return x_adv, first_miss
+
+
+def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
+          record_first_miss: bool, noise: np.random.Generator | None,
+          first_row: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_attack`` on one chunk, x and y, whose first row is row first_row
+    of the split: it draws its start noise from ``noise`` and keys SPSA
+    rows from first_row, and its KL reference is the chunk's."""
     first_miss = None
     if record_first_miss:
         first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
     if spec.epsilon == 0.0:
         return x.copy(), first_miss
     cur = x.copy()
-    if family is AttackFamily.FGSM:
+    if spec.family is AttackFamily.FGSM:
         step, iterations = spec.epsilon, 1
         grad = _input_gradient(model, y, LossMode.CE, None)
-    elif family is AttackFamily.SPSA:
+    elif spec.family is AttackFamily.SPSA:
         step, iterations = spec.spsa_lr, spec.iterations
-        grad = _spsa_gradient(model, y, spec)
+        grad = _spsa_gradient(model, y, spec, first_row)
     else:
         step, iterations = spec.step_size, spec.iterations
         reference = (predict_probs(model, x)
                      if spec.loss_mode is LossMode.KL else None)
         grad = _input_gradient(model, y, spec.loss_mode, reference)
-        if spec.start_noise_scale > 0:
-            cur += spec.start_noise_scale * _rng(spec).standard_normal(x.shape)
+        if noise is not None:
+            cur += spec.start_noise_scale * noise.standard_normal(x.shape)
     for k in range(iterations):
         g, logits = grad(cur)
         if first_miss is not None and k > 0:  # the logits of iterate k
@@ -303,11 +336,11 @@ def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpe
                           spec.spsa_perturb, rng)
 
 
-def _spsa_gradient(model: Classifier, y, spec: AttackSpec):
-    """cur -> (per-sample SPSA estimates at cur, None). Each row keeps its own
-    stream across iterations, so its draws come in the same order whatever
-    order the rows are visited in."""
-    rngs = [_rng(spec, i) for i in range(len(y))]
+def _spsa_gradient(model: Classifier, y, spec: AttackSpec, first_row: int):
+    """cur -> (per-sample SPSA estimates at cur, None), for rows first_row
+    onward of the split. Each row keeps its own stream across iterations, so
+    its draws come in the same order whatever order the rows are visited in."""
+    rngs = [_rng(spec, first_row + i) for i in range(len(y))]
 
     def grad(cur: np.ndarray) -> tuple[np.ndarray, None]:
         out = np.empty_like(cur)

@@ -228,10 +228,13 @@ def load_config_file(path) -> dict:
 
 
 def deep_merge(base: dict, override: dict) -> dict:
-    """Dicts merge recursively; lists and scalars replace wholesale."""
+    """Dicts merge recursively; lists and scalars replace wholesale, and so
+    does a dict naming another ``kind`` than the base's (a dataset of
+    another kind takes other keys)."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if (isinstance(v, dict) and isinstance(out.get(k), dict)
+                and v.get("kind", out[k].get("kind")) == out[k].get("kind")):
             out[k] = deep_merge(out[k], v)
         else:
             out[k] = v

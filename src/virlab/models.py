@@ -14,7 +14,9 @@ upcast). At float64 every cast is a no-op.
 ``_backward`` does: None keeps nothing, "input" gives the attacks the
 input's gradient, "params" every parameter's, which ``forward`` wraps as
 one autodiff node for the training losses (the only graph built). Every
-forward raises NonFiniteError on a non-finite logit.
+forward raises NonFiniteError on a non-finite logit. Predictions, like the
+attacks, forward a split in chunks of ``_chunk_rows`` rows, which the
+architecture sets, so their memory does not grow with the split.
 
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
@@ -121,6 +123,47 @@ class Arch:
         return self.layers[-1]
 
 
+def _param_shapes(arch: Arch) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in the order the parameters are drawn and
+    stored: the stem's weight and bias, then each dense layer's. A weight's
+    first dimension is its fan-in."""
+    shapes = {}
+    if arch.conv is not None:
+        k = arch.conv.kernel_size
+        shapes["conv.weight"] = (k * k, arch.conv.filters)
+        shapes["conv.bias"] = (arch.conv.filters,)
+    for i, (fan_in, fan_out) in enumerate(zip(arch.layers, arch.layers[1:])):
+        shapes[f"dense{i}.weight"] = (fan_in, fan_out)
+        shapes[f"dense{i}.bias"] = (fan_out,)
+    return shapes
+
+
+# The row budget: the elements one forward may hold in its widest per-row
+# activation. ``_chunk_rows`` turns it into rows per forward.
+_CHUNK_ELEMENTS = 1 << 21
+
+
+def _chunk_rows(arch: Arch) -> int:
+    """Rows per forward of an ``arch`` network outside training: the largest
+    multiple of 64, at least 64, whose widest per-row activation (the
+    stem's patch row of out_height * out_width * kernel_size**2, or else
+    the widest dense layer) fits in _CHUNK_ELEMENTS. 128 rows for the
+    paper's 28x28 k5 stem, 32,768 for the desk MLP. A multiple of 64 keeps
+    the batch-chunk rule (see ``Classifier._forward``): the chunks give
+    bitwise the whole batch's output."""
+    widest = max(arch.layers)
+    if arch.conv is not None:
+        c = arch.conv
+        widest = max(widest, c.out_height * c.out_width * c.kernel_size ** 2)
+    return max(64, _CHUNK_ELEMENTS // widest // 64 * 64)
+
+
+def _check_input(arch: Arch, x: np.ndarray) -> None:
+    """ShapeError unless x is a [batch, input_dim] array for ``arch``."""
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ShapeError(f"expected [batch, {arch.input_dim}] input, got {x.shape}")
+
+
 class Classifier:
     """MLP (optionally behind a conv stem) producing raw logits.
 
@@ -130,25 +173,24 @@ class Classifier:
     """
 
     def __init__(self, arch: Arch, seed: int = 0):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        values = {}
+        for name, shape in _param_shapes(arch).items():
+            if name.endswith("bias"):
+                values[name] = np.zeros(shape)
+            else:
+                bound = 1.0 / np.sqrt(shape[0])
+                values[name] = rng.uniform(-bound, bound, size=shape)
+        self._hold(arch, values)
+
+    def _hold(self, arch: Arch, values: dict[str, np.ndarray]) -> None:
+        """Take ``values`` (name -> array, in ``_param_shapes`` order) as the
+        parameters of an ``arch`` network, cast to its dtype."""
         self.arch = arch
         self.dtype = np.dtype(arch.dtype)
-        self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(np.random.PCG64(seed))
-
-        def param(values: np.ndarray) -> Tensor:
-            return Tensor(values.astype(self.dtype, copy=False), requires_grad=True)
-
-        if arch.conv is not None:
-            k = arch.conv.kernel_size
-            bound = 1.0 / np.sqrt(k * k)
-            self.params["conv.weight"] = param(
-                rng.uniform(-bound, bound, size=(k * k, arch.conv.filters)))
-            self.params["conv.bias"] = param(np.zeros(arch.conv.filters))
-        for i, (fan_in, fan_out) in enumerate(zip(arch.layers, arch.layers[1:])):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"dense{i}.weight"] = param(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.params[f"dense{i}.bias"] = param(np.zeros(fan_out))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(v.astype(self.dtype, copy=False), requires_grad=True)
+            for name, v in values.items()}
 
     def _forward(self, x: np.ndarray, grad: str | None = None) -> tuple:
         """Float64 logits for a [batch, input_dim] array, computed in the
@@ -165,8 +207,7 @@ class Classifier:
         if grad not in (None, "input", "params"):
             raise ValueError(f"grad must be None, 'input' or 'params', got {grad!r}")
         x = np.asarray(x, dtype=self.dtype, order="C")
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ShapeError(f"expected [batch, {self.arch.input_dim}] input, got {x.shape}")
+        _check_input(self.arch, x)
         conv, p = self.arch.conv, self.params
         patches = fmap = None
         h = x
@@ -250,14 +291,30 @@ class Classifier:
             p.zero_grad()
 
 
+def _logits(model: Classifier, x) -> np.ndarray:
+    """Float64 logits of x's rows, one forward per ``_chunk_rows`` rows, so
+    the forward's intermediates stay bounded whatever the split's size;
+    the chunks' logits fill one preallocated [rows, classes] array."""
+    x = np.asarray(x)
+    _check_input(model.arch, x)
+    rows = _chunk_rows(model.arch)
+    out = np.empty((len(x), model.arch.num_classes))
+    for s in range(0, len(x), rows):
+        out[s:s + rows] = model._forward(x[s:s + rows])[0]
+    return out
+
+
 def predict_probs(model: Classifier, x) -> np.ndarray:
-    """Softmax outputs as a plain array; no gradients are retained."""
-    return _softmax_values(model._forward(x)[0])
+    """Softmax outputs as a plain array; no gradients are retained. The
+    forwards run in chunks of ``_chunk_rows`` rows, bitwise the whole
+    split's."""
+    return _softmax_values(_logits(model, x))
 
 
 def predict_labels(model: Classifier, x) -> np.ndarray:
-    """The predicted class of each row: the argmax of its logits."""
-    return np.argmax(model._forward(x)[0], axis=1)
+    """The predicted class of each row, the argmax of its logits, from
+    forwards of ``_chunk_rows`` rows."""
+    return np.argmax(_logits(model, x), axis=1)
 
 
 # -- checkpoint I/O ------------------------------------------------------------
@@ -311,9 +368,10 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
-    """Rebuild a model from disk, in the dtype its arch names; returns
-    (model, epoch, rng_seed). CheckpointError if a stored value would round
-    in that dtype."""
+    """Rebuild a model from disk, in the dtype its arch names, holding the
+    payload's values (no initial parameters are drawn); returns (model,
+    epoch, rng_seed). CheckpointError if a stored value would round in that
+    dtype."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4:
@@ -353,23 +411,26 @@ def load_checkpoint(path) -> tuple[Classifier, int, int | None]:
             raise CheckpointError(f"duplicate parameter {name!r}")
         params[name] = data
 
-    model = Classifier(meta.arch, seed=0)
-    if set(params) != set(model.params):
+    shapes = _param_shapes(meta.arch)
+    if set(params) != set(shapes):
         raise CheckpointError(
-            f"parameters {sorted(params)} do not match architecture {sorted(model.params)}"
+            f"parameters {sorted(params)} do not match architecture {sorted(shapes)}"
         )
-    for name, tensor in model.params.items():
-        if params[name].shape != tensor.data.shape:
+    dtype = np.dtype(meta.arch.dtype)
+    values = {}
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {params[name].shape}, "
-                f"expected {tensor.data.shape}"
+                f"expected {shape}"
             )
         with np.errstate(over="ignore"):  # an overflow is caught just below
-            value = params[name].astype(model.dtype)
-        off = value != params[name]  # NaN too, which the cast keeps
+            values[name] = params[name].astype(dtype)
+        off = values[name] != params[name]  # NaN too, which the cast keeps
         if off.any() and not np.isnan(params[name][off]).all():
             raise CheckpointError(
-                f"parameter {name!r} holds a value {model.dtype} cannot represent "
+                f"parameter {name!r} holds a value {dtype} cannot represent "
                 "exactly")
-        tensor.data = value
+    model = Classifier.__new__(Classifier)
+    model._hold(meta.arch, values)
     return model, meta.epoch, meta.rng_seed

@@ -231,6 +231,22 @@ def test_deep_merge_semantics():
     assert base["a"]["y"] == 2  # merge never mutates its inputs
 
 
+def test_config_file_may_switch_the_dataset_kind(tmp_path):
+    # A dataset of another kind replaces the profile's wholesale: the desk
+    # profile's synth keys do not leak into an idx dataset.
+    assert deep_merge({"d": {"kind": "synth", "dim": 8}},
+                      {"d": {"kind": "idx", "images": "i"}}) == {
+        "d": {"kind": "idx", "images": "i"}}
+    assert deep_merge({"d": {"kind": "synth", "dim": 8}},
+                      {"d": {"seed": 1}}) == {
+        "d": {"kind": "synth", "dim": 8, "seed": 1}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"kind": "idx", "images": "i.idx",
+                                           "labels": "l.idx"}}))
+    resolved = resolve_config("desk", cfg)
+    assert resolved.dataset.params == {"images": "i.idx", "labels": "l.idx"}
+
+
 def test_set_dotted_paths():
     obj = desk_profile()
     set_dotted(obj, "optimizer.base_lr", 0.5)

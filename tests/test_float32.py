@@ -241,6 +241,26 @@ def test_float32_checkpoint_round_trips_bitwise(tmp_path):
     assert path.stat().st_size == (tmp_path / "f64.ckpt").stat().st_size + extra
 
 
+def test_checkpoint_loads_without_drawing_parameters(paper_f32, tmp_path,
+                                                     monkeypatch):
+    # The payload is the model: loading draws no initial parameters only to
+    # overwrite them, so a paper-shape load never builds a PCG64 stream.
+    path = tmp_path / "paper.ckpt"
+    save_checkpoint(paper_f32, path, epoch=3, rng_seed=5)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from PCG64")
+    monkeypatch.setattr(np.random, "PCG64", no_stream)
+    loaded, epoch, rng_seed = load_checkpoint(path)
+    assert (loaded.arch, epoch, rng_seed) == (paper_f32.arch, 3, 5)
+    assert list(loaded.params) == list(paper_f32.params)
+    for name, p in paper_f32.params.items():
+        q = loaded.params[name]
+        assert q.data.dtype == np.float32 and q.requires_grad, name
+        assert q.data.flags.writeable and q.data.flags.c_contiguous, name
+        np.testing.assert_array_equal(q.data.view(np.uint32), p.data.view(np.uint32))
+
+
 def test_float64_arch_serialises_without_dtype():
     assert to_obj(Arch((4, 3))) == {"layers": [4, 3], "conv": None}
     assert to_obj(Arch((4, 3), dtype="float32"))["dtype"] == "float32"

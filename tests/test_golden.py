@@ -16,6 +16,7 @@ KL-mode PGD and multi-iteration SPSA included. VIR_AT_F32 pins the same
 run computed in float32 (``model.dtype``).
 """
 
+import copy
 import hashlib
 import json
 
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 
 from virlab.cli import main
+from virlab.codec import canonical_json
+from virlab.config import config_to_obj, resolve_config
 from virlab.data import Dataset, save_idx
 
 DESK_SHA256 = {
@@ -174,18 +177,46 @@ def test_desk_train_artifacts_are_pinned(tmp_path):
     assert _digests(tmp_path, DESK_SHA256) == DESK_SHA256
 
 
-def _set_args(sets: dict) -> list[str]:
-    args = []
-    for path, value in sets.items():
-        args += ["--set", f"{path}={json.dumps(value)}"]
-    return args
-
+# The conv-stem runs' one complete config: every field is set, so no
+# profile default reaches these runs (asserted below) and a change to a
+# shipped profile cannot move their digests. Each run edits it as
+# CONV_RUNS says and fills in its dataset.
+CONV_CONFIG = {
+    "seed": 0, "epochs": 4, "batch_size": 4, "eval_every": 1,
+    "log_weights_every": 1,
+    "optimizer": {"base_lr": 0.1, "momentum": 0.9, "weight_decay": 0.0035,
+                  "milestones": [], "decay_factor": 10.0},
+    "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
+                  "weight_scheme": {"family": "VIR", "alpha": 7.0,
+                                    "gamma": 10.0, "beta": 0.007,
+                                    "lambda_g": -1.0, "burn_in_epoch": 2}},
+    "attack_train": {"family": "PGD", "epsilon": 8 / 255,
+                     "step_size": 2 / 255, "iterations": 3, "loss_mode": "CE",
+                     "bounds": [0.0, 1.0], "seed": 0,
+                     "start_noise_scale": 0.001, "spsa_samples": 256,
+                     "spsa_perturb": 0.001, "spsa_lr": 0.01},
+    "attack_eval": [
+        {"family": "PGD", "epsilon": 0.1, "step_size": 0.04,
+         "iterations": 4, "loss_mode": "CE", "bounds": [0.0, 1.0],
+         "seed": 1234},
+        {"family": "CW_PGD", "epsilon": 0.1, "step_size": 0.04,
+         "iterations": 3, "loss_mode": "CW_MARGIN", "bounds": [0.0, 1.0],
+         "seed": 1234},
+        {"family": "FGSM", "epsilon": 0.1, "bounds": [0.0, 1.0],
+         "seed": 1234},
+        {"family": "SPSA", "epsilon": 0.1, "iterations": 1,
+         "bounds": [0.0, 1.0], "seed": 1234, "spsa_samples": 4},
+    ],
+    "model": {"hidden": [6],
+              "conv": {"height": HEIGHT, "width": WIDTH, "filters": 2,
+                       "kernel_size": 3},
+              "dtype": "float64"},
+}
 
 # Run name -> (objective, weight family, attack_train settings, model.dtype).
 # The GAIRAT_CE_PGD run's training attack is strong enough to break samples
 # at every step count, so its weights pin each first-miss iteration.
-# VIR_AT_F32 is VIR_AT computed in float32; the others set float64, which
-# the paper profile they start from does not.
+# VIR_AT_F32 is VIR_AT computed in float32.
 CONV_RUNS = {
     "VIR_AT": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float64"),
     "VIR_AT_F32": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float32"),
@@ -195,9 +226,14 @@ CONV_RUNS = {
 }
 
 
+def _write_config(path, config: dict) -> str:
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 @pytest.fixture(scope="module", params=sorted(CONV_SHA256))
 def conv_run(request, tmp_path_factory):
-    """(run name, run directory, --set args, exit code) of one conv-stem
+    """(run name, run directory, config, exit code) of one conv-stem
     `virlab train`, shared by the tests of that run."""
     name = request.param
     objective, family, attack_train, dtype = CONV_RUNS[name]
@@ -208,38 +244,28 @@ def conv_run(request, tmp_path_factory):
         paths[f"{split}labels"] = str(tmp_path / f"{split}labels.idx")
         save_idx(_fixture(n, seed), paths[f"{split}images"],
                  paths[f"{split}labels"], rows=HEIGHT, cols=WIDTH)
-    gairat = {"family": "GAIRAT", "lambda_g": -1.0, "burn_in_epoch": 2}
-    vir = {"family": "VIR", "alpha": 7.0, "gamma": 10.0, "beta": 0.007,
-           "burn_in_epoch": 2}
-    sets = {
-        "epochs": 4, "batch_size": 4, "eval_every": 1, "log_weights_every": 1,
-        "optimizer.milestones": [], "optimizer.base_lr": 0.1,
-        "model.hidden": [6],
-        "model.dtype": dtype,
-        "model.conv": {"height": HEIGHT, "width": WIDTH, "filters": 2,
-                       "kernel_size": 3},
-        "dataset": {"kind": "idx", **paths},
-        "objective.family": objective,
-        "objective.weight_scheme": gairat if family == "GAIRAT" else vir,
-        "attack_train.iterations": 3,
-        **{f"attack_train.{key}": v for key, v in attack_train.items()},
-        "attack_eval": [
-            {"family": "PGD", "epsilon": 0.1, "step_size": 0.04,
-             "iterations": 4, "loss_mode": "CE", "bounds": [0.0, 1.0],
-             "seed": 1234},
-            {"family": "CW_PGD", "epsilon": 0.1, "step_size": 0.04,
-             "iterations": 3, "loss_mode": "CW_MARGIN", "bounds": [0.0, 1.0],
-             "seed": 1234},
-            {"family": "FGSM", "epsilon": 0.1, "bounds": [0.0, 1.0],
-             "seed": 1234},
-            {"family": "SPSA", "epsilon": 0.1, "iterations": 1,
-             "bounds": [0.0, 1.0], "seed": 1234, "spsa_samples": 4},
-        ],
-    }
+    config = copy.deepcopy(CONV_CONFIG)
+    config["dataset"] = {"kind": "idx", **paths}
+    config["objective"]["family"] = objective
+    config["objective"]["weight_scheme"]["family"] = family
+    config["attack_train"].update(attack_train)
+    config["model"]["dtype"] = dtype
     run = tmp_path / "run"
-    code = main(["train", "--profile", "paper", "--out", str(run)]
-                + _set_args(sets))
-    return name, run, sets, code
+    code = main(["train", "--config", _write_config(tmp_path / "config.json", config),
+                 "--out", str(run)])
+    return name, run, config, code
+
+
+def test_conv_config_is_complete(conv_run, tmp_path):
+    # Every field is the file's: the desk and paper profiles resolve it to
+    # the same config, the one the run wrote.
+    _, run, config, code = conv_run
+    assert code == 0
+    path = _write_config(tmp_path / "config.json", config)
+    resolved = {profile: canonical_json(config_to_obj(resolve_config(profile, path)))
+                for profile in ("desk", "paper")}
+    assert resolved["desk"] == resolved["paper"]
+    assert json.loads(resolved["paper"]) == json.loads((run / "config.json").read_text())
 
 
 def test_conv_stem_train_artifacts_are_pinned(conv_run):
@@ -250,12 +276,13 @@ def test_conv_stem_train_artifacts_are_pinned(conv_run):
 
 @pytest.mark.parametrize("attack", list(ATTACKS))
 def test_attack_command_output_is_pinned(conv_run, tmp_path, attack):
-    name, run, sets, code = conv_run
+    name, run, config, code = conv_run
     assert code == 0
     out = tmp_path / "adv.csv"
-    sets = {**sets, "attack_eval": list(ATTACKS.values())}
-    assert main(["attack", "--profile", "paper",
+    config = {**config, "attack_eval": list(ATTACKS.values())}
+    assert main(["attack",
+                 "--config", _write_config(tmp_path / "config.json", config),
                  "--checkpoint", str(run / "checkpoint.ckpt"),
                  "--index", str(list(ATTACKS).index(attack)),
-                 "--out", str(out)] + _set_args(sets)) == 0
+                 "--out", str(out)]) == 0
     assert _sha256(out) == ATTACK_SHA256[name][attack]

@@ -32,15 +32,23 @@ from .training import (check_fits, condition_names, evaluate, sweep, train,
                        write_confusions)
 
 
-def _parse_set(raw: str) -> tuple[str, object]:
+def _split_assignment(flag: str, raw: str) -> list[str]:
     if "=" not in raw:
-        raise ConfigError(f"--set expects path=value, got {raw!r}")
-    path, text = raw.split("=", 1)
+        raise ConfigError(f"{flag} expects path=value, got {raw!r}")
+    return raw.split("=", 1)
+
+
+def _parse_value(text: str):
+    """A --set or --grid value: JSON if it parses, else the raw string."""
     try:
-        value = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError:
-        value = text
-    return path, value
+        return text
+
+
+def _parse_set(raw: str) -> tuple[str, object]:
+    path, text = _split_assignment("--set", raw)
+    return path, _parse_value(text)
 
 
 def _collect_overrides(args) -> list[tuple[str, object]]:
@@ -146,23 +154,15 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _parse_grid(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
-    try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad grid {text!r}: {e}") from e
-    if not np.isfinite(grid).all():
-        raise ConfigError(f"bad grid {text!r}: values must be finite")
-    return grid
-
-
 def _cmd_sweep(args) -> int:
     config = _resolved(args)
-    rows = sweep(config, alphas=_parse_grid(args.alphas),
-                 gammas=_parse_grid(args.gammas), betas=_parse_grid(args.betas),
-                 out_dir=args.out)
+    grid: dict[str, list] = {}
+    for raw in args.grid or []:
+        path, text = _split_assignment("--grid", raw)
+        if path in grid:
+            raise ConfigError(f"--grid {path} given twice")
+        grid[path] = [_parse_value(v) for v in text.split(",") if v.strip()]
+    rows = sweep(config, grid, out_dir=args.out)
     ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"swept {len(rows)} points ({ok} ok); table in "
           f"{os.path.join(args.out, 'sweep.csv')}")
@@ -273,11 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", help="CSV path for the sweep table")
     p.set_defaults(func=_cmd_theory)
 
-    p = sub.add_parser("sweep", help="grid over alpha/gamma/beta")
+    p = sub.add_parser("sweep", help="train each point of a grid of config values")
     _add_config_flags(p)
-    p.add_argument("--alphas", help="comma-separated values, e.g. 1,7,15")
-    p.add_argument("--gammas", help="comma-separated values")
-    p.add_argument("--betas", help="comma-separated values")
+    p.add_argument("--grid", action="append", metavar="PATH=V1,V2,...",
+                   help="one grid axis: a --set path and comma-separated "
+                        "values, each parsed as a --set value, e.g. "
+                        "--grid seed=0,1,2 (repeatable; the grid is the "
+                        "product of its axes)")
     p.add_argument("--out", "-o", default="sweep_out", help="artifact directory")
     p.set_defaults(func=_cmd_sweep)
 

@@ -250,9 +250,7 @@ def set_dotted(obj: dict, path: str, value) -> None:
             try:
                 key = int(part)
             except ValueError:
-                raise ConfigError(
-                    f"--set {path}: bad list index {part!r}"
-                ) from None
+                raise ConfigError(f"{path}: bad list index {part!r}") from None
         else:
             key = part
         try:
@@ -261,7 +259,7 @@ def set_dotted(obj: dict, path: str, value) -> None:
             nxt = None
         if not isinstance(nxt, (dict, list)):
             if isinstance(cur, list):
-                raise ConfigError(f"--set {path}: bad list index {part!r}")
+                raise ConfigError(f"{path}: bad list index {part!r}")
             cur[key] = {}
             nxt = cur[key]
         cur = nxt
@@ -270,7 +268,7 @@ def set_dotted(obj: dict, path: str, value) -> None:
         try:
             cur[int(last)] = value
         except (ValueError, IndexError) as e:
-            raise ConfigError(f"--set {path}: {e}") from e
+            raise ConfigError(f"{path}: {e}") from e
     else:
         cur[last] = value
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from .attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                       run_attack)
-from .codec import atomic_open, canonical_json, write_csv
-from .config import OptimConfig, TrainConfig, config_to_obj
+from .codec import atomic_open, canonical_json, to_obj, write_csv
+from .config import (OptimConfig, TrainConfig, config_from_obj, config_to_obj,
+                     set_dotted)
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, predict_labels, save_checkpoint
@@ -318,58 +320,49 @@ def write_confusions(report: EvalReport, out_dir: str) -> None:
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep(config: TrainConfig, alphas=None, gammas=None, betas=None,
+def sweep(config: TrainConfig, grid: dict[str, list] | None = None,
           out_dir: str | None = None) -> list[dict]:
-    """Train+evaluate once per (alpha, gamma, beta) grid point.
+    """Train+evaluate once per point of the product of the grid's values.
 
-    Missing axes default to the config's current value; an empty axis is
-    a ConfigError before anything is written. A ConfigError or
-    NumericAbort fails only its own row, unless every row fails: then
-    sweep.csv is still written and the first point's error is raised.
+    grid maps dotted config paths (the paths ``--set`` takes) to the values
+    to try, in ``itertools.product`` order; no grid is one point. A point is
+    built as a ``--set`` run is: ``config_to_obj``, ``set_dotted`` per path,
+    ``config_from_obj``. Point i (row i of sweep.csv) writes to
+    out_dir/run_<i>. sweep.csv's columns are the grid paths, then status,
+    error, clean_acc and a robust_acc_<cond> for every condition any point
+    evaluated. An empty axis is a ConfigError before anything is written.
+    A ConfigError or NumericAbort fails only its own row, unless every row
+    fails: then sweep.csv is still written and the first point's error is
+    raised.
     """
-    scheme = config.objective.weight_scheme
-    alphas = [scheme.alpha] if alphas is None else list(alphas)
-    gammas = [scheme.gamma] if gammas is None else list(gammas)
-    betas = [scheme.beta] if betas is None else list(betas)
-    for name, axis in (("alphas", alphas), ("gammas", gammas), ("betas", betas)):
-        if not axis:
-            raise ConfigError(f"sweep grid axis {name} is empty")
-    attack_names = condition_names(config.attack_eval)
-    header = (["alpha", "gamma", "beta", "status", "error", "clean_acc"]
-              + [f"robust_acc_{n}" for n in attack_names])
+    grid = {path: [to_obj(v) for v in values]
+            for path, values in (grid or {}).items()}
+    for path, values in grid.items():
+        if not values:
+            raise ConfigError(f"sweep grid axis {path} is empty")
 
     rows, failures = [], []
-    for a in alphas:
-        for g in gammas:
-            for b in betas:
-                row = dict.fromkeys(header)
-                row.update(alpha=a, gamma=g, beta=b, status="ok", error="")
-                try:
-                    # Inside the try: an invalid grid value should fail its
-                    # own row, not kill the sweep.
-                    point = replace(
-                        config,
-                        objective=replace(
-                            config.objective,
-                            weight_scheme=replace(scheme, alpha=a, gamma=g,
-                                                  beta=b),
-                        ),
-                    )
-                    run_dir = None
-                    if out_dir is not None:
-                        run_dir = os.path.join(
-                            out_dir, f"run_a{a}_g{g}_b{b}".replace(".", "p")
-                        )
-                    _, log = train(point, out_dir=run_dir)
-                    final = log.rows[-1]
-                    row["clean_acc"] = final.clean_accuracy
-                    for n in attack_names:
-                        row[f"robust_acc_{n}"] = final.robust_accuracy[n]
-                except (ConfigError, NumericAbort) as e:
-                    row["status"] = "failed"
-                    row["error"] = f"{type(e).__name__}: {e}"
-                    failures.append(e)
-                rows.append(row)
+    for i, values in enumerate(product(*grid.values())):
+        row = dict(zip(grid, values), status="ok", error="", clean_acc=None)
+        try:
+            # Inside the try: a grid value the config rejects fails its own
+            # row, not the sweep.
+            obj = config_to_obj(config)
+            for path, value in zip(grid, values):
+                set_dotted(obj, path, value)
+            run_dir = None if out_dir is None else os.path.join(out_dir, f"run_{i}")
+            _, log = train(config_from_obj(obj), out_dir=run_dir)
+            final = log.rows[-1]
+            row["clean_acc"] = final.clean_accuracy
+            for n, acc in final.robust_accuracy.items():
+                row[f"robust_acc_{n}"] = acc
+        except (ConfigError, NumericAbort) as e:
+            row.update(status="failed", error=f"{type(e).__name__}: {e}")
+            failures.append(e)
+        rows.append(row)
+    # A grid over attack_eval gives points different eval conditions.
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    rows = [{**dict.fromkeys(header), **row} for row in rows]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

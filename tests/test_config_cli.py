@@ -487,42 +487,96 @@ def test_cli_theory(tmp_path):
             <= 5 * float(row["se_minus"])
 
 
+BETA_GRID = "objective.weight_scheme.beta="
+SWEEP_FAST = set_args({"epochs": "1", "eval_every": "1",
+                       "dataset.per_class_n": "12",
+                       "dataset.eval_per_class_n": "12"})
+
+
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sweep"
-    fast = set_args({"epochs": "1", "eval_every": "1",
-                     "dataset.per_class_n": "12",
-                     "dataset.eval_per_class_n": "12"})
-    rc = main(["sweep", "--betas", "0.007,1.6", "--out", str(out)] + fast)
+    rc = main(["sweep", "--grid", BETA_GRID + "0.007,1.6", "--out", str(out)]
+              + SWEEP_FAST)
     assert rc == 0
     assert "swept 2 points (2 ok)" in capsys.readouterr().out
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["beta"] for r in rows] == ["0.007", "1.6"]
+    assert [r["objective.weight_scheme.beta"] for r in rows] == ["0.007", "1.6"]
+
+
+def _files(run_dir):
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+def test_cli_sweep_point_is_exactly_a_set_run(tmp_path):
+    # A grid value takes the --set route: the same parsing (a bare word is a
+    # string), the same codec, the same bytes.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", "objective.weight_scheme.family=GAIRAT,MAIL",
+                 "--grid", "seed=0,3", "--out", str(out)] + TINY) == 0
+    points = [(f, s) for f in ("GAIRAT", "MAIL") for s in ("0", "3")]
+    for i, (family, seed) in enumerate(points):
+        alone = tmp_path / f"train_{i}"
+        assert main(["train", "--out", str(alone)] + TINY
+                    + ["--set", f"objective.weight_scheme.family={family}",
+                       "--set", f"seed={seed}"]) == 0
+        files = _files(alone)
+        assert {"config.json", "metrics.csv", "weights.csv", "checkpoint.ckpt",
+                "confusion_clean.csv", "confusion_pgd.csv"} <= set(files)
+        assert _files(out / f"run_{i}") == files
+
+
+def test_cli_sweep_repeated_grid_values_keep_their_own_run_directories(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", BETA_GRID + "0.007,0.007", "--out", str(out)]
+                + SWEEP_FAST) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
+    assert sorted(p.name for p in out.glob("run_*")) == ["run_0", "run_1"]
+    assert _files(out / "run_0") == _files(out / "run_1")
+
+
+def test_cli_sweep_grid_path_given_twice_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", "seed=1", "--grid", "seed=2",
+                 "--out", str(out)]) == 2
+    assert "--grid seed given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_with_no_ok_point_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "sweep"
-    assert main(["sweep", "--betas=-1,-2", "--out", str(out)]) == 2
+    assert main(["sweep", "--grid", BETA_GRID + "-1,-2", "--out", str(out)]) == 2
     assert "beta" in capsys.readouterr().err
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["failed", "failed"]
 
 
-@pytest.mark.parametrize("grid", [["--betas", "nan"], ["--alphas", "1,inf"]])
+@pytest.mark.parametrize("grid", [["--grid", BETA_GRID + "nan"],
+                                  ["--grid", BETA_GRID + "NaN,-Infinity"]])
 def test_cli_sweep_rejects_a_non_finite_grid_value(tmp_path, capsys, grid):
+    # A value the config rejects fails its own row; with no ok row the sweep
+    # exits 2 on the first error, which names the value's dotted path.
     out = tmp_path / "sweep"
     assert main(["sweep", *grid, "--out", str(out)]) == 2
-    assert "values must be finite" in capsys.readouterr().err
-    assert not out.exists()
+    assert "config.objective.weight_scheme.beta must be" in capsys.readouterr().err
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["status"] == "failed" for r in rows)
+    assert not list(out.glob("run_*"))
 
 
-@pytest.mark.parametrize("axis", ["--alphas", "--gammas", "--betas"])
-def test_cli_sweep_with_an_empty_grid_axis_exits_2(tmp_path, capsys, axis):
+@pytest.mark.parametrize("grid, message", [
+    (BETA_GRID, "axis objective.weight_scheme.beta is empty"),
+    (BETA_GRID + ",", "axis objective.weight_scheme.beta is empty"),
+    ("objective.weight_scheme.beta", "--grid expects path=value"),
+], ids=["no-value", "only-comma", "no-equals"])
+def test_cli_sweep_with_an_empty_grid_axis_exits_2(tmp_path, capsys, grid, message):
     out = tmp_path / "sweep"
-    assert main(["sweep", axis, ",", "--out", str(out)]) == 2
-    assert f"axis {axis[2:]} is empty" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_report(train_run, capsys):

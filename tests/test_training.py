@@ -374,21 +374,24 @@ def test_sweep_single_point_default_grid(tmp_path):
     rows = sweep(sweep_config(), out_dir=str(tmp_path))
     assert len(rows) == 1
     row = rows[0]
-    assert (row["alpha"], row["gamma"], row["beta"]) == (7.0, 10.0, 0.007)
+    assert list(row) == ["status", "error", "clean_acc", "robust_acc_pgd"]
     assert row["status"] == "ok" and row["error"] == ""
     assert 0.0 <= row["clean_acc"] <= 1.0
     assert 0.0 <= row["robust_acc_pgd"] <= 1.0
-    assert (tmp_path / "run_a7p0_g10p0_b0p007" / "metrics.csv").exists()
+    assert (tmp_path / "run_0" / "metrics.csv").exists()
     with open(tmp_path / "sweep.csv", newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
     assert float(parsed[0]["clean_acc"]) == row["clean_acc"]
 
 
+BETA = "objective.weight_scheme.beta"
+
+
 def test_sweep_grid_and_failure_rows(tmp_path):
-    rows = sweep(sweep_config(), betas=[0.007, -1.0, 1.6],
+    rows = sweep(sweep_config(), {BETA: [0.007, -1.0, 1.6]},
                  out_dir=str(tmp_path))
-    assert [r["beta"] for r in rows] == [0.007, -1.0, 1.6]
+    assert [r[BETA] for r in rows] == [0.007, -1.0, 1.6]
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
     bad = rows[1]
     assert "beta" in bad["error"] and bad["clean_acc"] is None
@@ -397,6 +400,26 @@ def test_sweep_grid_and_failure_rows(tmp_path):
     assert parsed[1]["status"] == "failed"
     assert parsed[1]["clean_acc"] == ""
     assert parsed[1]["error"].startswith("ConfigError")
+    # run_<i> is row i's; the failed point never got as far as training
+    assert sorted(p.name for p in tmp_path.glob("run_*")) == ["run_0", "run_2"]
+
+
+def test_sweep_columns_are_every_point_s_eval_conditions(tmp_path):
+    # Each point evaluates its own attack_eval; a row leaves the other
+    # points' conditions empty.
+    fgsm = {"family": "FGSM", "epsilon": 0.5}
+    rows = sweep(sweep_config(),
+                 {"attack_eval": [[dict(PGD_EVAL, iterations=2)], [fgsm]]},
+                 out_dir=str(tmp_path))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert list(rows[0])[1:] == ["status", "error", "clean_acc",
+                                 "robust_acc_pgd", "robust_acc_fgsm"]
+    assert rows[0]["robust_acc_fgsm"] is None is rows[1]["robust_acc_pgd"]
+    assert 0.0 <= rows[1]["robust_acc_fgsm"] <= 1.0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert parsed[0]["robust_acc_pgd"] == repr(rows[0]["robust_acc_pgd"])
+    assert parsed[0]["robust_acc_fgsm"] == ""
 
 
 def test_sweep_propagates_an_error_that_is_not_the_point_s_own(tmp_path, monkeypatch):
@@ -407,22 +430,24 @@ def test_sweep_propagates_an_error_that_is_not_the_point_s_own(tmp_path, monkeyp
 
     monkeypatch.setattr(training, "train", broken)
     with pytest.raises(TypeError, match="shared defect"):
-        sweep(sweep_config(), betas=[0.007, 1.6], out_dir=str(tmp_path))
+        sweep(sweep_config(), {BETA: [0.007, 1.6]}, out_dir=str(tmp_path))
 
 
 def test_sweep_csv_writes_numpy_grid_values_as_plain_floats(tmp_path):
-    rows = sweep(sweep_config(), alphas=np.array([1.0, 7.0]),
-                 betas=np.array([0.007], dtype=np.float32), out_dir=str(tmp_path))
+    alpha = "objective.weight_scheme.alpha"
+    rows = sweep(sweep_config(), {alpha: np.array([1.0, 7.0]),
+                                  BETA: np.array([0.007], dtype=np.float32)},
+                 out_dir=str(tmp_path))
     assert [r["status"] for r in rows] == ["ok", "ok"]
     with open(tmp_path / "sweep.csv", newline="") as fh:
         parsed = list(csv.DictReader(fh))
-    assert [(r["alpha"], r["gamma"], r["beta"]) for r in parsed] == [
-        ("1.0", "10.0", repr(float(np.float32(0.007)))),
-        ("7.0", "10.0", repr(float(np.float32(0.007))))]
+    assert list(parsed[0])[:3] == [alpha, BETA, "status"]
+    assert [(r[alpha], r[BETA]) for r in parsed] == [
+        ("1.0", repr(float(np.float32(0.007)))),
+        ("7.0", repr(float(np.float32(0.007))))]
     for r, row in zip(parsed, rows):
         assert r["clean_acc"] == repr(row["clean_acc"])
     # every grid point's run directory describes itself
-    (point,) = tmp_path.glob("run_a1p0_*")
-    scheme = json.loads((point / "config.json").read_text())["objective"][
-        "weight_scheme"]
+    scheme = json.loads((tmp_path / "run_0" / "config.json").read_text())[
+        "objective"]["weight_scheme"]
     assert (scheme["alpha"], scheme["beta"]) == (1.0, float(np.float32(0.007)))

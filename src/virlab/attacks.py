@@ -19,6 +19,8 @@ the dataset index in evaluation, the position in the minibatch in training.
 A split larger than the model's rows per forward (``models._chunk_rows``)
 is walked in chunks of that many rows, each row keeping its global index,
 so an attack's memory is bounded intermediates plus its split-sized output.
+SPSA scores a row's 2 * spsa_samples perturbed points through
+``models._logits``, under the same rows-per-forward rule.
 
 Attacks need only the input gradient, so they build no autodiff graph:
 each gradient is one input-mode forward (``Classifier._forward(x,
@@ -40,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .models import (Classifier, _check_input, _chunk_rows, predict_labels,
-                     predict_probs)
+from .models import (Classifier, _check_input, _chunk_rows, _logits,
+                     predict_labels, predict_probs)
 from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _cw_margin_dlogits,
                      _kl_softmax_dlogits)
 
@@ -277,14 +279,8 @@ def cw_pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
 def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
     """Black-box ascent on SPSA estimates of the CE gradient: forward
     evaluations only, each sample's 2 * spsa_samples perturbed points
-    scored in forwards of at most _SPSA_ROWS rows."""
+    scored as predictions are, in forwards of ``_chunk_rows`` rows."""
     return _attack(model, x, y, spec, AttackFamily.SPSA)[0]
-
-
-# Rows per SPSA forward. One sample's perturbed points are scored in chunks
-# of this many rows: 64 was the fastest of 64/128/512 on the paper model,
-# and it bounds the forward's working set whatever spsa_samples is.
-_SPSA_ROWS = 64
 
 
 def _spsa_estimate(point_losses, x: np.ndarray, num_samples: int,
@@ -321,31 +317,21 @@ def spsa_gradient_estimate(f, x: np.ndarray, num_samples: int, perturb: float,
         x, num_samples, perturb, rng)
 
 
-def _spsa_ce_estimate(model: Classifier, cur: np.ndarray, label, spec: AttackSpec,
-                      rng: np.random.Generator) -> np.ndarray:
-    """SPSA estimate of the CE gradient of one sample at ``cur``: its
-    2 * spsa_samples points are scored in forwards of at most _SPSA_ROWS rows."""
-    def ce_of_points(points: np.ndarray) -> np.ndarray:
-        labels = np.full(len(points), label)
-        return np.concatenate([
-            _ce_rows(model._forward(points[s:s + _SPSA_ROWS])[0],
-                     labels[s:s + _SPSA_ROWS])
-            for s in range(0, len(points), _SPSA_ROWS)])
-
-    return _spsa_estimate(ce_of_points, cur, spec.spsa_samples,
-                          spec.spsa_perturb, rng)
-
-
 def _spsa_gradient(model: Classifier, y, spec: AttackSpec, first_row: int):
     """cur -> (per-sample SPSA estimates at cur, None), for rows first_row
     onward of the split. Each row keeps its own stream across iterations, so
-    its draws come in the same order whatever order the rows are visited in."""
+    its draws come in the same order whatever order the rows are visited in.
+    A row's points are scored by ``_logits``, whose chunks of a multiple of
+    64 rows are bitwise one forward's."""
     rngs = [_rng(spec, first_row + i) for i in range(len(y))]
 
     def grad(cur: np.ndarray) -> tuple[np.ndarray, None]:
         out = np.empty_like(cur)
         for i, rng in enumerate(rngs):
-            out[i] = _spsa_ce_estimate(model, cur[i], y[i], spec, rng)
+            labels = np.full(2 * spec.spsa_samples, y[i])
+            out[i] = _spsa_estimate(
+                lambda points: _ce_rows(_logits(model, points), labels),
+                cur[i], spec.spsa_samples, spec.spsa_perturb, rng)
         return out, None
     return grad
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .models import Classifier
-from .reweight import Ablation, WeightScheme
+from .reweight import Ablation, WeightFamily, WeightScheme
 from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
@@ -35,8 +35,7 @@ class ObjectiveSpec:
     family: ObjectiveFamily
     trade_off: float = 5.0
     weight_scheme: WeightScheme = field(
-        default_factory=lambda: WeightScheme.vir_at()
-    )
+        default_factory=lambda: WeightScheme(WeightFamily.VIR))
     ablation: Ablation = Ablation.FULL
 
     def __post_init__(self):

@@ -64,11 +64,6 @@ class WeightScheme:
         if self.burn_in_epoch < 0:
             raise ConfigError(f"burn_in_epoch must be >= 0, got {self.burn_in_epoch}")
 
-    @classmethod
-    def vir_at(cls, burn_in_epoch: int = 75) -> "WeightScheme":
-        return cls(WeightFamily.VIR, alpha=7.0, gamma=10.0, beta=0.007,
-                   burn_in_epoch=burn_in_epoch)
-
 
 class WeightRecord(NamedTuple):
     epoch: int

@@ -31,8 +31,7 @@ from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, predict_labels, save_checkpoint
 from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
                          vir_trades_loss)
-from .reweight import (WeightFamily, WeightRecord, batch_weights,
-                       write_weight_records)
+from .reweight import WeightFamily, batch_weights, write_weight_records
 
 # -- optimizer -----------------------------------------------------------------
 
@@ -212,6 +211,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
     train_set, eval_set = config.dataset.load()
     eval_on = eval_set if eval_set is not None else train_set
     model = Classifier(config.arch(train_set), seed=config.seed)
+    check_fits(model, eval_on)
     scheme = config.objective.weight_scheme
     attack_names = condition_names(config.attack_eval)
     log = MetricsLog(attack_names, model.arch.num_classes)
@@ -231,7 +231,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
             for epoch in range(1, config.epochs + 1):
                 lr = lr_at(epoch, config.optimizer)
                 loss_total, seen = 0.0, 0
-                epoch_records: list[WeightRecord] = []
+                weight_sums = np.zeros(model.arch.num_classes)
+                log_weights = weights_fh is not None and (
+                    epoch % config.log_weights_every == 0 or epoch == config.epochs)
                 for batch_idx, idx in enumerate(
                     batch_indices(len(train_set), config.batch_size,
                                   config.seed, epoch)
@@ -253,7 +255,9 @@ def train(config: TrainConfig, out_dir: str | None = None,
                         k_budget=spec.iterations,
                         ablation=config.objective.ablation, indices=idx,
                     )
-                    epoch_records.extend(records)
+                    np.add.at(weight_sums, yb, w)
+                    if log_weights:
+                        write_weight_records(records, weights_fh)
 
                     loss = _batch_loss(model, config.objective, xb, x_adv, yb, w)
                     if not np.isfinite(loss.data):
@@ -264,14 +268,6 @@ def train(config: TrainConfig, out_dir: str | None = None,
                              config.optimizer.weight_decay, velocity)
                     loss_total += loss.item() * len(idx)
                     seen += len(idx)
-
-                weight_sums = [0.0] * model.arch.num_classes
-                for r in epoch_records:
-                    weight_sums[r.class_label] += r.weight
-                if weights_fh is not None and (
-                    epoch % config.log_weights_every == 0 or epoch == config.epochs
-                ):
-                    write_weight_records(epoch_records, weights_fh)
 
                 run_robust = (epoch % config.eval_every == 0
                               or epoch == config.epochs)
@@ -289,7 +285,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
                     clean_accuracy=report.clean_accuracy,
                     robust_accuracy=robust,
                     per_class_accuracy=report.per_class_accuracy.tolist(),
-                    weight_sums=weight_sums,
+                    weight_sums=weight_sums.tolist(),
                 ))
                 if run_robust:
                     score = (report.mean_robust_accuracy
@@ -330,7 +326,8 @@ def sweep(config: TrainConfig, grid: dict[str, list] | None = None,
     ``config_from_obj``. Point i (row i of sweep.csv) writes to
     out_dir/run_<i>. sweep.csv's columns are the grid paths, then status,
     error, clean_acc and a robust_acc_<cond> for every condition any point
-    evaluated. An empty axis is a ConfigError before anything is written.
+    evaluated; a grid cell holds its value as JSON, as ``--set`` takes
+    it. An empty axis is a ConfigError before anything is written.
     A ConfigError or NumericAbort fails only its own row, unless every row
     fails: then sweep.csv is still written and the first point's error is
     raised.
@@ -366,8 +363,9 @@ def sweep(config: TrainConfig, grid: dict[str, list] | None = None,
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "sweep.csv"),
-                  [header] + [list(row.values()) for row in rows])
+        write_csv(os.path.join(out_dir, "sweep.csv"), [header] + [
+            [v if k not in grid or isinstance(v, str) else canonical_json(v)
+             for k, v in row.items()] for row in rows])
     if failures and len(failures) == len(rows):
         raise failures[0]
     return rows

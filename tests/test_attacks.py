@@ -14,7 +14,7 @@ import pytest
 import virlab
 from conftest import make_mlp
 from oracles import layered_forward, project_linf
-from virlab import attacks, reweight, training
+from virlab import attacks, models, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, run_attack, spsa,
                             spsa_gradient_estimate)
@@ -599,26 +599,29 @@ def test_spsa_gradient_estimate_is_the_interleaved_loop(rng):
             np.testing.assert_array_equal(p_new, p_old)
 
 
-def test_batched_spsa_matches_the_batch1_oracle(rng):
+def test_batched_spsa_matches_the_batch1_oracle(rng, monkeypatch):
     model = conv_model()
-    # 2, 32 and 33 directions: below, at and just past one forward's rows
+    # 64 rows per forward: 2, 32 and 33 directions are below, at and just
+    # past one forward's rows, 100 take two forwards.
+    monkeypatch.setattr(models, "_CHUNK_ELEMENTS", 1)
+    assert models._chunk_rows(model.arch) == 64
+    y = np.array([0, 1, 2])
     for seed, num_samples in [(0, 2), (3, 32), (11, 33), (40, 100)]:
         spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=num_samples,
                           seed=seed)
-        for label in range(3):
-            cur = rng.uniform(0.0, 1.0, size=30)
-            batched = attacks._spsa_ce_estimate(
-                model, cur, label, spec, np.random.default_rng(seed + label))
+        cur = rng.uniform(0.0, 1.0, size=(3, 30))
+        batched, _ = attacks._spsa_gradient(model, y, spec, 0)(cur)
+        for i, label in enumerate(y):
             oracle = old_spsa_gradient_estimate(
-                batch1_ce(model, label), cur, num_samples, spec.spsa_perturb,
-                np.random.default_rng(seed + label))
+                batch1_ce(model, label), cur[i], num_samples, spec.spsa_perturb,
+                attacks._rng(spec, i))
             # A batched forward may round a point's loss a few ulps apart
             # from a batch-1 one; each delta divides the difference of two
             # losses by 2 * perturb, so every component of the average can
             # move by about eps * loss / perturb, however small it is.
-            loss = batch1_ce(model, label)(cur)
+            loss = batch1_ce(model, label)(cur[i])
             atol = 4 * np.finfo(np.float64).eps * loss / spec.spsa_perturb
-            np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(batched[i], oracle, rtol=1e-12, atol=atol)
     x = rng.uniform(0.0, 1.0, size=(3, 30))
     y = np.array([2, 0, 1])
     spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=3, spsa_samples=40,
@@ -627,8 +630,13 @@ def test_batched_spsa_matches_the_batch1_oracle(rng):
                                   batch1_spsa(model, x, y, spec))
 
 
-def test_spsa_scores_points_in_capped_batched_forwards(rng):
+def test_spsa_scores_points_in_capped_batched_forwards(rng, monkeypatch):
     model = conv_model()
+    # The cap is the model's rows per forward; at 64, a row's 80 points
+    # take two forwards per iteration.
+    monkeypatch.setattr(models, "_CHUNK_ELEMENTS", 1)
+    cap = models._chunk_rows(model.arch)
+    assert cap == 64
     rows = []
     forward = model._forward
 
@@ -643,8 +651,9 @@ def test_spsa_scores_points_in_capped_batched_forwards(rng):
                       seed=3)
     spsa(model, x, y, spec)
     points = 2 * spec.spsa_samples
-    forwards_per_iteration = -(-points // attacks._SPSA_ROWS)
-    assert max(rows) == attacks._SPSA_ROWS
+    forwards_per_iteration = -(-points // cap)
+    assert forwards_per_iteration == 2
+    assert max(rows) == cap
     assert sum(rows) == points * spec.iterations * len(x)
     assert len(rows) == forwards_per_iteration * spec.iterations * len(x)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virlab
+from virlab import training
 from virlab.attacks import AttackFamily, AttackSpec, LossMode
 from virlab.cli import main
 from virlab.codec import canonical_json
@@ -665,6 +666,26 @@ def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, cap
     err = capsys.readouterr().err
     assert "weight_scheme.family GAIRAT" in err and "attack_train.step_size" in err
     assert not out.exists()
+
+
+def test_cli_train_rejects_an_eval_split_the_model_cannot_fit_before_training(
+        tmp_path, capsys, monkeypatch):
+    # The model's class count comes from the training split; an eval split
+    # with a class beyond it is rejected before any batch is attacked.
+    train_csv, eval_csv = tmp_path / "train.csv", tmp_path / "eval.csv"
+    train_csv.write_text("a,b,label\n0.1,0.2,0\n0.3,0.1,1\n0.5,0.9,2\n")
+    eval_csv.write_text("a,b,label\n0.1,0.2,0\n0.7,0.4,3\n")
+    attacked = []
+    monkeypatch.setattr(training, "run_attack",
+                        lambda *a: attacked.append(a) or a[1])
+    out = tmp_path / "run"
+    dataset = {"kind": "csv", "path": str(train_csv), "eval_path": str(eval_csv)}
+    assert main(["train", "--epochs", "1", "--set", "optimizer.milestones=[]",
+                 "--set", f"dataset={json.dumps(dataset)}",
+                 "--out", str(out)]) == 2
+    assert "dataset has 4 classes, model only 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert attacked == []
 
 
 @pytest.mark.parametrize("how", ["config", "set"])

@@ -17,6 +17,7 @@ from conftest import make_mlp
 from virlab import reweight
 from virlab.errors import ConfigError, DataFormatError, ShapeError
 from virlab.models import Classifier, predict_probs
+from virlab.objectives import ObjectiveFamily, ObjectiveSpec
 from virlab.reweight import (WEIGHT_CSV_HEADER, Ablation, WeightFamily,
                              WeightRecord, WeightScheme, batch_weights,
                              discrepancy_score, gairat_weight, mail_weight,
@@ -217,8 +218,9 @@ def test_weight_scheme_validation():
 
 
 def test_preset_schemes_match_published_defaults():
-    at = WeightScheme.vir_at()
+    at = WeightScheme(WeightFamily.VIR)
     assert (at.alpha, at.gamma, at.beta) == (7.0, 10.0, 0.007)
+    assert ObjectiveSpec(ObjectiveFamily.VIR_AT).weight_scheme == at
     # VIR-TRADES's published (alpha, gamma, beta) form a valid VIR scheme.
     tr = WeightScheme(WeightFamily.VIR, alpha=8.0, gamma=3.0, beta=1.6)
     assert at.burn_in_epoch == tr.burn_in_epoch == 75
@@ -267,7 +269,7 @@ def test_vir_orders_vulnerable_samples_first(monkeypatch):
     b = math.log(0.8 / 0.2)
     x = np.array([[a, 0.0], [b, 0.0]])
     y = np.array([0, 0])
-    scheme = WeightScheme.vir_at(burn_in_epoch=75)
+    scheme = WeightScheme(WeightFamily.VIR, burn_in_epoch=75)
     monkeypatch.setattr(reweight, "discrepancy_score",
                         lambda p_nat, p_adv: np.ones(len(p_nat)))
     w, records = batch_weights(scheme, 77, model, x, x, y)
@@ -285,7 +287,7 @@ def test_vir_weights_recompute_from_model_predictions(rng):
     x_nat = rng.standard_normal((7, 4))
     x_adv = x_nat + 0.3 * np.sign(rng.standard_normal((7, 4)))
     y = rng.integers(0, 3, size=7)
-    scheme = WeightScheme.vir_at(burn_in_epoch=10)
+    scheme = WeightScheme(WeightFamily.VIR, burn_in_epoch=10)
     w, records = batch_weights(scheme, 11, model, x_nat, x_adv, y)
     p_nat = predict_probs(model, x_nat)
     p_adv = predict_probs(model, x_adv)
@@ -301,7 +303,7 @@ def test_vir_ablations_drop_the_other_factor(rng):
     x_nat = rng.standard_normal((5, 4))
     x_adv = x_nat + 0.2
     y = rng.integers(0, 3, size=5)
-    scheme = WeightScheme.vir_at(burn_in_epoch=0)
+    scheme = WeightScheme(WeightFamily.VIR, burn_in_epoch=0)
     w_full, rec = batch_weights(scheme, 1, model, x_nat, x_adv, y,
                                 ablation=Ablation.FULL)
     w_sv, _ = batch_weights(scheme, 1, model, x_nat, x_adv, y,
@@ -355,7 +357,7 @@ def test_batch_weights_alignment_errors(rng):
     model = make_mlp((4, 8, 3), seed=1)
     x = rng.standard_normal((4, 4))
     y = np.array([0, 1, 2, 0])
-    scheme = WeightScheme.vir_at()
+    scheme = WeightScheme(WeightFamily.VIR)
     with pytest.raises(ShapeError):
         batch_weights(scheme, 1, model, x, x[:3], y)
     with pytest.raises(ShapeError):
@@ -369,7 +371,7 @@ def test_batch_weights_records_carry_dataset_indices(rng):
     x = rng.standard_normal((3, 4))
     y = np.array([2, 0, 1])
     idx = np.array([140, 7, 33])
-    _, records = batch_weights(WeightScheme.vir_at(), 90, model, x, x, y,
+    _, records = batch_weights(WeightScheme(WeightFamily.VIR), 90, model, x, x, y,
                                indices=idx)
     assert [r.sample_index for r in records] == [140, 7, 33]
     assert [r.class_label for r in records] == [2, 0, 1]

@@ -10,6 +10,7 @@ import pytest
 from conftest import make_mlp
 from virlab import attacks, training
 from virlab.attacks import AttackFamily, AttackSpec
+from virlab.cli import _parse_value
 from virlab.codec import write_csv
 from virlab.config import OptimConfig, config_from_obj, resolve_config
 from virlab.data import Dataset
@@ -431,6 +432,24 @@ def test_sweep_propagates_an_error_that_is_not_the_point_s_own(tmp_path, monkeyp
     monkeypatch.setattr(training, "train", broken)
     with pytest.raises(TypeError, match="shared defect"):
         sweep(sweep_config(), {BETA: [0.007, 1.6]}, out_dir=str(tmp_path))
+
+
+def test_sweep_csv_grid_cells_read_back_as_their_values(tmp_path):
+    # A grid cell is the JSON that --set takes: a list of attacks, null
+    # and a nested list each read back as the point's value.
+    fgsm = {"family": "FGSM", "epsilon": 0.1}
+    bounds = "attack_train.bounds"
+    grid = {"attack_eval": [[fgsm], [dict(PGD_EVAL, iterations=2)]],
+            bounds: [None, [-10, 10]]}
+    rows = sweep(sweep_config(), grid, out_dir=str(tmp_path))
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    for cells, row in zip(parsed, rows):
+        for path in grid:
+            assert _parse_value(cells[path]) == row[path]
+    assert parsed[0]["attack_eval"] == '[{"epsilon":0.1,"family":"FGSM"}]'
+    assert parsed[0][bounds] == "null"
 
 
 def test_sweep_csv_writes_numpy_grid_values_as_plain_floats(tmp_path):

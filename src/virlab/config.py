@@ -292,10 +292,9 @@ def desk_profile() -> dict:
         "log_weights_every": 1,
         "optimizer": {"base_lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005,
                       "milestones": [20, 25], "decay_factor": 10.0},
-        "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
-                      "weight_scheme": {"family": "VIR", "alpha": 7.0,
-                                        "gamma": 10.0, "beta": 0.007,
-                                        "lambda_g": -1.0, "burn_in_epoch": 18}},
+        "objective": {"family": "AT", "trade_off": 5.0, "weight_scheme": {
+            "family": "VIR", "ablation": "FULL", "alpha": 7.0, "gamma": 10.0,
+            "beta": 0.007, "lambda_g": -1.0, "burn_in_epoch": 18}},
         "attack_train": {"family": "PGD", "epsilon": 0.75, "step_size": 0.1875,
                          "iterations": 10, "loss_mode": "CE", "bounds": None,
                          "seed": 0, "start_noise_scale": 0.001},
@@ -326,10 +325,9 @@ def paper_profile() -> dict:
         "log_weights_every": 5,
         "optimizer": {"base_lr": 0.01, "momentum": 0.9, "weight_decay": 0.0035,
                       "milestones": [75, 90], "decay_factor": 10.0},
-        "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
-                      "weight_scheme": {"family": "VIR", "alpha": 7.0,
-                                        "gamma": 10.0, "beta": 0.007,
-                                        "lambda_g": -1.0, "burn_in_epoch": 75}},
+        "objective": {"family": "AT", "trade_off": 5.0, "weight_scheme": {
+            "family": "VIR", "ablation": "FULL", "alpha": 7.0, "gamma": 10.0,
+            "beta": 0.007, "lambda_g": -1.0, "burn_in_epoch": 75}},
         "attack_train": {"family": "PGD", "epsilon": 8 / 255,
                          "step_size": 2 / 255, "iterations": 10,
                          "loss_mode": "CE", "bounds": [0.0, 1.0], "seed": 0,

@@ -74,6 +74,8 @@ def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[list[int], bytes]
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a [0,1]-scaled flat dataset."""
     (n, rows, cols), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    if n == 0:
+        raise DataFormatError(f"{images_path}: no images")
     (n_labels,), label_raw = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if n != n_labels:
         raise DataFormatError(

@@ -208,27 +208,30 @@ class Classifier:
             raise ValueError(f"grad must be None, 'input' or 'params', got {grad!r}")
         x = np.asarray(x, dtype=self.dtype, order="C")
         _check_input(self.arch, x)
-        conv, p = self.arch.conv, self.params
-        patches = fmap = None
-        h = x
-        if conv:
-            h = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
-            if grad == "params":
-                patches = h
-            h = h @ p["conv.weight"].data
-            h += p["conv.bias"].data
-            np.maximum(h, 0.0, out=h)
-            fmap = h  # [batch * positions, filters]
-            h = h.reshape(x.shape[0], conv.out_dim)
-        n_dense = len(self.arch.layers) - 1
-        inputs = []  # each dense layer's input
-        for i in range(n_dense):
-            inputs.append(h)
-            h = h @ p[f"dense{i}.weight"].data
-            h += p[f"dense{i}.bias"].data
-            if i < n_dense - 1:
+        # A NaN is _check_logits's to report, whichever FP flags the BLAS
+        # kernel raises; overflow stays loud, as a relu can hide an -inf.
+        with np.errstate(invalid="ignore"):
+            conv, p = self.arch.conv, self.params
+            patches = fmap = None
+            h = x
+            if conv:
+                h = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+                if grad == "params":
+                    patches = h
+                h = h @ p["conv.weight"].data
+                h += p["conv.bias"].data
                 np.maximum(h, 0.0, out=h)
-        logits = _check_logits(h.astype(np.float64, copy=False))
+                fmap = h  # [batch * positions, filters]
+                h = h.reshape(x.shape[0], conv.out_dim)
+            n_dense = len(self.arch.layers) - 1
+            inputs = []  # each dense layer's input
+            for i in range(n_dense):
+                inputs.append(h)
+                h = h @ p[f"dense{i}.weight"].data
+                h += p[f"dense{i}.bias"].data
+                if i < n_dense - 1:
+                    np.maximum(h, 0.0, out=h)
+            logits = _check_logits(h.astype(np.float64, copy=False))
         return logits, ((grad, patches, fmap, inputs) if grad else None)
 
     def _backward(self, cache: tuple, g: np.ndarray) -> np.ndarray | None:

@@ -1,13 +1,14 @@
-"""Training losses: vanilla AT, VIR-AT, TRADES, and VIR-TRADES.
+"""Training losses: AT and TRADES, each weighted per example.
 
-All objectives reduce by batch mean. VIR weights multiply only the term
-their formulation targets: the adversarial CE for VIR-AT, the KL
-regularizer for VIR-TRADES (whose natural CE term stays unweighted).
-Weights always enter as plain arrays, i.e. constants in the graph.
+The objective names the loss; ``reweight`` decides every weight (uniform
+gives plain AT and TRADES, VIR gives VIR-AT and VIR-TRADES). Weights
+multiply only the term their formulation targets: the adversarial CE for
+AT, the KL regularizer for TRADES (whose natural CE term stays
+unweighted). They enter as plain arrays, i.e. constants in the graph, and
+every objective reduces by batch mean.
 
-Each family has one weighted kernel: vanilla AT and TRADES are the VIR
-kernels with w = 1 (multiplying by 1.0 is exact, so values and gradients
-are bitwise those of the unweighted formulas).
+at_loss and trades_loss are the unit-weight forms: multiplying by 1.0 is
+exact, so values and gradients are bitwise the unweighted formulas'.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .models import Classifier
-from .reweight import Ablation, WeightFamily, WeightScheme
+from .reweight import WeightFamily, WeightScheme
 from .tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
 class ObjectiveFamily(Enum):
     AT = "AT"
-    VIR_AT = "VIR_AT"
     TRADES = "TRADES"
-    VIR_TRADES = "VIR_TRADES"
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,12 @@ class ObjectiveSpec:
     trade_off: float = 5.0
     weight_scheme: WeightScheme = field(
         default_factory=lambda: WeightScheme(WeightFamily.VIR))
-    ablation: Ablation = Ablation.FULL
 
     def __post_init__(self):
         if isinstance(self.family, str):
             object.__setattr__(self, "family", ObjectiveFamily(self.family))
-        if isinstance(self.ablation, str):
-            object.__setattr__(self, "ablation", Ablation(self.ablation))
-        if self.family in (ObjectiveFamily.TRADES, ObjectiveFamily.VIR_TRADES):
-            if self.trade_off <= 0:
-                raise ConfigError(f"trade_off must be positive, got {self.trade_off}")
+        if self.family is ObjectiveFamily.TRADES and self.trade_off <= 0:
+            raise ConfigError(f"trade_off must be positive, got {self.trade_off}")
 
 
 def _check_weights(weights, batch: int) -> np.ndarray:
@@ -56,7 +51,7 @@ def _check_weights(weights, batch: int) -> np.ndarray:
 
 
 def vir_at_loss(model: Classifier, x_nat, x_adv, y, weights) -> Tensor:
-    """Mean over the batch of w_i * CE(f(x_adv_i), y_i); x_nat is unused."""
+    """AT: mean over the batch of w_i * CE(f(x_adv_i), y_i); x_nat is unused."""
     x_adv = np.asarray(x_adv, dtype=np.float64)
     w = _check_weights(weights, x_adv.shape[0])
     rows = cross_entropy_rows(model.forward(Tensor(x_adv)), y)
@@ -64,18 +59,18 @@ def vir_at_loss(model: Classifier, x_nat, x_adv, y, weights) -> Tensor:
 
 
 def at_loss(model: Classifier, x_adv, y) -> Tensor:
-    """Vanilla adversarial training: mean CE on attacked inputs."""
+    """AT with unit weights: mean CE on attacked inputs."""
     return vir_at_loss(model, x_adv, x_adv, y, np.ones(len(y)))
 
 
 def trades_loss(model: Classifier, x_nat, x_adv, y, trade_off: float) -> Tensor:
-    """TRADES: VIR-TRADES with unit weights."""
+    """TRADES with unit weights."""
     return vir_trades_loss(model, x_nat, x_adv, y, trade_off, np.ones(len(y)))
 
 
 def vir_trades_loss(model: Classifier, x_nat, x_adv, y, trade_off: float,
                     weights) -> Tensor:
-    """Mean of CE(f(x_i), y_i) + trade_off * w_i * KL(f(x_i) || f(x_adv_i)).
+    """TRADES: mean of CE(f(x_i), y_i) + trade_off * w_i * KL(f(x_i) || f(x_adv_i)).
 
     trade_off is the 1/lambda factor; gradient flows through both the
     natural and adversarial logits of the KL term. The natural CE term

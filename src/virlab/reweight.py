@@ -1,5 +1,7 @@
 """Instance-weight assignment: VIR, GAIRAT, MAIL, and uniform.
 
+This module alone decides each example's weight; the objective (AT or
+TRADES) only applies it, and uniform weights give the plain objective.
 VIR scores each sample by how vulnerable it is (low true-class probability
 on the natural input) times how far the attack moved its prediction
 (KL between natural and adversarial output rows), plus a floor beta.
@@ -42,7 +44,8 @@ class Ablation(Enum):
 @dataclass(frozen=True)
 class WeightScheme:
     """Family plus hyperparameters. gamma and beta are the VIR exponent and
-    floor, or (for MAIL) the logistic slope and center."""
+    floor, or (for MAIL) the logistic slope and center. Only VIR takes an
+    ablation other than FULL."""
 
     family: WeightFamily
     alpha: float = 7.0
@@ -50,10 +53,16 @@ class WeightScheme:
     beta: float = 0.007
     lambda_g: float = -1.0
     burn_in_epoch: int = 75
+    ablation: Ablation = Ablation.FULL
 
     def __post_init__(self):
         if isinstance(self.family, str):
             object.__setattr__(self, "family", WeightFamily(self.family))
+        if isinstance(self.ablation, str):
+            object.__setattr__(self, "ablation", Ablation(self.ablation))
+        if self.ablation is not Ablation.FULL and self.family is not WeightFamily.VIR:
+            raise ConfigError(f"ablation {self.ablation.value} needs family VIR, "
+                              f"got {self.family.value}")
         if self.family is WeightFamily.VIR:
             if self.alpha <= 0:
                 raise ConfigError(f"alpha must be positive, got {self.alpha}")
@@ -142,7 +151,6 @@ def mail_weight(pm, gamma_m: float = 10.0, beta_m: float = 0.0):
 
 def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
                   x_nat, x_adv, y, k_values=None, k_budget: int | None = None,
-                  ablation: Ablation = Ablation.FULL,
                   indices=None,
                   ) -> tuple[np.ndarray, list[WeightRecord]]:
     """Per-sample weights for one batch, plus the log records.
@@ -175,9 +183,9 @@ def batch_weights(scheme: WeightScheme, epoch: int, model: Classifier,
         s_v = vulnerability_score(prob_true, scheme.alpha, scheme.gamma)
         s_d = discrepancy_score(p_nat, p_adv)
         scores = (s_v.tolist(), s_d.tolist())
-        if ablation is Ablation.FULL:
+        if scheme.ablation is Ablation.FULL:
             w = vir_weight(s_v, s_d, scheme.beta)
-        elif ablation is Ablation.SV_ONLY:
+        elif scheme.ablation is Ablation.SV_ONLY:
             w = s_v
         else:
             w = s_d

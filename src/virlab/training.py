@@ -29,8 +29,7 @@ from .config import (OptimConfig, TrainConfig, config_from_obj, config_to_obj,
 from .data import Dataset, batch_indices
 from .errors import ConfigError, NonFiniteError, NumericAbort
 from .models import Classifier, predict_labels, save_checkpoint
-from .objectives import (ObjectiveFamily, at_loss, trades_loss, vir_at_loss,
-                         vir_trades_loss)
+from .objectives import ObjectiveFamily, vir_at_loss, vir_trades_loss
 from .reweight import WeightFamily, batch_weights, write_weight_records
 
 # -- optimizer -----------------------------------------------------------------
@@ -187,13 +186,8 @@ def _train_attack_spec(config: TrainConfig, epoch: int, batch_idx: int) -> Attac
 
 
 def _batch_loss(model, objective, x_nat, x_adv, y, weights):
-    fam = objective.family
-    if fam is ObjectiveFamily.AT:
-        return at_loss(model, x_adv, y)
-    if fam is ObjectiveFamily.VIR_AT:
+    if objective.family is ObjectiveFamily.AT:
         return vir_at_loss(model, x_nat, x_adv, y, weights)
-    if fam is ObjectiveFamily.TRADES:
-        return trades_loss(model, x_nat, x_adv, y, objective.trade_off)
     return vir_trades_loss(model, x_nat, x_adv, y, objective.trade_off, weights)
 
 
@@ -252,8 +246,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
                         x_adv = run_attack(model, xb, yb, spec)
                     w, records = batch_weights(
                         scheme, epoch, model, xb, x_adv, yb, k_values=k_values,
-                        k_budget=spec.iterations,
-                        ablation=config.objective.ablation, indices=idx,
+                        k_budget=spec.iterations, indices=idx,
                     )
                     np.add.at(weight_sums, yb, w)
                     if log_weights:

@@ -447,7 +447,7 @@ def ablation_config(ablation):
         ("model.hidden", [16]),
         ("attack_eval", [{"family": "FGSM", "epsilon": 0.75, "seed": 1234}]),
         ("objective.weight_scheme.burn_in_epoch", 1),
-        ("objective.ablation", ablation),
+        ("objective.weight_scheme.ablation", ablation),
     ])
 
 

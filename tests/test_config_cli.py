@@ -110,6 +110,25 @@ def test_unknown_keys_rejected_at_every_level(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("overrides, pattern", [
+    # the objective names the loss only; the weight scheme owns every weight
+    (["objective.family=VIR_AT"],
+     r"config\.objective\.family must be one of \['AT', 'TRADES'\], got 'VIR_AT'"),
+    (["objective.family=VIR_TRADES"],
+     r"config\.objective\.family must be one of \['AT', 'TRADES'\], got 'VIR_TRADES'"),
+    (["objective.ablation=FULL"], r"objective has unknown keys: \['ablation'\]"),
+    (["objective.weight_scheme.family=GAIRAT",
+      "objective.weight_scheme.ablation=SV_ONLY"],
+     "ablation SV_ONLY needs family VIR, got GAIRAT"),
+])
+def test_one_weighting_decision(tmp_path, capsys, overrides, pattern):
+    out = tmp_path / "run"
+    args = [a for o in overrides for a in ("--set", o)]
+    assert main(["train", *args, "--out", str(out)] + TINY) == 2
+    assert re.search(pattern, capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_precedence_profile_file_override(tmp_path):
     cfg = tmp_path / "override.json"
     cfg.write_text(json.dumps({"seed": 3, "batch_size": 32}))
@@ -140,8 +159,8 @@ def test_config_round_trips_through_json():
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
 # config.json wire format of each shipped profile, byte for byte.
 PROFILE_JSON_SHA256 = {
-    "desk": "ace3873c6131a938313ce1fb52b5539fcd8f7b6ea5287e7b421c7cdc4f46cf8b",
-    "paper": "d71190521aa944c7c4aa592933016b13ade7c35595844a5d25bfe0db065cb8b3",
+    "desk": "e9ffe83b6040298f77b018e4b304db5fa57a3f59adb6fd2e19cf4c76a3252d8d",
+    "paper": "5c45fd37892675fa4973c57ecddffad8fa403d3b8131473bb5103077b3d60f6c",
 }
 
 
@@ -183,11 +202,15 @@ def _configs(draw):
                                       width=st.integers(3, 8),
                                       filters=st.integers(1, 4),
                                       kernel_size=st.integers(1, 3)))
+    family = draw(st.sampled_from(WeightFamily))
     scheme = WeightScheme(
-        draw(st.sampled_from(WeightFamily)), alpha=draw(_POS),
+        family, alpha=draw(_POS),
         gamma=draw(st.integers(1, 20) | st.floats(1, 20, **_FINITE)),
         beta=draw(_NONNEG), lambda_g=draw(st.floats(-5, 5, **_FINITE)),
-        burn_in_epoch=draw(st.integers(0, 100)))
+        burn_in_epoch=draw(st.integers(0, 100)),
+        # Only VIR drops a factor; every other family is FULL.
+        ablation=(draw(st.sampled_from(Ablation)) if family is WeightFamily.VIR
+                  else Ablation.FULL))
     dataset = DataSource("synth", {
         "num_classes": draw(st.integers(2, 4)), "dim": draw(st.integers(3, 8)),
         "variances": draw(st.lists(_POS, min_size=2, max_size=4)),
@@ -196,8 +219,7 @@ def _configs(draw):
     })
     return TrainConfig(
         objective=ObjectiveSpec(draw(st.sampled_from(ObjectiveFamily)),
-                                trade_off=draw(_POS), weight_scheme=scheme,
-                                ablation=draw(st.sampled_from(Ablation))),
+                                trade_off=draw(_POS), weight_scheme=scheme),
         # TrainConfig keys the training attack itself; its seed must be 0.
         attack_train=draw(_attacks(seeds=st.just(0))),
         attack_eval=tuple(draw(st.lists(_attacks(), max_size=3))),

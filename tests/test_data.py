@@ -13,6 +13,7 @@ from virlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset,
                          save_csv, save_idx, simplex_means, synth_multiclass)
 from virlab.errors import ConfigError, DataFormatError
 from virlab.gmm import GmmSpec, sample_gmm
+from virlab.models import Arch, Classifier, save_checkpoint
 
 
 def small_dataset(n=12, d=5, classes=3, seed=0) -> Dataset:
@@ -118,6 +119,31 @@ def test_load_idx_count_mismatch(tmp_path):
                    + ds.labels[:5].astype(np.uint8).tobytes())
     with pytest.raises(DataFormatError, match="mismatch"):
         load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "attack"])
+def test_cli_rejects_an_idx_split_of_zero_images(tmp_path, capsys, command):
+    # An empty eval split used to train a whole epoch before evaluate()
+    # raised, or (attack) to write a 0-row CSV and exit 0.
+    paths = {}
+    for split, ds in (("", pixel_dataset()), ("eval_", pixel_dataset(n=0))):
+        paths[f"{split}images"] = str(tmp_path / f"{split}imgs.idx")
+        paths[f"{split}labels"] = str(tmp_path / f"{split}lbls.idx")
+        save_idx(ds, paths[f"{split}images"], paths[f"{split}labels"],
+                 rows=3, cols=4)
+    with pytest.raises(DataFormatError, match="no images"):
+        load_idx(paths["eval_images"], paths["eval_labels"])
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(Classifier(Arch((12, 4, 5)), seed=0), checkpoint)
+    out = tmp_path / "out"
+    args = {"train": ["--out", str(out)],
+            "eval": ["--checkpoint", str(checkpoint), "--out", str(out)],
+            "attack": ["--checkpoint", str(checkpoint), "--out", str(out)]}
+    assert main([command, *args[command], "--epochs", "1",
+                 "--set", "optimizer.milestones=[]",
+                 "--set", f"dataset={json.dumps({'kind': 'idx', **paths})}"]) == 4
+    assert capsys.readouterr().err == f"error: {paths['eval_images']}: no images\n"
+    assert not out.exists()
 
 
 def test_idx_magics_are_the_standard_ones():

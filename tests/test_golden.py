@@ -186,10 +186,11 @@ CONV_CONFIG = {
     "log_weights_every": 1,
     "optimizer": {"base_lr": 0.1, "momentum": 0.9, "weight_decay": 0.0035,
                   "milestones": [], "decay_factor": 10.0},
-    "objective": {"family": "VIR_AT", "trade_off": 5.0, "ablation": "FULL",
+    "objective": {"family": "AT", "trade_off": 5.0,
                   "weight_scheme": {"family": "VIR", "alpha": 7.0,
                                     "gamma": 10.0, "beta": 0.007,
-                                    "lambda_g": -1.0, "burn_in_epoch": 2}},
+                                    "lambda_g": -1.0, "burn_in_epoch": 2,
+                                    "ablation": "FULL"}},
     "attack_train": {"family": "PGD", "epsilon": 8 / 255,
                      "step_size": 2 / 255, "iterations": 3, "loss_mode": "CE",
                      "bounds": [0.0, 1.0], "seed": 0,
@@ -218,11 +219,11 @@ CONV_CONFIG = {
 # at every step count, so its weights pin each first-miss iteration.
 # VIR_AT_F32 is VIR_AT computed in float32.
 CONV_RUNS = {
-    "VIR_AT": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float64"),
-    "VIR_AT_F32": ("VIR_AT", "VIR", {"loss_mode": "CE"}, "float32"),
-    "VIR_TRADES": ("VIR_TRADES", "GAIRAT", {"loss_mode": "KL"}, "float64"),
-    "GAIRAT_CE_PGD": ("VIR_AT", "GAIRAT", {"loss_mode": "CE", "epsilon": 0.2,
-                                           "step_size": 0.06}, "float64"),
+    "VIR_AT": ("AT", "VIR", {"loss_mode": "CE"}, "float64"),
+    "VIR_AT_F32": ("AT", "VIR", {"loss_mode": "CE"}, "float32"),
+    "VIR_TRADES": ("TRADES", "GAIRAT", {"loss_mode": "KL"}, "float64"),
+    "GAIRAT_CE_PGD": ("AT", "GAIRAT", {"loss_mode": "CE", "epsilon": 0.2,
+                                       "step_size": 0.06}, "float64"),
 }
 
 

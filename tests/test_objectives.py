@@ -8,9 +8,9 @@ import pytest
 from conftest import make_mlp
 from oracles import finite_diff_grad
 from virlab.errors import ConfigError, ShapeError
-from virlab.objectives import (Ablation, ObjectiveFamily, ObjectiveSpec,
-                               at_loss, trades_loss, vir_at_loss,
-                               vir_trades_loss)
+from virlab.objectives import (ObjectiveFamily, ObjectiveSpec, at_loss,
+                               trades_loss, vir_at_loss, vir_trades_loss)
+from virlab.reweight import Ablation, WeightScheme
 from virlab.tensor import Tensor, cross_entropy_rows, kl_divergence, softmax
 
 
@@ -25,10 +25,10 @@ def test_objective_spec_validation():
     with pytest.raises(ConfigError):
         ObjectiveSpec(ObjectiveFamily.TRADES, trade_off=0.0)
     with pytest.raises(ConfigError):
-        ObjectiveSpec(ObjectiveFamily.VIR_TRADES, trade_off=-1.0)
-    spec = ObjectiveSpec("VIR_AT", ablation="SV_ONLY")
-    assert spec.family is ObjectiveFamily.VIR_AT
-    assert spec.ablation is Ablation.SV_ONLY
+        ObjectiveSpec("TRADES", trade_off=-1.0)
+    spec = ObjectiveSpec("AT", weight_scheme=WeightScheme("VIR", ablation="SV_ONLY"))
+    assert spec.family is ObjectiveFamily.AT
+    assert spec.weight_scheme.ablation is Ablation.SV_ONLY
     # AT ignores trade_off entirely
     assert ObjectiveSpec(ObjectiveFamily.AT, trade_off=-5.0).family is ObjectiveFamily.AT
 

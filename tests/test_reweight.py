@@ -217,10 +217,19 @@ def test_weight_scheme_validation():
     assert WeightScheme("UNIFORM").family is WeightFamily.UNIFORM
 
 
+@pytest.mark.parametrize("family", ["GAIRAT", "MAIL", "UNIFORM"])
+def test_only_vir_takes_an_ablation(family):
+    assert WeightScheme(family, ablation="FULL").ablation is Ablation.FULL
+    for ablation in ("SV_ONLY", "SD_ONLY"):
+        assert WeightScheme("VIR", ablation=ablation).ablation is Ablation(ablation)
+        with pytest.raises(ConfigError, match=f"ablation {ablation} needs family VIR"):
+            WeightScheme(family, ablation=ablation)
+
+
 def test_preset_schemes_match_published_defaults():
     at = WeightScheme(WeightFamily.VIR)
     assert (at.alpha, at.gamma, at.beta) == (7.0, 10.0, 0.007)
-    assert ObjectiveSpec(ObjectiveFamily.VIR_AT).weight_scheme == at
+    assert ObjectiveSpec(ObjectiveFamily.AT).weight_scheme == at
     # VIR-TRADES's published (alpha, gamma, beta) form a valid VIR scheme.
     tr = WeightScheme(WeightFamily.VIR, alpha=8.0, gamma=3.0, beta=1.6)
     assert at.burn_in_epoch == tr.burn_in_epoch == 75
@@ -303,13 +312,14 @@ def test_vir_ablations_drop_the_other_factor(rng):
     x_nat = rng.standard_normal((5, 4))
     x_adv = x_nat + 0.2
     y = rng.integers(0, 3, size=5)
-    scheme = WeightScheme(WeightFamily.VIR, burn_in_epoch=0)
-    w_full, rec = batch_weights(scheme, 1, model, x_nat, x_adv, y,
-                                ablation=Ablation.FULL)
-    w_sv, _ = batch_weights(scheme, 1, model, x_nat, x_adv, y,
-                            ablation=Ablation.SV_ONLY)
-    w_sd, _ = batch_weights(scheme, 1, model, x_nat, x_adv, y,
-                            ablation=Ablation.SD_ONLY)
+
+    def weights(ablation):
+        scheme = WeightScheme(WeightFamily.VIR, burn_in_epoch=0, ablation=ablation)
+        return batch_weights(scheme, 1, model, x_nat, x_adv, y)
+
+    w_full, rec = weights(Ablation.FULL)
+    w_sv, _ = weights(Ablation.SV_ONLY)
+    w_sd, _ = weights(Ablation.SD_ONLY)
     np.testing.assert_allclose(w_full, w_sv * w_sd + 0.007, rtol=1e-12)
     np.testing.assert_allclose([r.s_v for r in rec], w_sv, rtol=1e-12)
     np.testing.assert_allclose([r.s_d for r in rec], w_sd, rtol=1e-12)

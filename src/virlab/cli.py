@@ -5,10 +5,12 @@ resolves in three layers, last writer wins:
 
     profile defaults  <  --config FILE (JSON)  <  --set dotted.path=value
 
-Named flags (--seed, --epochs, ...) are sugar for the matching --set path
-and therefore share the highest precedence. Exit codes: 0 success, 2 bad
-configuration, 3 non-finite numbers (a run's or a checkpoint's), 4 I/O or
-file-format failure.
+train and sweep also take --seed, --epochs and --batch-size, each sugar
+for the --set path of its own name and so of the highest precedence.
+eval and attack take none of them: they score a checkpoint on the split
+DataSource.load returns. Exit codes: 0 success, 2 bad configuration,
+3 non-finite numbers (a run's or a checkpoint's), 4 I/O or file-format
+failure.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ def _parse_set(raw: str) -> tuple[str, object]:
 
 def _collect_overrides(args) -> list[tuple[str, object]]:
     overrides = [_parse_set(s) for s in (args.set or [])]
-    for flag, path in (("seed", "seed"), ("epochs", "epochs"),
-                       ("batch_size", "batch_size")):
-        value = getattr(args, flag, None)
+    for name in ("seed", "epochs", "batch_size"):
+        value = getattr(args, name, None)
         if value is not None:
-            overrides.append((path, value))
+            overrides.append((name, value))
     return overrides
 
 
@@ -72,6 +73,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", metavar="PATH=VALUE",
                    help="override one config field, e.g. "
                         "--set objective.weight_scheme.alpha=8 (repeatable)")
+
+
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="shorthand for --set seed=N")
     p.add_argument("--epochs", type=int, help="shorthand for --set epochs=N")
     p.add_argument("--batch-size", type=int, dest="batch_size",
@@ -90,11 +94,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _load_scored(args):
+    """The checkpoint's model and epoch, the resolved config, and the split
+    the config evaluates, checked to fit the model."""
     model, epoch, _ = load_checkpoint(args.checkpoint)
     config = _resolved(args)
-    train_set, eval_set = config.dataset.load()
-    dataset = eval_set if eval_set is not None else train_set
+    _, dataset = config.dataset.load()
+    check_fits(model, dataset)
+    return model, epoch, config, dataset
+
+
+def _cmd_eval(args) -> int:
+    model, epoch, config, dataset = _load_scored(args)
     report = evaluate(model, dataset, list(config.attack_eval))
     print(f"checkpoint epoch {epoch}: clean {report.clean_accuracy:.4f}")
     for name, acc in report.robust_accuracy.items():
@@ -111,22 +122,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
-    config = _resolved(args)
-    train_set, eval_set = config.dataset.load()
-    dataset = eval_set if eval_set is not None else train_set
-    check_fits(model, dataset)  # evaluate() makes the same check for eval
+    model, _, config, dataset = _load_scored(args)
     specs = list(config.attack_eval)
     if not 0 <= args.index < len(specs):
         raise ConfigError(
             f"--index {args.index} out of range; config has {len(specs)} "
             "eval attacks"
         )
-    spec = specs[args.index]
-    x_adv = run_attack(model, dataset.features, dataset.labels, spec)
+    x_adv = run_attack(model, dataset.features, dataset.labels, specs[args.index])
     flipped = predict_labels(model, x_adv) != dataset.labels
     save_csv(Dataset(x_adv, dataset.labels), args.out)
-    print(f"{condition_names([spec])[0]}: wrote {len(dataset)} adversarial "
+    print(f"{condition_names(specs)[args.index]}: wrote {len(dataset)} adversarial "
           f"examples to {args.out}; model now wrong on {flipped.mean():.4f}")
     return 0
 
@@ -244,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the configured training recipe")
     _add_config_flags(p)
+    _add_training_flags(p)
     p.add_argument("--out", "-o", default="run_out", help="artifact directory")
     p.set_defaults(func=_cmd_train)
 
@@ -275,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train each point of a grid of config values")
     _add_config_flags(p)
+    _add_training_flags(p)
     p.add_argument("--grid", action="append", metavar="PATH=V1,V2,...",
                    help="one grid axis: a --set path and comma-separated "
                         "values, each parsed as a --set value, e.g. "

@@ -112,45 +112,48 @@ class DataSource:
         declared = {**required, **optional}
         for key, value in self.params.items():
             from_obj(declared[key], value, f"{where}.{key}")
-            if key in ("seed", "eval_seed") and value < 0:
+            if key in ("seed", "eval_seed", "eval_per_class_n", "eval_n") and value < 0:
                 raise ConfigError(f"{where}.{key} must be >= 0, got {value}")
         if self.kind == "idx":
             have = [k for k in ("eval_images", "eval_labels") if k in self.params]
             if len(have) == 1:
                 raise ConfigError("idx eval split needs both eval_images and eval_labels")
 
-    def load(self) -> tuple[Dataset, Dataset | None]:
+    def load(self) -> tuple[Dataset, Dataset]:
+        """(train, evaluated). evaluated is the held-out split when the
+        config names one (synth eval_per_class_n > 0, gmm eval_n > 0, idx
+        eval_images/eval_labels, csv a non-empty eval_path), else the
+        training split object itself. This is the one place that fallback
+        is decided; train, eval and attack all score the split it returns.
+        """
         p = self.params
         if self.kind == "synth":
             seed = p.get("seed", 0)
             train = synth_multiclass(p["num_classes"], p["per_class_n"],
                                      p["variances"], p["separation"],
                                      p["dim"], seed)
-            n_eval = p.get("eval_per_class_n", 0)
-            if n_eval <= 0:
-                return train, None
-            eval_set = synth_multiclass(p["num_classes"], n_eval,
-                                        p["variances"], p["separation"],
-                                        p["dim"], p.get("eval_seed", seed + 1))
-            return train, eval_set
+            if not p.get("eval_per_class_n"):
+                return train, train
+            return train, synth_multiclass(p["num_classes"], p["eval_per_class_n"],
+                                           p["variances"], p["separation"],
+                                           p["dim"], p.get("eval_seed", seed + 1))
         if self.kind == "gmm":
             spec = GmmSpec(d=p["d"], eta=p["eta"], sigma=p["sigma"],
                            k_var=p["k_var"])
             seed = p.get("seed", 0)
             train = from_gmm(spec, p["n"], seed)
-            n_eval = p.get("eval_n", 0)
-            if n_eval <= 0:
-                return train, None
-            return train, from_gmm(spec, n_eval, p.get("eval_seed", seed + 1))
+            if not p.get("eval_n"):
+                return train, train
+            return train, from_gmm(spec, p["eval_n"], p.get("eval_seed", seed + 1))
         if self.kind == "idx":
             train = load_idx(p["images"], p["labels"])
             if "eval_images" in p:
                 return train, load_idx(p["eval_images"], p["eval_labels"])
-            return train, None
+            return train, train
         train = load_csv(p["path"])
         if p.get("eval_path"):
             return train, load_csv(p["eval_path"])
-        return train, None
+        return train, train
 
     def to_obj(self) -> dict:
         return {"kind": self.kind, **self.params}

@@ -202,8 +202,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
     it) GAIRAT counts kappa on a CE-mode PGD walk of attack_train out of
     K = its iterations; a CE PGD training attack is that walk, run once.
     """
-    train_set, eval_set = config.dataset.load()
-    eval_on = eval_set if eval_set is not None else train_set
+    train_set, eval_on = config.dataset.load()
     model = Classifier(config.arch(train_set), seed=config.seed)
     check_fits(model, eval_on)
     scheme = config.objective.weight_scheme

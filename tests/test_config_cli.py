@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 import virlab
 from virlab import training
 from virlab.attacks import AttackFamily, AttackSpec, LossMode
-from virlab.cli import main
+from virlab.cli import build_parser, main
 from virlab.codec import canonical_json
 from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
                            config_from_obj, config_to_obj, deep_merge,
                            desk_profile, resolve_config, set_dotted)
-from virlab.data import load_csv, save_idx, synth_multiclass
+from virlab.data import Dataset, load_csv, save_csv, save_idx, synth_multiclass
 from virlab.errors import ConfigError
 from virlab.models import (Arch, Classifier, ConvStem, load_checkpoint,
                            save_checkpoint)
@@ -302,7 +302,8 @@ def test_data_source_synth_and_gmm_loading():
     no_eval = DataSource("synth", {"num_classes": 2, "dim": 3,
                                    "variances": [1.0, 1.0], "separation": 4.0,
                                    "per_class_n": 10})
-    assert no_eval.load()[1] is None
+    train, evaluated = no_eval.load()
+    assert evaluated is train
 
     gmm = DataSource("gmm", {"d": 4, "eta": 1.0, "sigma": 2.0, "k_var": 2.0,
                              "n": 30, "eval_n": 10})
@@ -317,7 +318,7 @@ def test_data_source_file_kinds(tmp_path):
     path = tmp_path / "train.csv"
     save_csv(ds, path)
     train, eval_set = DataSource("csv", {"path": str(path)}).load()
-    assert len(train) == 12 and eval_set is None
+    assert len(train) == 12 and eval_set is train
 
     rng = np.random.default_rng(0)
     from virlab.data import Dataset
@@ -332,6 +333,47 @@ def test_data_source_file_kinds(tmp_path):
                            "eval_images": str(ip)})
     with pytest.raises(ConfigError, match="kind"):
         DataSource("parquet", {})
+
+
+def _sources_with_no_held_out_split(tmp_path) -> dict[str, dict]:
+    """One source of each kind, 4 features wide with at most 3 classes (so
+    the tiny CLI checkpoint fits each), naming no held-out split."""
+    rows = synth_multiclass(3, 8, [1.0, 1.0, 4.0], separation=4.0, d=4, seed=2)
+    save_csv(rows, tmp_path / "train.csv")
+    rng = np.random.default_rng(0)
+    pix = Dataset(rng.integers(0, 256, size=(12, 4)) / 255.0,
+                  rng.integers(0, 3, size=12))
+    save_idx(pix, tmp_path / "i.idx", tmp_path / "l.idx", rows=2, cols=2)
+    return {
+        "synth": {"num_classes": 3, "dim": 4, "variances": [1.0, 1.0, 4.0],
+                  "separation": 4.0, "per_class_n": 8, "eval_per_class_n": 0},
+        "gmm": {"d": 4, "eta": 1.0, "sigma": 2.0, "k_var": 2.0, "n": 20,
+                "eval_n": 0},
+        "idx": {"images": str(tmp_path / "i.idx"),
+                "labels": str(tmp_path / "l.idx")},
+        "csv": {"path": str(tmp_path / "train.csv"), "eval_path": ""},
+    }
+
+
+@pytest.mark.parametrize("kind", ["synth", "gmm", "idx", "csv"])
+def test_no_held_out_split_evaluates_the_training_split(train_run, tmp_path, kind):
+    params = _sources_with_no_held_out_split(tmp_path)[kind]
+    train, evaluated = DataSource(kind, params).load()
+    assert evaluated is train
+
+    out = tmp_path / "eval"
+    checkpoint = train_run / "checkpoint.ckpt"
+    dataset = json.dumps({"kind": kind, **params})
+    assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(out)]
+                + set_args([("dataset", dataset)])) == 0
+    model, _, _ = load_checkpoint(checkpoint)
+    specs = resolve_config(overrides=[("attack_eval", json.loads(
+        TINY_SETS["attack_eval"]))]).attack_eval
+    report = training.evaluate(model, train, list(specs))
+    with open(out / "eval.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {"clean_acc": repr(report.clean_accuracy),
+                   "robust_acc_pgd": repr(report.robust_accuracy["pgd"])}
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -487,6 +529,42 @@ def test_cli_attack(train_run, tmp_path, capsys):
     rc = main(["attack", "--checkpoint", str(train_run / "checkpoint.ckpt"),
                "--out", str(out), "--index", "5"] + TINY)
     assert rc == 2
+
+
+def test_cli_attack_names_its_condition_as_eval_does(train_run, tmp_path, capsys):
+    # attack used to name a spec alone ("pgd") where eval and metrics.csv
+    # number the second PGD "pgd_2".
+    two_pgd = json.dumps(json.loads(TINY_SETS["attack_eval"]) * 2)
+    argv = ["--checkpoint", str(train_run / "checkpoint.ckpt")] + set_args(
+        [("attack_eval", two_pgd)])
+    assert main(["eval", *argv]) == 0
+    assert "robust[pgd_2]" in capsys.readouterr().out
+    assert main(["attack", *argv, "--index", "1",
+                 "--out", str(tmp_path / "adv.csv")]) == 0
+    assert capsys.readouterr().out.startswith("pgd_2: wrote 60 adversarial")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--epochs", "--batch-size"])
+@pytest.mark.parametrize("command, out_name", [("eval", "eval"),
+                                               ("attack", "adv.csv")])
+def test_cli_eval_and_attack_take_no_training_flag(train_run, tmp_path, capsys,
+                                                   command, out_name, flag):
+    # Neither reads them; `eval --epochs 5` used to fail on the desk
+    # profile's milestones instead.
+    out = tmp_path / out_name
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--checkpoint", str(train_run / "checkpoint.ckpt"),
+              "--out", str(out), flag, "1"] + TINY)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_train_and_sweep_take_the_training_flags(command):
+    args = build_parser().parse_args(
+        [command, "--seed", "1", "--epochs", "2", "--batch-size", "3"])
+    assert (args.seed, args.epochs, args.batch_size) == (1, 2, 3)
 
 
 def test_cli_theory(tmp_path):
@@ -776,11 +854,19 @@ ONE_EPOCH = ["--epochs", "1", "--set", "optimizer.milestones=[]"]
      "config.attack_eval[0]: seed must be >= 0, got -3"),
     (["sweep", "--seed", "-3"], "config: seed must be >= 0, got -3"),
     (["theory", "--seed", "-1", "--n", "20000"], "seed must be >= 0, got -1"),
+    (["train", *ONE_EPOCH, "--set", "dataset.eval_per_class_n=-5"],
+     "dataset[synth].eval_per_class_n must be >= 0, got -5"),
+    (["train", *ONE_EPOCH, "--set", "dataset=" + json.dumps(
+        {"kind": "gmm", "d": 4, "eta": 1.0, "sigma": 2.0, "k_var": 2.0,
+         "n": 20, "eval_n": -3})],
+     "dataset[gmm].eval_n must be >= 0, got -3"),
 ], ids=["train-seed", "dataset-seed", "dataset-eval-seed", "attack-eval-seed",
-        "sweep-seed", "theory-seed"])
+        "sweep-seed", "theory-seed", "synth-eval-size", "gmm-eval-size"])
 def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys, argv, message):
     # numpy's seeding rejects a negative seed only when a stream is drawn,
-    # which for an eval attack is after config.json is written.
+    # which for an eval attack is after config.json is written. A negative
+    # held-out size used to mean "no held-out split", so the run scored
+    # its training split and exited 0.
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -136,10 +136,10 @@ def test_cli_rejects_an_idx_split_of_zero_images(tmp_path, capsys, command):
     checkpoint = tmp_path / "model.ckpt"
     save_checkpoint(Classifier(Arch((12, 4, 5)), seed=0), checkpoint)
     out = tmp_path / "out"
-    args = {"train": ["--out", str(out)],
+    args = {"train": ["--out", str(out), "--epochs", "1"],
             "eval": ["--checkpoint", str(checkpoint), "--out", str(out)],
             "attack": ["--checkpoint", str(checkpoint), "--out", str(out)]}
-    assert main([command, *args[command], "--epochs", "1",
+    assert main([command, *args[command],
                  "--set", "optimizer.milestones=[]",
                  "--set", f"dataset={json.dumps({'kind': 'idx', **paths})}"]) == 4
     assert capsys.readouterr().err == f"error: {paths['eval_images']}: no images\n"

@@ -26,7 +26,7 @@ from .attacks import run_attack
 from .codec import read_csv, write_csv
 from .config import PROFILES, resolve_config
 from .data import Dataset, save_csv
-from .errors import ConfigError, DataFormatError, NonFiniteError, NumericAbort
+from .errors import ConfigError, DataFormatError, NonFiniteError
 from .gmm import GmmSpec, corollary_check, risk_report
 from .models import load_checkpoint, predict_labels
 from .reweight import read_weight_records
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NumericAbort, NonFiniteError) as e:
+    except NonFiniteError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (DataFormatError, OSError) as e:

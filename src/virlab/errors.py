@@ -1,11 +1,11 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericAbort and NonFiniteError -> 3, DataFormatError (and OSError) -> 4.
-NonFiniteError is what the network forward (``Classifier._forward``, which
-checks every output) and the tensor kernels raise on NaN/inf values, say
-from a checkpoint with a NaN parameter; train() turns it into one
-NumericAbort naming the batch or evaluation where it happened.
+NonFiniteError -> 3, DataFormatError (and OSError) -> 4.
+NonFiniteError is the one numeric failure: the network forward
+(``Classifier._forward``, which checks every output) and the tensor kernels
+raise it on NaN/inf values, say from a checkpoint with a NaN parameter, and
+train() re-raises it with the batch or evaluation where it happened.
 """
 
 
@@ -19,10 +19,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ValueError):
     """A numeric kernel received NaN or infinite values."""
-
-
-class NumericAbort(RuntimeError):
-    """Training produced a non-finite quantity and cannot continue."""
 
 
 class DataFormatError(ValueError):

@@ -209,12 +209,10 @@ WEIGHT_CSV_HEADER = ["epoch", "sample_index", "class", "prob_true", "s_v", "s_d"
 
 
 def write_weight_records(records: list[WeightRecord], fh) -> None:
-    """Append records as CSV rows (a score the family does not compute is
-    an empty cell); writes the header if fh is at offset 0."""
-    writer = csv.writer(fh, lineterminator="\n")
-    if fh.tell() == 0:
-        writer.writerow(WEIGHT_CSV_HEADER)
-    writer.writerows(records)
+    """Append records to fh as weights.csv rows under WEIGHT_CSV_HEADER,
+    which the caller writes once (a score the family does not compute is an
+    empty cell)."""
+    csv.writer(fh, lineterminator="\n").writerows(records)
 
 
 def read_weight_records(path) -> list[WeightRecord]:

@@ -8,7 +8,7 @@ configured objective, and log. Everything emitted (config.json,
 metrics.csv, weights.csv, confusion CSVs, checkpoint) is a pure function
 of the config, byte for byte, and written atomically
 (``codec.atomic_open``). A non-finite logit or loss ends the run in one
-NumericAbort naming the batch or evaluation it hit.
+NonFiniteError naming the batch or evaluation it hit.
 Only the training loss builds an autodiff graph.
 """
 
@@ -27,10 +27,11 @@ from .codec import atomic_open, canonical_json, to_obj, write_csv
 from .config import (OptimConfig, TrainConfig, config_from_obj, config_to_obj,
                      set_dotted)
 from .data import Dataset, batch_indices
-from .errors import ConfigError, NonFiniteError, NumericAbort
+from .errors import ConfigError, NonFiniteError
 from .models import Classifier, predict_labels, save_checkpoint
 from .objectives import ObjectiveFamily, vir_at_loss, vir_trades_loss
-from .reweight import WeightFamily, batch_weights, write_weight_records
+from .reweight import (WEIGHT_CSV_HEADER, WeightFamily, batch_weights,
+                       write_weight_records)
 
 # -- optimizer -----------------------------------------------------------------
 
@@ -154,22 +155,19 @@ class MetricsLog:
     attack_names: list[str]
     num_classes: int
     rows: list[MetricsRow] = field(default_factory=list)
-    final_epoch: int | None = None
     best_epoch: int | None = None
 
     def csv_rows(self):
-        """metrics.csv: the header, one row per epoch, then the final and
-        best epochs' rows again under their own row_kind."""
+        """metrics.csv: the header, one row per epoch, then the final (last)
+        and best epochs' rows again under their own row_kind."""
         yield (["row_kind", "epoch", "lr", "train_loss", "clean_acc"]
                + [f"robust_acc_{n}" for n in self.attack_names]
                + [f"acc_class_{i}" for i in range(self.num_classes)]
                + [f"weight_sum_class_{i}" for i in range(self.num_classes)])
-        by_epoch = {r.epoch: r for r in self.rows}
-        kinds = [("epoch", r.epoch) for r in self.rows]
-        for kind, epoch in kinds + [("final", self.final_epoch),
-                                    ("best", self.best_epoch)]:
-            if epoch in by_epoch:
-                r = by_epoch[epoch]
+        best = [r for r in self.rows if r.epoch == self.best_epoch]
+        for kind, rows in (("epoch", self.rows), ("final", self.rows[-1:]),
+                           ("best", best)):
+            for r in rows:
                 yield [kind, r.epoch, r.lr, r.train_loss, r.clean_accuracy,
                        *(r.robust_accuracy.get(n) for n in self.attack_names),
                        *r.per_class_accuracy, *r.weight_sums]
@@ -218,8 +216,10 @@ def train(config: TrainConfig, out_dir: str | None = None,
         weights_file = atomic_open(os.path.join(out_dir, "weights.csv"))
 
     with weights_file as weights_fh:
+        if weights_fh is not None:
+            weights_fh.write(",".join(WEIGHT_CSV_HEADER) + "\n")
         best_score = -np.inf
-        where = ""  # the batch or evaluation running, for NumericAbort
+        where = ""  # the batch or evaluation running, for the error message
         try:
             for epoch in range(1, config.epochs + 1):
                 lr = lr_at(epoch, config.optimizer)
@@ -287,8 +287,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
                         best_score = score
                         log.best_epoch = epoch
         except NonFiniteError as e:  # a non-finite logit or loss, wherever met
-            raise NumericAbort(f"numeric failure {where}: {e}") from e
-        log.final_epoch = config.epochs
+            raise NonFiniteError(f"numeric failure {where}: {e}") from e
 
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "metrics.csv"), log.csv_rows())
@@ -320,7 +319,7 @@ def sweep(config: TrainConfig, grid: dict[str, list] | None = None,
     error, clean_acc and a robust_acc_<cond> for every condition any point
     evaluated; a grid cell holds its value as JSON, as ``--set`` takes
     it. An empty axis is a ConfigError before anything is written.
-    A ConfigError or NumericAbort fails only its own row, unless every row
+    A ConfigError or NonFiniteError fails only its own row, unless every row
     fails: then sweep.csv is still written and the first point's error is
     raised.
     """
@@ -345,7 +344,7 @@ def sweep(config: TrainConfig, grid: dict[str, list] | None = None,
             row["clean_acc"] = final.clean_accuracy
             for n, acc in final.robust_accuracy.items():
                 row[f"robust_acc_{n}"] = acc
-        except (ConfigError, NumericAbort) as e:
+        except (ConfigError, NonFiniteError) as e:
             row.update(status="failed", error=f"{type(e).__name__}: {e}")
             failures.append(e)
         rows.append(row)

@@ -5,7 +5,6 @@ Expected constants were computed independently with 50-digit mpmath and are
 asserted at 1e-9 relative tolerance.
 """
 
-import io
 import math
 
 import numpy as np
@@ -404,10 +403,10 @@ def test_weight_records_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "weights.csv"
     with open(path, "w", newline="") as fh:
+        fh.write(",".join(WEIGHT_CSV_HEADER) + "\n")
         write_weight_records(records, fh)
         write_weight_records([rec(77, 10, 0, 0.009, s_v=0.05, s_d=0.04)], fh)
     text = path.read_text()
-    assert text.splitlines()[0] == ",".join(WEIGHT_CSV_HEADER)
     assert text.count("epoch") == 1  # appending never repeats the header
     assert "np.float64" not in text
     back = read_weight_records(path)
@@ -435,10 +434,15 @@ def test_read_weight_records_names_the_bad_line(tmp_path, text, where):
         read_weight_records(path)
 
 
-def test_write_weight_records_header_only_at_offset_zero():
-    fh = io.StringIO()
+def test_write_weight_records_appends_to_a_non_seekable_stream():
+    class WriteOnly:  # no tell() or seek(), as a pipe
+        def __init__(self):
+            self.text = ""
+
+        def write(self, s):
+            self.text += s
+
+    fh = WriteOnly()
     write_weight_records([rec(1, 0, 0, 1.0)], fh)
-    fh.seek(0, io.SEEK_END)
-    write_weight_records([rec(2, 0, 0, 1.0)], fh)
-    lines = fh.getvalue().splitlines()
-    assert len(lines) == 3 and lines[0].startswith("epoch,")
+    write_weight_records([rec(2, 0, 0, 1.0, s_v=0.5, s_d=0.25)], fh)
+    assert fh.text == "1,0,0,0.5,,,1.0\n2,0,0,0.5,0.5,0.25,1.0\n"

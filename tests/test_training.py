@@ -14,7 +14,8 @@ from virlab.cli import _parse_value
 from virlab.codec import write_csv
 from virlab.config import OptimConfig, config_from_obj, resolve_config
 from virlab.data import Dataset
-from virlab.errors import ConfigError, NumericAbort
+from virlab.errors import ConfigError, NonFiniteError
+from virlab.reweight import WEIGHT_CSV_HEADER
 from virlab.tensor import Tensor
 from virlab.training import (EvalReport, MetricsLog, MetricsRow,
                              _train_attack_spec, condition_names, evaluate,
@@ -179,7 +180,6 @@ def metrics_fixture():
         MetricsRow(2, 0.01, 1.0, 0.75, {"pgd": 0.5, "fgsm": 0.625},
                    [0.8, 0.7], [9.5, 11.25]),
     ]
-    log.final_epoch = 2
     log.best_epoch = 2
     return log
 
@@ -239,7 +239,7 @@ def test_train_learns_a_separable_problem():
     # robust eval ran only where scheduled
     assert log.rows[0].robust_accuracy["pgd"] is None
     assert log.rows[-1].robust_accuracy["pgd"] is not None
-    assert log.best_epoch == 6 and log.final_epoch == 6
+    assert log.best_epoch == 6
 
 
 def test_burn_in_weight_sums_match_class_counts(tmp_path):
@@ -249,6 +249,10 @@ def test_burn_in_weight_sums_match_class_counts(tmp_path):
     _, log = train(config, out_dir=str(out))
     for row in log.rows:
         assert row.weight_sums == [25.0, 25.0, 25.0]
+    # train() writes the header once, before any batch appends its rows.
+    lines = (out / "weights.csv").read_text().splitlines()
+    assert lines[0] == ",".join(WEIGHT_CSV_HEADER)
+    assert lines.count(lines[0]) == 1
     with open(out / "weights.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 75
@@ -287,7 +291,7 @@ def test_gairat_batch_walks_one_trajectory_per_attack(monkeypatch, loss_mode,
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exploding_run_aborts_with_position():
     config = tiny_config([("epochs", 3), ("optimizer.base_lr", 1e155)])
-    with pytest.raises(NumericAbort, match=r"epoch \d+, batch \d+"):
+    with pytest.raises(NonFiniteError, match=r"epoch \d+, batch \d+"):
         train(config)
 
 
@@ -308,7 +312,7 @@ def test_explosion_surfacing_in_eval_still_aborts():
     # The last step of the last epoch can push parameters non-finite after
     # every batch loss was already checked; the divergence then shows up in
     # the epoch's evaluation forward and must map to the same abort.
-    with pytest.raises(NumericAbort, match=r"during evaluation at epoch \d+"):
+    with pytest.raises(NonFiniteError, match=r"during evaluation at epoch \d+"):
         train(eval_explosion_config())
 
 
@@ -316,7 +320,7 @@ def test_explosion_surfacing_in_eval_still_aborts():
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_aborted_run_leaves_no_partial_artifacts(tmp_path):
     # The abort comes after epoch 1's weight rows were streamed out.
-    with pytest.raises(NumericAbort):
+    with pytest.raises(NonFiniteError, match="numeric failure"):
         train(eval_explosion_config(), out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == ["config.json"]
 
@@ -405,6 +409,15 @@ def test_sweep_grid_and_failure_rows(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("run_*")) == ["run_0", "run_2"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_sweep_records_a_numeric_failure_against_its_own_point():
+    rows = sweep(tiny_config([("epochs", 3)]),
+                 {"optimizer.base_lr": [0.01, 1e155]})
+    assert [r["status"] for r in rows] == ["ok", "failed"]
+    assert rows[1]["error"].startswith("NonFiniteError: numeric failure ")
+
+
 def test_sweep_columns_are_every_point_s_eval_conditions(tmp_path):
     # Each point evaluates its own attack_eval; a row leaves the other
     # points' conditions empty.
@@ -424,7 +437,7 @@ def test_sweep_columns_are_every_point_s_eval_conditions(tmp_path):
 
 
 def test_sweep_propagates_an_error_that_is_not_the_point_s_own(tmp_path, monkeypatch):
-    # Only a ConfigError or NumericAbort belongs to a grid point; anything
+    # Only a ConfigError or NonFiniteError belongs to a grid point; anything
     # else is a defect every point shares.
     def broken(config, out_dir=None):
         raise TypeError("shared defect")

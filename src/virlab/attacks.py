@@ -235,6 +235,7 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         grad = _input_gradient(model, y, spec.loss_mode, reference)
         if noise is not None:
             cur += spec.start_noise_scale * noise.standard_normal(x.shape)
+    lo, hi = x - spec.epsilon, x + spec.epsilon  # the projection box
     for k in range(iterations):
         g, logits = grad(cur)
         if first_miss is not None and k > 0:  # the logits of iterate k
@@ -244,7 +245,7 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         np.sign(g, out=g)
         g *= step
         g += cur
-        cur = np.clip(g, x - spec.epsilon, x + spec.epsilon, out=g)
+        cur = np.clip(g, lo, hi, out=g)
         if spec.bounds is not None:
             np.clip(cur, *spec.bounds, out=cur)
     return cur, first_miss

@@ -5,7 +5,13 @@ The network is plain numpy: ``_forward`` computes the logits and
 reverse, then the conv stem, whose input gradient is formed as
 offset-major slabs, one contiguous [batch * positions] run per kernel
 offset, and added back by the tensor module's reversed slice-add),
-bitwise what a graph of the tensor module's layer ops gives. The network
+bitwise what a graph of the tensor module's layer ops gives. A forward
+that forms no weight gradient (every attack step, SPSA score and
+prediction) gathers the stem's patches in that offset-major layout too,
+k**2 slice copies, and takes the stem's product as ``slabs.T @ W``; the
+training forward gathers them row-major, as its weight gradient
+``patches.T @ g`` reads them. Both products are bitwise the same (tested
+on the SkylakeX, Haswell and Prescott kernels). The network
 computes in its arch's ``dtype`` (float64 or float32) and its boundary is
 float64: ``_forward`` casts its input in and returns float64 logits, and
 ``_backward`` casts the logits' gradient in and returns float64 (an exact
@@ -40,7 +46,7 @@ import numpy as np
 from .codec import atomic_open, canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import (Tensor, _check_logits, _patch_grad, _patch_rows,
-                     _softmax_values)
+                     _patch_slabs, _softmax_values)
 
 MAGIC = b"VIRCKPT1"
 _U64 = struct.Struct("<Q")
@@ -199,6 +205,12 @@ class Classifier:
         "input" all but the stem's patches, which only the stem's weight
         gradient reads. NonFiniteError if a logit is not finite.
 
+        "params" gathers the stem's patches row-major (``_patch_rows``) and
+        keeps them; None and "input" gather them offset-major
+        (``_patch_slabs``, k**2 contiguous copies instead of one copy in
+        runs of k) and drop them after ``slabs.T @ W``, bitwise the
+        row-major product.
+
         A row's logits depend on that row alone only up to rounding: the
         BLAS kernel may round a row by where the batch puts it. Consecutive
         chunks of 64 rows give bitwise the whole batch's logits (tested, in
@@ -215,14 +227,19 @@ class Classifier:
             patches = fmap = None
             h = x
             if conv:
-                h = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+                shape = (conv.height, conv.width, conv.kernel_size)
                 if grad == "params":
-                    patches = h
-                h = h @ p["conv.weight"].data
-                h += p["conv.bias"].data
-                np.maximum(h, 0.0, out=h)
+                    patches = _patch_rows(h, *shape)
+                    h = patches @ p["conv.weight"].data
+                else:
+                    h = _patch_slabs(h, *shape).T @ p["conv.weight"].data
                 fmap = h  # [batch * positions, filters]
                 h = h.reshape(x.shape[0], conv.out_dim)
+                # Tiled over a whole image row, the bias is one add loop
+                # out_dim wide, not one filters wide per position; each
+                # element still gets the one addition, so no bit moves.
+                h += np.tile(p["conv.bias"].data, conv.out_height * conv.out_width)
+                np.maximum(h, 0.0, out=h)
             n_dense = len(self.arch.layers) - 1
             inputs = []  # each dense layer's input
             for i in range(n_dense):

@@ -25,7 +25,10 @@ ops call; the attacks and the weight scores call them (and the attacks
 
 The network is one node over its parameters (``Classifier.forward``)
 whose backward is the model's own layer backward, sharing the patch
-helpers below with ``sliding_patches``. The layer ops (``@``, ``+``,
+helpers below with ``sliding_patches``: ``_patch_rows`` gathers the
+patches row-major, ``_patch_slabs`` offset-major (one contiguous slab per
+kernel offset, for forwards that form no weight gradient), and
+``_patch_grad`` adds offset-major slabs back. The layer ops (``@``, ``+``,
 ``relu``, ``reshape``, ``sliding_patches``) remain for the benchmark's op
 cases and the tests' layered oracle.
 """
@@ -421,11 +424,32 @@ def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.
     return np.ascontiguousarray(patches)
 
 
+def _patch_slabs(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.ndarray:
+    """The patches of _patch_rows offset-major: a C-contiguous
+    [kernel_size**2, batch * out_h * out_w] array whose transpose is
+    _patch_rows's, element for element, in v's dtype.
+
+    The mirror of _patch_grad: each kernel offset's slab is one slice copy
+    of its shifted window, kernel_size**2 contiguous copies in place of one
+    copy in runs of kernel_size. ``slabs.T @ W`` is the stem's product
+    without a row-major patch array.
+    """
+    out_h = height - kernel_size + 1
+    out_w = width - kernel_size + 1
+    batch = v.shape[0]
+    imgs = v.reshape(batch, height, width)
+    slabs = np.empty((kernel_size, kernel_size, batch, out_h, out_w), dtype=v.dtype)
+    for ki in range(kernel_size):
+        for kj in range(kernel_size):
+            slabs[ki, kj] = imgs[:, ki:ki + out_h, kj:kj + out_w]
+    return slabs.reshape(kernel_size * kernel_size, batch * out_h * out_w)
+
+
 def _patch_grad(slabs: np.ndarray, batch: int, height: int, width: int,
                 kernel_size: int) -> np.ndarray:
     """Gradient of the flattened images from the gradient of their patch
-    rows: the reverse of _patch_rows, as a fresh [batch, height * width] of
-    the slabs' dtype.
+    rows: the reverse of _patch_rows and of _patch_slabs, as a fresh
+    [batch, height * width] of the slabs' dtype.
 
     ``slabs`` is that gradient offset-major, [kernel_size**2, batch * out_h *
     out_w] (the transpose of the patch rows' layout), in any strides: a

@@ -1,8 +1,10 @@
 """Classifier shapes, deterministic init, the fused forward against the
 layered graph, probability helpers, and the checkpoint wire format."""
 
+import itertools
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from virlab.attacks import LossMode
 from virlab.cli import main
 from virlab.errors import (CheckpointError, ConfigError, NonFiniteError,
                            ShapeError)
-from virlab.models import (MAGIC, Arch, Classifier, ConvStem, load_checkpoint,
-                           predict_labels, predict_probs, save_checkpoint)
+from virlab.models import (DTYPES, MAGIC, Arch, Classifier, ConvStem,
+                           load_checkpoint, predict_labels, predict_probs,
+                           save_checkpoint)
 from virlab.objectives import vir_trades_loss
 from virlab.tensor import (Tensor, _kl_softmax_dlogits, cross_entropy_rows,
                            kl_divergence, softmax)
@@ -201,22 +204,42 @@ def test_forward_rejects_an_input_that_requires_a_gradient():
         assert model.forward(Tensor(x.data))._backward is not None
 
 
+# The paper's shape: a 28x28 k5 F8 stem, then dense 128-64-10.
+PAPER_STEM = ConvStem(height=28, width=28, filters=8, kernel_size=5)
+PAPER_ARCH = Arch((PAPER_STEM.out_dim, 128, 64, 10), conv=PAPER_STEM)
+
+
 def test_forward_without_a_gradient_mode_keeps_nothing():
-    for make in ORACLE_MODELS.values():
-        model = make()
-        x = np.zeros((2, model.arch.input_dim))
-        logits, cache = model._forward(x)
-        assert cache is None
-        np.testing.assert_array_equal(logits, model._forward(x, "params")[0])
+    # The three modes gather the stem's patches two ways (row-major for the
+    # weight gradient, offset-major otherwise); on random inputs, with
+    # nonzero biases, all three give bitwise the layered graph's logits.
+    rng = np.random.default_rng(29)
+    archs = [make().arch for make in ORACLE_MODELS.values()] + [PAPER_ARCH]
+    for arch, dtype in itertools.product(archs, DTYPES):
+        model = Classifier(replace(arch, dtype=dtype), seed=6)
+        for name, p in model.params.items():
+            if name.endswith("bias"):
+                p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
+        for batch in (1, 3, 64, 130):
+            x = rng.standard_normal((batch, arch.input_dim))
+            assert model._forward(x)[1] is None
+            # The float64 logits are an exact upcast of the graph's.
+            want = layered_forward(model, x.astype(dtype)).data.astype(np.float64)
+            for grad in (None, "input", "params"):
+                np.testing.assert_array_equal(
+                    _bits(model._forward(x, grad)[0]), _bits(want),
+                    err_msg=f"{arch}, batch {batch}, grad {grad}")
 
 
 def test_input_mode_keeps_no_stem_patches():
-    # The stem's [batch * positions, k * k] patches feed only its weight
-    # gradient, so an input-gradient forward drops them.
+    # The stem's patches, row-major [batch * positions, k * k] or
+    # offset-major [k * k, batch * positions], feed only its weight
+    # gradient, so an input-gradient forward keeps neither.
     model = ORACLE_MODELS["conv"]()
     conv = model.arch.conv
     x = np.random.default_rng(3).standard_normal((4, model.arch.input_dim))
     patch_shape = (4 * conv.out_height * conv.out_width, conv.kernel_size ** 2)
+    slab_shape = patch_shape[::-1]
 
     def arrays(obj):
         if isinstance(obj, (tuple, list)):
@@ -224,7 +247,8 @@ def test_input_mode_keeps_no_stem_patches():
         return [obj] if isinstance(obj, np.ndarray) else []
 
     assert patch_shape in [a.shape for a in arrays(model._forward(x, "params")[1])]
-    assert patch_shape not in [a.shape for a in arrays(model._forward(x, "input")[1])]
+    kept = [a.shape for a in arrays(model._forward(x, "input")[1])]
+    assert patch_shape not in kept and slab_shape not in kept
 
 
 @pytest.mark.parametrize("grad", ["inputs", "param", True, ""])
@@ -288,9 +312,7 @@ def test_attack_input_gradient_is_bitwise_the_graph(arch, mode, monkeypatch):
 
 @pytest.fixture(scope="module")
 def paper_model():
-    # The paper's shape: a 28x28 k5 F8 stem, then dense 128-64-10.
-    stem = ConvStem(height=28, width=28, filters=8, kernel_size=5)
-    return Classifier(Arch((stem.out_dim, 128, 64, 10), conv=stem), seed=5)
+    return Classifier(PAPER_ARCH, seed=5)
 
 
 @pytest.mark.parametrize("mode", [LossMode.CE, LossMode.CW_MARGIN])

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
 from virlab.errors import ShapeError
-from virlab.tensor import (PROB_FLOOR, Tensor, _patch_grad, cross_entropy_rows,
-                           kl_divergence, sliding_patches, softmax)
+from virlab.tensor import (PROB_FLOOR, Tensor, _patch_grad, _patch_rows,
+                           _patch_slabs, cross_entropy_rows, kl_divergence,
+                           sliding_patches, softmax)
 
 
 def check_grad(build, x0, rtol=1e-5, atol=1e-7):
@@ -354,6 +355,43 @@ def test_patch_grad_of_offset_major_slabs_is_bitwise_the_scatter_add(h, w, k, ba
     expected = scatter_add_oracle(slabs.T, batch, h, w, k)
     assert got.shape == (batch, h * w)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+# (height, width, kernel_size, filters): the paper's stem, a 1x1 kernel,
+# the model tests' two 7x6 stems and a wide 9x13 one.
+SLAB_STEMS = [(28, 28, 5, 8), (28, 28, 1, 8), (7, 6, 3, 2), (7, 6, 2, 3),
+              (9, 13, 4, 5)]
+STEM_BATCHES = (1, 2, 3, 7, 8, 16, 17, 63, 64, 127, 128, 129, 300)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k", [stem[:3] for stem in SLAB_STEMS])
+def test_patch_slabs_are_the_patch_rows_transposed(h, w, k, dtype):
+    # The offset-major gather is the row-major one's transpose, byte for
+    # byte, as one C-contiguous [k * k, batch * positions] array.
+    rng = np.random.default_rng(19)
+    for batch in (1, 3):
+        v = rng.standard_normal((batch, h * w)).astype(dtype)
+        slabs = _patch_slabs(v, h, w, k)
+        assert slabs.flags.c_contiguous and slabs.dtype == dtype
+        assert slabs.shape == (k * k, batch * (h - k + 1) * (w - k + 1))
+        assert slabs.T.tobytes() == _patch_rows(v, h, w, k).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k, filters", SLAB_STEMS)
+def test_patch_slabs_stem_product_is_bitwise_the_row_major_product(
+        h, w, k, filters, dtype):
+    # The forwards that form no weight gradient take the stem's product as
+    # slabs.T @ W; it must be bitwise the patch rows' patches @ W, which
+    # the training forward and the layered graph take, at every batch.
+    rng = np.random.default_rng(23)
+    weight = rng.uniform(-1.0 / k, 1.0 / k, size=(k * k, filters)).astype(dtype)
+    for batch in STEM_BATCHES:
+        v = rng.uniform(0.0, 1.0, size=(batch, h * w)).astype(dtype)
+        got = _patch_slabs(v, h, w, k).T @ weight
+        want = _patch_rows(v, h, w, k) @ weight
+        assert got.tobytes() == want.tobytes(), batch
 
 
 def test_sliding_patches_shape_validation():

@@ -170,6 +170,8 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
         cur <- clip(cur + step * sign(grad(cur)), x - epsilon, x + epsilon)
         cur <- clip(cur, *bounds)
 
+    (one clip per step, into the box already clipped to the bounds).
+
     FGSM takes one step of epsilon on the CE gradient. PGD and CW-PGD start
     from per-sample Gaussian noise and take ``iterations`` steps of
     step_size on the CE or KL loss (PGD) or the margin loss (CW-PGD). SPSA
@@ -235,7 +237,15 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         grad = _input_gradient(model, y, spec.loss_mode, reference)
         if noise is not None:
             cur += spec.start_noise_scale * noise.standard_normal(x.shape)
-    lo, hi = x - spec.epsilon, x + spec.epsilon  # the projection box
+    # The projection box, clipped to the bounds once: clip(clip(g, lo, hi),
+    # *bounds) is clip(g, clip(lo, *bounds), clip(hi, *bounds)), as a
+    # nondecreasing map commutes with the median, even where the box lies
+    # wholly outside the bounds. It is bit for bit because the iterate g is
+    # never -0.0 (numpy's clip loops break a -0.0/+0.0 tie differently).
+    lo, hi = x - spec.epsilon, x + spec.epsilon
+    if spec.bounds is not None:
+        np.clip(lo, *spec.bounds, out=lo)
+        np.clip(hi, *spec.bounds, out=hi)
     for k in range(iterations):
         g, logits = grad(cur)
         if first_miss is not None and k > 0:  # the logits of iterate k
@@ -246,8 +256,6 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         g *= step
         g += cur
         cur = np.clip(g, lo, hi, out=g)
-        if spec.bounds is not None:
-            np.clip(cur, *spec.bounds, out=cur)
     return cur, first_miss
 
 

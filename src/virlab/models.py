@@ -2,16 +2,19 @@
 
 The network is plain numpy: ``_forward`` computes the logits and
 ``_backward`` backpropagates by hand (relu masks, the dense layers in
-reverse, then the conv stem, whose input gradient is formed as
-offset-major slabs, one contiguous [batch * positions] run per kernel
-offset, and added back by the tensor module's reversed slice-add),
-bitwise what a graph of the tensor module's layer ops gives. A forward
+reverse, then the conv stem), bitwise what a graph of the tensor
+module's layer ops gives on OpenBLAS 0.3.31's SkylakeX kernel. The stem's
+input gradient (``_stem_input_gradient``) walks the batch in fixed
+blocks of images from image 0; each block's gradient sits in a
+zero-bordered image grid, is multiplied out offset-major and added back
+by the tensor module's ``_patch_scatter``, k**2 contiguous slice adds,
+so a chunk of a multiple of 64 rows makes the whole split's calls. A forward
 that forms no weight gradient (every attack step, SPSA score and
-prediction) gathers the stem's patches in that offset-major layout too,
-k**2 slice copies, and takes the stem's product as ``slabs.T @ W``; the
-training forward gathers them row-major, as its weight gradient
-``patches.T @ g`` reads them. Both products are bitwise the same (tested
-on the SkylakeX, Haswell and Prescott kernels). The network
+prediction) gathers the stem's patches offset-major, k**2 slice copies,
+and takes the stem's product as ``slabs.T @ W``; the training forward
+gathers them row-major, as its weight gradient ``patches.T @ g`` reads
+them. Both products are bitwise the same (tested on the SkylakeX,
+Haswell and Katmai kernels). The network
 computes in its arch's ``dtype`` (float64 or float32) and its boundary is
 float64: ``_forward`` casts its input in and returns float64 logits, and
 ``_backward`` casts the logits' gradient in and returns float64 (an exact
@@ -45,7 +48,7 @@ import numpy as np
 
 from .codec import atomic_open, canonical_json, from_obj, to_obj
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import (Tensor, _check_logits, _patch_grad, _patch_rows,
+from .tensor import (Tensor, _check_logits, _patch_rows, _patch_scatter,
                      _patch_slabs, _softmax_values)
 
 MAGIC = b"VIRCKPT1"
@@ -164,6 +167,48 @@ def _chunk_rows(arch: Arch) -> int:
     return max(64, _CHUNK_ELEMENTS // widest // 64 * 64)
 
 
+# Images per block of the stem's input gradient. A divisor of 64, so a
+# chunk that starts at a multiple of 64 rows makes the same calls as the
+# whole split.
+_STEM_BLOCK = 8
+
+
+def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """The stem's input gradient as float64 [batch, height * width], from
+    ``g``, the gradient of its flattened output [batch, out_dim], and
+    ``fmap``, its output [batch * positions, filters] before the relu.
+
+    The batch is walked in blocks of _STEM_BLOCK images from image 0. Each
+    block's relu-masked gradient is written into the top-left out_h x out_w
+    corner of a zero-bordered [block, height, width, filters] grid, taken
+    offset-major as ``weight @ grid.T`` ([kernel_size**2, block * height *
+    width], one dot product over the filters per element) and added back by
+    ``_patch_scatter``, one contiguous slice add per offset. The grid and
+    the product's buffer are allocated once per call and reused by every
+    block.
+    """
+    k, oh, ow, f = conv.kernel_size, conv.out_height, conv.out_width, conv.filters
+    hw = conv.height * conv.width
+    batch = g.shape[0]
+    block = min(batch, _STEM_BLOCK)
+    g = g.reshape(batch, oh, ow, f)
+    fmap = fmap.reshape(batch, oh, ow, f)
+    # dx outlives the call, so it is allocated before the scratch buffers:
+    # freed, they leave no hole in the heap below it, which kept the
+    # process's peak RSS higher.
+    dx = np.empty((batch, hw))
+    grid = np.zeros((block, conv.height, conv.width, f), dtype=g.dtype)
+    slabs = np.empty(k * k * block * hw, dtype=g.dtype)
+    for s in range(0, batch, _STEM_BLOCK):
+        n = min(_STEM_BLOCK, batch - s)
+        np.multiply(g[s:s + n], fmap[s:s + n] > 0.0, out=grid[:n, :oh, :ow])
+        prod = np.matmul(weight, grid[:n].reshape(n * hw, f).T,
+                         out=slabs[:k * k * n * hw].reshape(k * k, n * hw))
+        dx[s:s + n] = _patch_scatter(prod, n, conv.height, conv.width, k)
+    return dx
+
+
 def _check_input(arch: Arch, x: np.ndarray) -> None:
     """ShapeError unless x is a [batch, input_dim] array for ``arch``."""
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
@@ -258,12 +303,16 @@ class Classifier:
         is returned. An "input" cache: the input's gradient is returned as
         float64 and no parameter is touched.
 
-        The stem's input gradient is taken as ``W @ g.T``, offset-major
-        [kernel_size**2, batch * positions] slabs, rather than the patch
-        rows' ``g @ W.T``: each offset is one contiguous slab for
-        ``_patch_grad`` to add back. Every element is the same dot product
-        over the filters; on OpenBLAS 0.3.31 dx is bitwise the row-major
-        layout's, tested against the layered graph at the paper's shape.
+        The stem's input gradient is ``_stem_input_gradient``: blocks of
+        _STEM_BLOCK images, each masked into a zero-bordered grid, taken as
+        ``W @ grid.T`` (offset-major [kernel_size**2, block * height *
+        width]) rather than the patch rows' ``g @ W.T``, and added back by
+        ``_patch_scatter`` in k**2 contiguous slice adds. Every element is
+        the same dot product over the filters and every pixel sums them in
+        the same order; on OpenBLAS 0.3.31's SkylakeX kernel dx is bitwise
+        the row-major layout's, tested against the layered graph at the
+        paper's shape. The parameter gradients read the whole batch's
+        patch rows, as one product each.
         """
         grad, patches, fmap, inputs = cache
         params = grad == "params"
@@ -281,16 +330,14 @@ class Classifier:
                 g *= inputs[i] > 0.0  # the relu mask of the layer in front
         if not conv:
             return g.astype(np.float64, copy=False)
+        w, b = self.params["conv.weight"], self.params["conv.bias"]
+        if not params:
+            return _stem_input_gradient(conv, w.data, fmap, g)
         g = g.reshape(fmap.shape)
         g *= fmap > 0.0
-        w, b = self.params["conv.weight"], self.params["conv.bias"]
-        if params:
-            w._accumulate(patches.T @ g, owned=True)
-            b._accumulate(g.sum(axis=0), owned=True)
-            return None
-        dx = _patch_grad(w.data @ g.T, inputs[0].shape[0], conv.height,
-                         conv.width, conv.kernel_size)
-        return dx.astype(np.float64, copy=False)
+        w._accumulate(patches.T @ g, owned=True)
+        b._accumulate(g.sum(axis=0), owned=True)
+        return None
 
     def forward(self, x) -> Tensor:
         """Logits as one graph node whose parents are the parameters,

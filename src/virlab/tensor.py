@@ -28,9 +28,12 @@ whose backward is the model's own layer backward, sharing the patch
 helpers below with ``sliding_patches``: ``_patch_rows`` gathers the
 patches row-major, ``_patch_slabs`` offset-major (one contiguous slab per
 kernel offset, for forwards that form no weight gradient), and
-``_patch_grad`` adds offset-major slabs back. The layer ops (``@``, ``+``,
-``relu``, ``reshape``, ``sliding_patches``) remain for the benchmark's op
-cases and the tests' layered oracle.
+``_patch_scatter`` adds a patch gradient back from the zero-bordered
+layout, where each image keeps its full height x width grid of positions
+(zero outside the valid out_h x out_w corner) so every kernel offset's
+row lands on the images as one contiguous slice add. The layer ops
+(``@``, ``+``, ``relu``, ``reshape``, ``sliding_patches``) remain for
+the benchmark's op cases and the tests' layered oracle.
 """
 
 from __future__ import annotations
@@ -429,9 +432,9 @@ def _patch_slabs(v: np.ndarray, height: int, width: int, kernel_size: int) -> np
     [kernel_size**2, batch * out_h * out_w] array whose transpose is
     _patch_rows's, element for element, in v's dtype.
 
-    The mirror of _patch_grad: each kernel offset's slab is one slice copy
-    of its shifted window, kernel_size**2 contiguous copies in place of one
-    copy in runs of kernel_size. ``slabs.T @ W`` is the stem's product
+    Each kernel offset's slab is one slice copy of its shifted window,
+    kernel_size**2 contiguous copies in place of one copy in runs of
+    kernel_size. ``slabs.T @ W`` is the stem's product
     without a row-major patch array.
     """
     out_h = height - kernel_size + 1
@@ -445,28 +448,31 @@ def _patch_slabs(v: np.ndarray, height: int, width: int, kernel_size: int) -> np
     return slabs.reshape(kernel_size * kernel_size, batch * out_h * out_w)
 
 
-def _patch_grad(slabs: np.ndarray, batch: int, height: int, width: int,
-                kernel_size: int) -> np.ndarray:
-    """Gradient of the flattened images from the gradient of their patch
-    rows: the reverse of _patch_rows and of _patch_slabs, as a fresh
-    [batch, height * width] of the slabs' dtype.
+def _patch_scatter(slabs: np.ndarray, batch: int, height: int, width: int,
+                   kernel_size: int) -> np.ndarray:
+    """Gradient of the flattened images from the gradient of their patches
+    in the zero-bordered layout: the reverse of _patch_rows and of
+    _patch_slabs, as [batch, height * width] in the slabs' dtype.
 
-    ``slabs`` is that gradient offset-major, [kernel_size**2, batch * out_h *
-    out_w] (the transpose of the patch rows' layout), in any strides: a
-    C-contiguous array makes each kernel offset's slab one contiguous run.
-    Each slab is added back onto its shifted window. Offsets run in reverse
-    so every pixel sums its contributions in increasing patch order, the
-    order an np.add.at scatter over the row-major patch layout uses: the
-    result is bitwise the same.
+    ``slabs`` is [kernel_size**2, batch * height * width], in any strides:
+    row o is kernel offset o's gradient and column b * height * width + i *
+    width + j the patch at (i, j) of image b, zero (of either sign) where i
+    >= out_h or j >= out_w. In that layout offset (ki, kj) lands on flat
+    pixel column + ki * width + kj, so each row is one contiguous slice add
+    onto a flat accumulator (kernel_size - 1) * (width + 1) longer than the
+    images. Offsets run in reverse so every pixel sums its contributions in
+    increasing patch order, the order an np.add.at scatter over the
+    row-major patch layout uses; the border's terms are zeros added to an
+    accumulator that starts at +0.0, never holds -0.0, and so keeps its
+    value. The result is bitwise that scatter's.
     """
-    out_h = height - kernel_size + 1
-    out_w = width - kernel_size + 1
-    per_offset = slabs.reshape(kernel_size, kernel_size, batch, out_h, out_w)
-    full = np.zeros((batch, height, width), dtype=slabs.dtype)
+    n = batch * height * width
+    acc = np.zeros(n + (kernel_size - 1) * (width + 1), dtype=slabs.dtype)
     for ki in reversed(range(kernel_size)):
         for kj in reversed(range(kernel_size)):
-            full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[ki, kj]
-    return full.reshape(batch, height * width)
+            at = ki * width + kj
+            acc[at:at + n] += slabs[ki * kernel_size + kj]
+    return acc[:n].reshape(batch, height * width)
 
 
 def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Tensor:
@@ -484,8 +490,14 @@ def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Ten
     out = Tensor._from_op(_patch_rows(v, height, width, kernel_size), (x,))
 
     def backward(g):
-        x._accumulate(_patch_grad(g.T, v.shape[0], height, width, kernel_size),
-                      owned=True)
+        # The patch rows' gradient goes in the top-left out_h x out_w corner
+        # of a zero-bordered [batch, height, width, k**2] grid.
+        batch, k2 = v.shape[0], kernel_size * kernel_size
+        out_h, out_w = height - kernel_size + 1, width - kernel_size + 1
+        grid = np.zeros((batch, height, width, k2), dtype=g.dtype)
+        grid[:, :out_h, :out_w] = g.reshape(batch, out_h, out_w, k2)
+        x._accumulate(_patch_scatter(grid.reshape(-1, k2).T, batch, height,
+                                     width, kernel_size), owned=True)
 
     out._backward = backward
     return out

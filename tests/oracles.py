@@ -1,7 +1,10 @@
 """Test-only oracles that the package itself never calls."""
 
 import copy
+import ctypes
+import glob
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -11,6 +14,24 @@ from virlab.errors import ConfigError
 from virlab.gmm import GmmSpec, LinearClassifier, std_normal_cdf
 from virlab.tensor import (Tensor, _check_logits, cross_entropy_rows,
                            kl_divergence, sliding_patches, softmax)
+
+
+def openblas_core() -> str | None:
+    """The core whose kernels numpy's OpenBLAS runs, as the library reports
+    it ("SkylakeX", "Haswell", "Katmai", ...; ``OPENBLAS_CORETYPE`` may
+    force one), or None where numpy's BLAS offers no such call (a build
+    other than the scipy-openblas wheel's)."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)  # the handle numpy already holds
+        for name in ("scipy_openblas_get_corename64_",
+                     "scipy_openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -66,6 +87,24 @@ def layered_forward(model, x) -> Tensor:
         if i < n_dense - 1:
             h = h.relu()
     return h
+
+
+def unpadded_stem_input_gradient(conv, weight, fmap, g) -> np.ndarray:
+    """The stem's input gradient taken for the whole batch without a border,
+    upcast to float64: the relu-masked output gradient as offset-major
+    slabs ``weight @ masked.T``, [k * k, batch * out_h * out_w], each added
+    back onto its shifted window, offsets in reverse. The formulation the
+    blocked, zero-bordered one replaced, kept as its reference. ``g`` is
+    [batch, out_dim], ``fmap`` [batch * positions, filters]."""
+    k, out_h, out_w = conv.kernel_size, conv.out_height, conv.out_width
+    batch = g.shape[0]
+    masked = g.reshape(fmap.shape) * (fmap > 0.0)
+    per_offset = (weight @ masked.T).reshape(k, k, batch, out_h, out_w)
+    full = np.zeros((batch, conv.height, conv.width), dtype=per_offset.dtype)
+    for ki in reversed(range(k)):
+        for kj in reversed(range(k)):
+            full[:, ki:ki + out_h, kj:kj + out_w] += per_offset[ki, kj]
+    return full.reshape(batch, -1).astype(np.float64)
 
 
 def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:

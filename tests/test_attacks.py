@@ -13,7 +13,7 @@ import pytest
 
 import virlab
 from conftest import make_mlp
-from oracles import layered_forward, project_linf
+from oracles import graph_input_gradient, layered_forward, project_linf
 from virlab import attacks, models, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, run_attack, spsa,
@@ -69,6 +69,52 @@ def test_engine_applies_bounds_after_ball(family):
     x = np.full((3, 4), -0.5)
     out = run_attack(linear_model(), x, np.array([0, 1, 2]), spec)
     np.testing.assert_array_equal(out, np.zeros_like(x))
+
+
+def _outside_the_bounds_batch(rng, rows):
+    """x in and around [0, 1] for an epsilon of 0.1: boxes wholly below 0
+    and above 1, boxes straddling each bound, interior points, the bounds
+    themselves and -0.0."""
+    values = np.array([-0.5, -0.05, -0.0, 0.0, 0.03, 0.5, 0.97, 1.0, 1.08, 1.5])
+    return rng.choice(values, size=(rows, 4)) + np.where(
+        rng.random((rows, 4)) < 0.5, 0.0, rng.uniform(-0.01, 0.01, (rows, 4)))
+
+
+def test_one_clip_into_the_clipped_box_is_the_two_clip_projection(rng):
+    # The engine clips each iterate once, into the projection box clipped
+    # to the bounds; that is bitwise the ball clip followed by the bounds
+    # clip, for boxes wholly outside the bounds and x with -0.0 entries.
+    # The iterate cur + step * sign(grad) is never -0.0 (step > 0, sign(0)
+    # is +0.0, and a sum is -0.0 only when both terms are), which matters:
+    # numpy's two clip loops break a tie between -0.0 and a +0.0 bound
+    # toward different operands.
+    eps, bounds = 0.1, (0.0, 1.0)
+    x = _outside_the_bounds_batch(rng, 400)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    step = np.sign(np.array([-0.0, 0.0])) * 0.04 + np.array([-0.0, -0.0])
+    assert not np.signbit(step).any()
+    lo, hi = (np.clip(a, *bounds) for a in (x - eps, x + eps))
+    for g in (x + rng.uniform(-0.3, 0.3, x.shape), np.zeros(x.shape),
+              np.where(rng.random(x.shape) < 0.5, x - eps, x + eps),
+              rng.choice(np.array(bounds), x.shape), x + 0.0):
+        one = np.clip(g, lo, hi)
+        two = project_linf(g, x, eps, bounds)
+        np.testing.assert_array_equal(one.view(np.int64), two.view(np.int64))
+
+    # And the engine, replayed step by step with the two-clip projection.
+    model = make_mlp((4, 8, 3), seed=3)
+    x = _outside_the_bounds_batch(rng, 12)
+    x[0] = -0.0
+    y = rng.integers(0, 3, size=12)
+    spec = AttackSpec(AttackFamily.PGD, epsilon=eps, step_size=0.04,
+                      iterations=5, bounds=bounds, seed=4)
+    stream = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    cur = x + spec.start_noise_scale * stream.standard_normal(x.shape)
+    for _ in range(spec.iterations):
+        _, dx = graph_input_gradient(model, cur, y, LossMode.CE)
+        cur = project_linf(cur + spec.step_size * np.sign(dx), x, eps, bounds)
+    np.testing.assert_array_equal(pgd(model, x, y, spec).view(np.int64),
+                                  cur.view(np.int64))
 
 
 # -- spec validation -------------------------------------------------------------

@@ -18,8 +18,8 @@ from virlab.config import resolve_config
 from virlab.errors import CheckpointError
 from virlab.models import (Arch, Classifier, ConvStem, load_checkpoint,
                            save_checkpoint)
-from virlab.tensor import (_ce_dlogits, _cw_margin_dlogits, _patch_grad,
-                           _patch_rows, cross_entropy_rows)
+from virlab.tensor import (_ce_dlogits, _cw_margin_dlogits, _patch_rows,
+                           _patch_scatter, cross_entropy_rows)
 from virlab.training import sgd_step, train
 
 # float32's unit roundoff, 2**-24: one rounded operation is off by at most
@@ -88,12 +88,17 @@ def _oracle(model: Classifier, x: np.ndarray, d: np.ndarray):
         if name == "conv":
             k = conv.kernel_size
 
-            def scatter(slabs):
-                return _patch_grad(slabs, batch, conv.height, conv.width, k)
-            vx = (scatter(w**2 @ vd.T)
-                  + (conv.filters + k * k) * U**2 * scatter(np.abs(w) @ np.abs(d).T) ** 2)
-            return (logits, logit_tol, scatter(w @ d.T),
-                    LAMBDA * np.sqrt(vx) + scatter(np.abs(w) @ fd.T), grads)
+            def scatter(w, d):
+                # w @ d.T, offset-major, with d in the zero-bordered grid.
+                grid = np.zeros((batch, conv.height, conv.width, conv.filters))
+                grid[:, :conv.out_height, :conv.out_width] = d.reshape(
+                    batch, conv.out_height, conv.out_width, conv.filters)
+                slabs = w @ grid.reshape(-1, conv.filters).T
+                return _patch_scatter(slabs, batch, conv.height, conv.width, k)
+            vx = (scatter(w**2, vd)
+                  + (conv.filters + k * k) * U**2 * scatter(np.abs(w), np.abs(d)) ** 2)
+            return (logits, logit_tol, scatter(w, d),
+                    LAMBDA * np.sqrt(vx) + scatter(np.abs(w), fd), grads)
         d_in = d @ w.T
         v_in = vd @ (w.T) ** 2 + w.shape[1] * U**2 * (np.abs(d) @ np.abs(w.T)) ** 2
         f_in = fd @ np.abs(w.T)

@@ -5,9 +5,10 @@ bit. Every digest was last recorded when the attacks' random streams were
 rekeyed with SeedSequence, a declared change of output; a mismatch means
 the arithmetic (or its summation order) moved, not just its speed.
 The desk run pins the MLP path; the tiny conv-stem runs on a saved IDX
-fixture pin the stem's offset-major input backward through _patch_grad,
-the matmul and KL backward paths, the CW and SPSA attacks, the GAIRAT
-least-steps probe and the final confusion matrices. GAIRAT counts kappa on a CE-mode PGD walk out of
+fixture pin the stem's blocked, zero-bordered input backward
+(``models._stem_input_gradient``), the matmul and KL backward paths, the
+CW and SPSA attacks, the GAIRAT least-steps probe and the final
+confusion matrices. GAIRAT counts kappa on a CE-mode PGD walk out of
 attack_train.iterations steps: GAIRAT_CE_PGD, whose training attack is
 that walk, pins the shared trajectory, and VIR_TRADES, whose training
 attack ascends KL, pins the probe run beside it. ``virlab attack`` on

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, openblas_core, unpadded_stem_input_gradient
 from virlab.errors import ShapeError
-from virlab.tensor import (PROB_FLOOR, Tensor, _patch_grad, _patch_rows,
+from virlab.models import ConvStem, _stem_input_gradient
+from virlab.tensor import (PROB_FLOOR, Tensor, _patch_rows, _patch_scatter,
                            _patch_slabs, cross_entropy_rows, kl_divergence,
                            sliding_patches, softmax)
 
@@ -316,22 +317,26 @@ PATCH_SHAPES = [(28, 28, 5), (28, 28, 1), (28, 28, 28), (9, 13, 4)]
 
 def scatter_add_oracle(g, batch, h, w, k):
     """Input gradient from ``g``, the row-major patch rows' gradient
-    [batch * out_h * out_w, k * k]: scatter-add every patch element onto
-    its flat input index, patches in row-major scan order, elements
-    row-major within a patch."""
+    [batch * out_h * out_w, k * k], in g's dtype: scatter-add every patch
+    element onto its flat input index, patches in row-major scan order,
+    elements row-major within a patch."""
     out_h, out_w = h - k + 1, w - k + 1
     rows = np.arange(out_h)[:, None, None, None] + np.arange(k)[None, None, :, None]
     cols = np.arange(out_w)[None, :, None, None] + np.arange(k)[None, None, None, :]
     flat_idx = (rows * w + cols).reshape(-1)
-    expected = np.zeros((batch, h * w))
+    expected = np.zeros((batch, h * w), dtype=g.dtype)
     np.add.at(expected.T, flat_idx, g.reshape(batch, -1).T)
     return expected
 
 
+def _bits(a):
+    return a.view(np.int64 if a.dtype == np.float64 else np.int32)
+
+
 @pytest.mark.parametrize("h, w, k", PATCH_SHAPES)
 def test_sliding_patches_backward_is_bitwise_the_scatter_add(h, w, k):
-    # The Tensor op hands _patch_grad the strided g.T of its row-major
-    # gradient.
+    # The Tensor op pads its row-major gradient into the zero-bordered
+    # grid and hands _patch_scatter that grid's strided transpose.
     rng = np.random.default_rng(13)
     batch = 4
     x = Tensor(rng.standard_normal((batch, h * w)), requires_grad=True)
@@ -340,21 +345,32 @@ def test_sliding_patches_backward_is_bitwise_the_scatter_add(h, w, k):
     (out * Tensor(g)).sum().backward()  # out.grad is exactly g
 
     expected = scatter_add_oracle(g, batch, h, w, k)
-    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(_bits(x.grad), _bits(expected))
 
 
-@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("batch", [1, 7, 8, 9])
 @pytest.mark.parametrize("h, w, k", PATCH_SHAPES)
 def test_patch_grad_of_offset_major_slabs_is_bitwise_the_scatter_add(h, w, k, batch):
-    # The conv stem hands _patch_grad C-contiguous offset-major slabs,
-    # [k * k, batch * out_h * out_w], one contiguous run per offset.
+    # The conv stem hands _patch_scatter C-contiguous offset-major slabs in
+    # the zero-bordered layout, [k * k, batch * h * w]. The border holds
+    # zeros of either sign (a dot product with a zero column may round to
+    # -0.0) and the patches some -0.0 entries; the scatter must still be
+    # bitwise np.add.at's over the patch rows alone, in either dtype. No
+    # BLAS call is made.
     rng = np.random.default_rng(17)
-    slabs = rng.standard_normal((k * k, batch * (h - k + 1) * (w - k + 1)))
-    got = _patch_grad(slabs, batch, h, w, k)
+    out_h, out_w = h - k + 1, w - k + 1
+    for dtype in (np.float64, np.float32):
+        g = rng.standard_normal((batch * out_h * out_w, k * k)).astype(dtype)
+        g[rng.random(g.shape) < 0.05] = -0.0
+        grid = np.copysign(np.zeros((batch, h, w, k * k), dtype=dtype),
+                           rng.standard_normal((batch, h, w, k * k)).astype(dtype))
+        grid[:, :out_h, :out_w] = g.reshape(batch, out_h, out_w, k * k)
+        slabs = np.ascontiguousarray(grid.reshape(-1, k * k).T)
 
-    expected = scatter_add_oracle(slabs.T, batch, h, w, k)
-    assert got.shape == (batch, h * w)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        got = _patch_scatter(slabs, batch, h, w, k)
+        expected = scatter_add_oracle(g, batch, h, w, k)
+        assert got.shape == (batch, h * w) and got.dtype == dtype
+        assert np.array_equal(_bits(got), _bits(expected)), dtype
 
 
 # (height, width, kernel_size, filters): the paper's stem, a 1x1 kernel,
@@ -392,6 +408,59 @@ def test_patch_slabs_stem_product_is_bitwise_the_row_major_product(
         got = _patch_slabs(v, h, w, k).T @ weight
         want = _patch_rows(v, h, w, k) @ weight
         assert got.tobytes() == want.tobytes(), batch
+
+
+def _stem_case(h, w, k, filters, batch, dtype, seed):
+    """(stem, weight, fmap, g) for a stem's input gradient at ``batch``
+    images: uniform weights, normal pre-relu outputs and output
+    gradients, both with some exact zeros."""
+    conv = ConvStem(height=h, width=w, filters=filters, kernel_size=k)
+    rng = np.random.default_rng(seed)
+    weight = rng.uniform(-1.0 / k, 1.0 / k, size=(k * k, filters)).astype(dtype)
+    fmap = rng.standard_normal(
+        (batch * conv.out_height * conv.out_width, filters)).astype(dtype)
+    g = rng.standard_normal((batch, conv.out_dim)).astype(dtype)
+    fmap[rng.random(fmap.shape) < 0.02] = 0.0
+    g[rng.random(g.shape) < 0.02] = -0.0
+    return conv, weight, fmap, g
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k, filters", SLAB_STEMS)
+def test_stem_input_gradient_of_64_row_chunks_is_the_whole_batch(
+        h, w, k, filters, dtype):
+    # The stem walks its batch in blocks aligned to image 0, of a size that
+    # divides 64: chunks [0:64] and [64:128] make the calls the whole 128
+    # rows make, so the result is bitwise the same on every BLAS kernel.
+    conv, weight, fmap, g = _stem_case(h, w, k, filters, 128, dtype, seed=31)
+    per_image = conv.out_height * conv.out_width
+    whole = _stem_input_gradient(conv, weight, fmap, g)
+    chunks = [_stem_input_gradient(conv, weight, fmap[s * per_image:(s + 64) * per_image],
+                                   g[s:s + 64]) for s in (0, 64)]
+    assert whole.dtype == np.float64 and whole.shape == (128, h * w)
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stem_input_gradient_is_the_unpadded_product_at_the_paper_stem(dtype):
+    # The zero-bordered layout changes the product's column count and
+    # positions, so its rounding is the unpadded W @ g.T's only where that
+    # has been measured: at the paper's stem, on OpenBLAS's SkylakeX
+    # kernel, bitwise at every batch. Other kernels round some products
+    # differently (the declared change); there the two must still agree
+    # within the filters + k * k roundings each pixel's sum takes.
+    h, w, k, filters = SLAB_STEMS[0]
+    bitwise = openblas_core() in (None, "SkylakeX")
+    for batch in STEM_BATCHES:
+        conv, weight, fmap, g = _stem_case(h, w, k, filters, batch, dtype, seed=batch)
+        got = _stem_input_gradient(conv, weight, fmap, g)
+        want = unpadded_stem_input_gradient(conv, weight, fmap, g)
+        if bitwise:
+            assert got.tobytes() == want.tobytes(), batch
+        else:
+            scale = unpadded_stem_input_gradient(conv, np.abs(weight), fmap, np.abs(g))
+            bound = (filters + k * k) * float(np.finfo(dtype).eps) * scale
+            assert np.all(np.abs(got - want) <= bound), batch
 
 
 def test_sliding_patches_shape_validation():

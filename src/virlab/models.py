@@ -10,11 +10,14 @@ zero-bordered image grid, is multiplied out offset-major and added back
 by the tensor module's ``_patch_scatter``, k**2 contiguous slice adds,
 so a chunk of a multiple of 64 rows makes the whole split's calls. A forward
 that forms no weight gradient (every attack step, SPSA score and
-prediction) gathers the stem's patches offset-major, k**2 slice copies,
-and takes the stem's product as ``slabs.T @ W``; the training forward
-gathers them row-major, as its weight gradient ``patches.T @ g`` reads
-them. Both products are bitwise the same (tested on the SkylakeX,
-Haswell and Katmai kernels). The network
+prediction) runs the stem (``_stem_output``) over the same blocks of
+images: each block gathers its patches offset-major, k**2 slice copies,
+and takes ``slabs.T @ W`` into its rows of one output, so no forward
+holds a whole chunk's patches. The training forward gathers the whole
+batch's patches row-major, as its weight gradient ``patches.T @ g`` reads
+them. Both products are bitwise the same (tested on the SkylakeX, Haswell
+and Katmai kernels) but for one declared case, a one-row block product
+(see ``_stem_output``). The network
 computes in its arch's ``dtype`` (float64 or float32) and its boundary is
 float64: ``_forward`` casts its input in and returns float64 logits, and
 ``_backward`` casts the logits' gradient in and returns float64 (an exact
@@ -147,18 +150,21 @@ def _param_shapes(arch: Arch) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-# The row budget: the elements one forward may hold in its widest per-row
-# activation. ``_chunk_rows`` turns it into rows per forward.
+# The row budget: ``_chunk_rows`` divides it by a width per row to give
+# rows per forward.
 _CHUNK_ELEMENTS = 1 << 21
 
 
 def _chunk_rows(arch: Arch) -> int:
     """Rows per forward of an ``arch`` network outside training: the largest
-    multiple of 64, at least 64, whose widest per-row activation (the
-    stem's patch row of out_height * out_width * kernel_size**2, or else
-    the widest dense layer) fits in _CHUNK_ELEMENTS. 128 rows for the
-    paper's 28x28 k5 stem, 32,768 for the desk MLP. A multiple of 64 keeps
-    the batch-chunk rule (see ``Classifier._forward``): the chunks give
+    multiple of 64, at least 64, for which out_height * out_width *
+    kernel_size**2 elements per row (or else the widest dense layer) fit
+    in _CHUNK_ELEMENTS. 128 rows for the paper's 28x28 k5 stem, 32,768 for
+    the desk MLP. That width was the stem's patch row, which no forward
+    outside training holds any more (it gathers patches one block of
+    images at a time); the rule is kept so the chunk boundaries, and every
+    artifact they shape, stay where they were. A multiple of 64 keeps the
+    batch-chunk rule (see ``Classifier._forward``): the chunks give
     bitwise the whole batch's output."""
     widest = max(arch.layers)
     if arch.conv is not None:
@@ -167,9 +173,9 @@ def _chunk_rows(arch: Arch) -> int:
     return max(64, _CHUNK_ELEMENTS // widest // 64 * 64)
 
 
-# Images per block of the stem's input gradient. A divisor of 64, so a
-# chunk that starts at a multiple of 64 rows makes the same calls as the
-# whole split.
+# Images per block of the stem's forward outside training and of its input
+# gradient. A divisor of 64, so a chunk that starts at a multiple of 64
+# rows makes the same calls as the whole split.
 _STEM_BLOCK = 8
 
 
@@ -177,7 +183,8 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
                          g: np.ndarray) -> np.ndarray:
     """The stem's input gradient as float64 [batch, height * width], from
     ``g``, the gradient of its flattened output [batch, out_dim], and
-    ``fmap``, its output [batch * positions, filters] before the relu.
+    ``fmap``, its output [batch * positions, filters] (after the relu,
+    which keeps the mask ``fmap > 0``).
 
     The batch is walked in blocks of _STEM_BLOCK images from image 0. Each
     block's relu-masked gradient is written into the top-left out_h x out_w
@@ -207,6 +214,39 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
                          out=slabs[:k * k * n * hw].reshape(k * k, n * hw))
         dx[s:s + n] = _patch_scatter(prod, n, conv.height, conv.width, k)
     return dx
+
+
+def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The stem's output after its bias and relu, [batch, out_dim] in x's
+    dtype, for a forward that forms no weight gradient.
+
+    The batch is walked in blocks of _STEM_BLOCK images from image 0, as
+    ``_stem_input_gradient`` walks it. Each block gathers its own patches
+    offset-major (``_patch_slabs``), takes ``slabs.T @ weight`` straight
+    into its rows of the output, and adds the tiled bias and applies the
+    relu while those rows are in cache; no whole-batch patch array exists.
+    The bias add and the relu are elementwise, so only the product's
+    rounding can depend on the blocks. It is bitwise the whole batch's
+    ``slabs.T @ weight`` (tested on the SkylakeX, Haswell and Katmai
+    kernels) except where a block's product has one row: a stem with one
+    output position and a last block of one image, which numpy hands to a
+    matrix-vector BLAS call.
+    """
+    batch, positions = x.shape[0], conv.out_height * conv.out_width
+    shape = (conv.height, conv.width, conv.kernel_size)
+    out = np.empty((batch, conv.out_dim), dtype=x.dtype)
+    # Tiled over a whole image row, the bias is one add loop out_dim wide,
+    # not one filters wide per position; each element still gets the one
+    # addition, so no bit moves.
+    tiled = np.tile(bias, positions)
+    for s in range(0, batch, _STEM_BLOCK):
+        rows = out[s:s + _STEM_BLOCK]
+        np.matmul(_patch_slabs(x[s:s + _STEM_BLOCK], *shape).T, weight,
+                  out=rows.reshape(-1, conv.filters))
+        rows += tiled
+        np.maximum(rows, 0.0, out=rows)
+    return out
 
 
 def _check_input(arch: Arch, x: np.ndarray) -> None:
@@ -250,11 +290,12 @@ class Classifier:
         "input" all but the stem's patches, which only the stem's weight
         gradient reads. NonFiniteError if a logit is not finite.
 
-        "params" gathers the stem's patches row-major (``_patch_rows``) and
-        keeps them; None and "input" gather them offset-major
-        (``_patch_slabs``, k**2 contiguous copies instead of one copy in
-        runs of k) and drop them after ``slabs.T @ W``, bitwise the
-        row-major product.
+        "params" gathers the whole batch's stem patches row-major
+        (``_patch_rows``) and keeps them; None and "input" run the stem in
+        blocks of _STEM_BLOCK images (``_stem_output``), each gathering its
+        own patches offset-major and dropping them after its ``slabs.T @
+        W``, bitwise the row-major product but for one declared case (see
+        ``_stem_output``).
 
         A row's logits depend on that row alone only up to rounding: the
         BLAS kernel may round a row by where the batch puts it. Consecutive
@@ -272,19 +313,15 @@ class Classifier:
             patches = fmap = None
             h = x
             if conv:
-                shape = (conv.height, conv.width, conv.kernel_size)
+                weight, bias = p["conv.weight"].data, p["conv.bias"].data
                 if grad == "params":
-                    patches = _patch_rows(h, *shape)
-                    h = patches @ p["conv.weight"].data
+                    patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
+                    h = (patches @ weight).reshape(x.shape[0], conv.out_dim)
+                    h += np.tile(bias, conv.out_height * conv.out_width)  # as _stem_output
+                    np.maximum(h, 0.0, out=h)
                 else:
-                    h = _patch_slabs(h, *shape).T @ p["conv.weight"].data
-                fmap = h  # [batch * positions, filters]
-                h = h.reshape(x.shape[0], conv.out_dim)
-                # Tiled over a whole image row, the bias is one add loop
-                # out_dim wide, not one filters wide per position; each
-                # element still gets the one addition, so no bit moves.
-                h += np.tile(p["conv.bias"].data, conv.out_height * conv.out_width)
-                np.maximum(h, 0.0, out=h)
+                    h = _stem_output(conv, weight, bias, h)
+                fmap = h.reshape(-1, conv.filters)  # [batch * positions, filters]
             n_dense = len(self.arch.layers) - 1
             inputs = []  # each dense layer's input
             for i in range(n_dense):

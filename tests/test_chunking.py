@@ -165,6 +165,27 @@ def test_evaluate_memory_stays_flat_as_the_split_grows():
         f"1024 rows, bound {3 * copy / 1e6:.1f} MB")
 
 
+@pytest.mark.parametrize("grad", [None, "input"])
+def test_a_forward_without_a_weight_gradient_holds_no_whole_chunk_patches(grad):
+    # Such a forward gathers the stem's patches one block of images at a
+    # time. At 128 float32 paper rows the whole chunk's offset-major patches,
+    # [25, 73,728], would be 7.4 MB on their own; the forward's peak, with
+    # its output and the cache an input-mode forward keeps, stays below.
+    model = paper_model("float32")
+    x = paper_split(128)
+    conv = model.arch.conv
+    whole = conv.kernel_size ** 2 * 128 * conv.out_height * conv.out_width * 4
+    model._forward(x, grad)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model._forward(x, grad)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < whole, f"peak {peak / 1e6:.1f} MB, bound {whole / 1e6:.1f} MB"
+
+
 
 @pytest.mark.parametrize("x", [np.zeros((0, 783)), np.zeros(784), np.zeros(())],
                          ids=["no-rows-wrong-width", "one-dim", "scalar"])

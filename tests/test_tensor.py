@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff_grad, openblas_core, unpadded_stem_input_gradient
 from virlab.errors import ShapeError
-from virlab.models import ConvStem, _stem_input_gradient
+from virlab.models import _STEM_BLOCK, ConvStem, _stem_input_gradient, _stem_output
 from virlab.tensor import (PROB_FLOOR, Tensor, _patch_rows, _patch_scatter,
                            _patch_slabs, cross_entropy_rows, kl_divergence,
                            sliding_patches, softmax)
@@ -461,6 +461,76 @@ def test_stem_input_gradient_is_the_unpadded_product_at_the_paper_stem(dtype):
             scale = unpadded_stem_input_gradient(conv, np.abs(weight), fmap, np.abs(g))
             bound = (filters + k * k) * float(np.finfo(dtype).eps) * scale
             assert np.all(np.abs(got - want) <= bound), batch
+
+
+# The PR 25 stems and one with a single output position per image, where a
+# block of one image makes a one-row product.
+BLOCKED_STEMS = SLAB_STEMS + [(5, 5, 5, 2)]
+BLOCKED_BATCHES = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300)
+
+
+def _stem_output_case(h, w, k, filters, batch, dtype, seed):
+    """(stem, weight, bias, x): uniform weights and inputs in [0, 1], and a
+    bias that moves some outputs across the relu."""
+    conv = ConvStem(height=h, width=w, filters=filters, kernel_size=k)
+    rng = np.random.default_rng(seed)
+    weight = rng.uniform(-1.0 / k, 1.0 / k, size=(k * k, filters)).astype(dtype)
+    bias = (0.1 * rng.standard_normal(filters)).astype(dtype)
+    x = rng.uniform(0.0, 1.0, size=(batch, h * w)).astype(dtype)
+    return conv, weight, bias, x
+
+
+def _whole_stem_output(conv, weight, bias, x):
+    """The stem's output from one product over the whole batch's slabs."""
+    h = (_patch_slabs(x, conv.height, conv.width, conv.kernel_size).T @ weight
+         ).reshape(len(x), conv.out_dim)
+    return np.maximum(h + np.tile(bias, conv.out_height * conv.out_width), 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k, filters", BLOCKED_STEMS)
+def test_blocked_stem_output_is_bitwise_the_whole_batch_product(
+        h, w, k, filters, dtype):
+    # Forwards that form no weight gradient take the stem's product one
+    # block of images at a time. Its output, bias and relu included, is
+    # bitwise one product over the whole batch's slabs, except in the
+    # declared case: one output position per image and a last block of one
+    # image, a one-row product numpy hands to a matrix-vector BLAS call.
+    # There only that image's row may move, and it is bitwise that image's
+    # own product. The reference needs one BLAS thread: with several, the
+    # Haswell and Katmai kernels round the whole batch's product by where
+    # the thread split puts a row, while the blocked output stays put.
+    for batch in BLOCKED_BATCHES:
+        conv, weight, bias, x = _stem_output_case(h, w, k, filters, batch, dtype,
+                                                  seed=batch)
+        got = _stem_output(conv, weight, bias, x)
+        want = _whole_stem_output(conv, weight, bias, x)
+        assert got.shape == want.shape and got.dtype == dtype
+        if conv.out_height * conv.out_width == 1 and batch > 1 and batch % _STEM_BLOCK == 1:
+            assert got[:-1].tobytes() == want[:-1].tobytes(), batch
+            alone = _whole_stem_output(conv, weight, bias, x[-1:])
+            assert got[-1:].tobytes() == alone.tobytes(), batch
+            bound = k * k * float(np.finfo(dtype).eps) * (np.abs(weight).sum(axis=0)
+                                                          + np.abs(bias))
+            assert np.all(np.abs(got[-1] - want[-1]) <= bound), batch
+        else:
+            assert got.tobytes() == want.tobytes(), batch
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k, filters", BLOCKED_STEMS)
+def test_stem_output_of_64_row_chunks_is_the_whole_batch(h, w, k, filters, dtype):
+    # The blocks start at image 0 and divide 64, so chunks that start at a
+    # multiple of 64 rows make the calls the whole batch makes, on every
+    # BLAS kernel; a ragged last chunk of one image is the whole batch's
+    # last block too, so the declared one-row case keeps this rule.
+    for batch in (128, 129):
+        conv, weight, bias, x = _stem_output_case(h, w, k, filters, batch, dtype,
+                                                  seed=37)
+        whole = _stem_output(conv, weight, bias, x)
+        chunks = [_stem_output(conv, weight, bias, x[s:s + 64])
+                  for s in range(0, batch, 64)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes(), batch
 
 
 def test_sliding_patches_shape_validation():

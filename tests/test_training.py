@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from virlab.codec import write_csv
 from virlab.config import OptimConfig, config_from_obj, resolve_config
 from virlab.data import Dataset
 from virlab.errors import ConfigError, NonFiniteError
+from virlab.models import Classifier
 from virlab.reweight import WEIGHT_CSV_HEADER
 from virlab.tensor import Tensor
 from virlab.training import (EvalReport, MetricsLog, MetricsRow,
@@ -263,6 +265,34 @@ def test_burn_in_weight_sums_match_class_counts(tmp_path):
         idxs = sorted(int(r["sample_index"]) for r in rows
                       if r["epoch"] == epoch)
         assert idxs == list(range(75))
+
+
+def test_a_batch_graph_and_gradients_do_not_outlive_its_step(monkeypatch):
+    # The loss graph holds its forward's logits (and, on the conv stem, its
+    # patches); the next batch's attack must run with neither that graph nor
+    # the last step's gradients alive. Tensor has no __weakref__ slot, so
+    # the logits array stands in for the graph.
+    logits, checks = [], []
+    forward, attack = Classifier.forward, training.run_attack
+
+    def tracked_forward(self, x):
+        out = forward(self, x)
+        logits.append(weakref.ref(out.data))
+        return out
+
+    def checked_attack(model, *args, **kwargs):
+        checks.append(len(logits))
+        assert all(ref() is None for ref in logits), "a loss graph outlived its step"
+        assert all(p.grad is None for p in model.params.values()), \
+            "gradients outlived their step"
+        return attack(model, *args, **kwargs)
+
+    monkeypatch.setattr(Classifier, "forward", tracked_forward)
+    monkeypatch.setattr(training, "run_attack", checked_attack)
+    train(tiny_config([("batch_size", 16)]))
+    # one loss forward before each of the next batches' attacks (5 batches
+    # in each of 2 epochs), then the eval attack
+    assert checks == [*range(10), 10]
 
 
 @pytest.mark.parametrize("loss_mode, burn_in, walks", [

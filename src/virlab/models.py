@@ -8,16 +8,14 @@ input gradient (``_stem_input_gradient``) walks the batch in fixed
 blocks of images from image 0; each block's gradient sits in a
 zero-bordered image grid, is multiplied out offset-major and added back
 by the tensor module's ``_patch_scatter``, k**2 contiguous slice adds,
-so a chunk of a multiple of 64 rows makes the whole split's calls. A forward
-that forms no weight gradient (every attack step, SPSA score and
-prediction) runs the stem (``_stem_output``) over the same blocks of
-images: each block gathers its patches offset-major, k**2 slice copies,
-and takes ``slabs.T @ W`` into its rows of one output, so no forward
-holds a whole chunk's patches. The training forward gathers the whole
-batch's patches row-major, as its weight gradient ``patches.T @ g`` reads
-them. Both products are bitwise the same (tested on the SkylakeX, Haswell
-and Katmai kernels) but for one declared case, a one-row block product
-(see ``_stem_output``). The network
+so a chunk of a multiple of 64 rows makes the whole split's calls. Every
+forward (training loss, attack step, SPSA score and prediction) runs the
+stem (``_stem_output``) over the same blocks of images: each block
+gathers its patches offset-major, k**2 slice copies, and takes
+``slabs.T @ W`` into its rows of one output, so no forward holds a whole
+chunk's patches. The stem's weight gradient gathers the whole batch's
+patches row-major in the backward, from the input the forward kept, for
+its one product ``patches.T @ g``. The network
 computes in its arch's ``dtype`` (float64 or float32) and its boundary is
 float64: ``_forward`` casts its input in and returns float64 logits, and
 ``_backward`` casts the logits' gradient in and returns float64 (an exact
@@ -161,11 +159,11 @@ def _chunk_rows(arch: Arch) -> int:
     kernel_size**2 elements per row (or else the widest dense layer) fit
     in _CHUNK_ELEMENTS. 128 rows for the paper's 28x28 k5 stem, 32,768 for
     the desk MLP. That width was the stem's patch row, which no forward
-    outside training holds any more (it gathers patches one block of
-    images at a time); the rule is kept so the chunk boundaries, and every
-    artifact they shape, stay where they were. A multiple of 64 keeps the
-    batch-chunk rule (see ``Classifier._forward``): the chunks give
-    bitwise the whole batch's output."""
+    holds any more (it gathers patches one block of images at a time);
+    the rule is kept so the chunk boundaries, and every artifact they
+    shape, stay where they were. A multiple of 64 keeps the batch-chunk
+    rule (see ``Classifier._forward``): the chunks give bitwise the whole
+    batch's output."""
     widest = max(arch.layers)
     if arch.conv is not None:
         c = arch.conv
@@ -173,9 +171,9 @@ def _chunk_rows(arch: Arch) -> int:
     return max(64, _CHUNK_ELEMENTS // widest // 64 * 64)
 
 
-# Images per block of the stem's forward outside training and of its input
-# gradient. A divisor of 64, so a chunk that starts at a multiple of 64
-# rows makes the same calls as the whole split.
+# Images per block of the stem's forward and of its input gradient. A
+# divisor of 64, so a chunk that starts at a multiple of 64 rows makes the
+# same calls as the whole split.
 _STEM_BLOCK = 8
 
 
@@ -219,7 +217,7 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
 def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
     """The stem's output after its bias and relu, [batch, out_dim] in x's
-    dtype, for a forward that forms no weight gradient.
+    dtype.
 
     The batch is walked in blocks of _STEM_BLOCK images from image 0, as
     ``_stem_input_gradient`` walks it. Each block gathers its own patches
@@ -286,16 +284,13 @@ class Classifier:
     def _forward(self, x: np.ndarray, grad: str | None = None) -> tuple:
         """Float64 logits for a [batch, input_dim] array, computed in the
         model's dtype, and the cache ``_backward`` needs for the gradient
-        ``grad`` names: None keeps nothing, "params" every activation,
-        "input" all but the stem's patches, which only the stem's weight
-        gradient reads. NonFiniteError if a logit is not finite.
+        ``grad`` names: None keeps nothing; "input" and "params" keep the
+        model-dtype input, the stem's output and each dense layer's input.
+        NonFiniteError if a logit is not finite.
 
-        "params" gathers the whole batch's stem patches row-major
-        (``_patch_rows``) and keeps them; None and "input" run the stem in
-        blocks of _STEM_BLOCK images (``_stem_output``), each gathering its
-        own patches offset-major and dropping them after its ``slabs.T @
-        W``, bitwise the row-major product but for one declared case (see
-        ``_stem_output``).
+        Every mode runs the stem in blocks of _STEM_BLOCK images
+        (``_stem_output``), each gathering its own patches offset-major and
+        dropping them after its ``slabs.T @ W``, so no cache holds patches.
 
         A row's logits depend on that row alone only up to rounding: the
         BLAS kernel may round a row by where the batch puts it. Consecutive
@@ -310,17 +305,10 @@ class Classifier:
         # kernel raises; overflow stays loud, as a relu can hide an -inf.
         with np.errstate(invalid="ignore"):
             conv, p = self.arch.conv, self.params
-            patches = fmap = None
+            fmap = None
             h = x
             if conv:
-                weight, bias = p["conv.weight"].data, p["conv.bias"].data
-                if grad == "params":
-                    patches = _patch_rows(h, conv.height, conv.width, conv.kernel_size)
-                    h = (patches @ weight).reshape(x.shape[0], conv.out_dim)
-                    h += np.tile(bias, conv.out_height * conv.out_width)  # as _stem_output
-                    np.maximum(h, 0.0, out=h)
-                else:
-                    h = _stem_output(conv, weight, bias, h)
+                h = _stem_output(conv, p["conv.weight"].data, p["conv.bias"].data, h)
                 fmap = h.reshape(-1, conv.filters)  # [batch * positions, filters]
             n_dense = len(self.arch.layers) - 1
             inputs = []  # each dense layer's input
@@ -331,7 +319,7 @@ class Classifier:
                 if i < n_dense - 1:
                     np.maximum(h, 0.0, out=h)
             logits = _check_logits(h.astype(np.float64, copy=False))
-        return logits, ((grad, patches, fmap, inputs) if grad else None)
+        return logits, ((grad, x, fmap, inputs) if grad else None)
 
     def _backward(self, cache: tuple, g: np.ndarray) -> np.ndarray | None:
         """Backpropagate ``g``, the gradient of the logits of the forward that
@@ -348,10 +336,11 @@ class Classifier:
         the same dot product over the filters and every pixel sums them in
         the same order; on OpenBLAS 0.3.31's SkylakeX kernel dx is bitwise
         the row-major layout's, tested against the layered graph at the
-        paper's shape. The parameter gradients read the whole batch's
-        patch rows, as one product each.
+        paper's shape. The stem's weight gradient gathers the whole batch's
+        patch rows (``_patch_rows``) from the kept input, so no forward
+        keeps them, and takes ``patches.T @ g`` as one product.
         """
-        grad, patches, fmap, inputs = cache
+        grad, x, fmap, inputs = cache
         params = grad == "params"
         conv = self.arch.conv
         g = g.astype(self.dtype, copy=False)
@@ -372,6 +361,7 @@ class Classifier:
             return _stem_input_gradient(conv, w.data, fmap, g)
         g = g.reshape(fmap.shape)
         g *= fmap > 0.0
+        patches = _patch_rows(x, conv.height, conv.width, conv.kernel_size)
         w._accumulate(patches.T @ g, owned=True)
         b._accumulate(g.sum(axis=0), owned=True)
         return None

@@ -25,9 +25,10 @@ ops call; the attacks and the weight scores call them (and the attacks
 
 The network is one node over its parameters (``Classifier.forward``)
 whose backward is the model's own layer backward, sharing the patch
-helpers below with ``sliding_patches``: ``_patch_rows`` gathers the
-patches row-major, ``_patch_slabs`` offset-major (one contiguous slab per
-kernel offset, for forwards that form no weight gradient), and
+helpers below with ``sliding_patches``: ``_patch_slabs`` gathers the
+patches offset-major (one contiguous slab per kernel offset, for every
+forward), ``_patch_rows`` row-major (for the stem's weight gradient, in
+the backward), and
 ``_patch_scatter`` adds a patch gradient back from the zero-bordered
 layout, where each image keeps its full height x width grid of positions
 (zero outside the valid out_h x out_w corner) so every kernel offset's

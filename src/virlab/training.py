@@ -196,7 +196,7 @@ def _batch_gradients(model: Classifier, config: TrainConfig, epoch: int,
     must be None on entry and hold the batch's gradient on return.
 
     Returns (loss, weights, weight records) and no Tensor, so the loss graph
-    (the forward's patches and activations) is freed here, before the step.
+    (the forwards' inputs and activations) is freed here, before the step.
 
     After burn-in (weights are 1.0 before it) GAIRAT counts kappa on a
     CE-mode PGD walk of attack_train out of K = its iterations; a CE PGD

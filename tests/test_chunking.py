@@ -165,12 +165,12 @@ def test_evaluate_memory_stays_flat_as_the_split_grows():
         f"1024 rows, bound {3 * copy / 1e6:.1f} MB")
 
 
-@pytest.mark.parametrize("grad", [None, "input"])
-def test_a_forward_without_a_weight_gradient_holds_no_whole_chunk_patches(grad):
-    # Such a forward gathers the stem's patches one block of images at a
+@pytest.mark.parametrize("grad", [None, "input", "params"])
+def test_no_forward_holds_whole_chunk_patches(grad):
+    # Every forward gathers the stem's patches one block of images at a
     # time. At 128 float32 paper rows the whole chunk's offset-major patches,
     # [25, 73,728], would be 7.4 MB on their own; the forward's peak, with
-    # its output and the cache an input-mode forward keeps, stays below.
+    # its output and the cache it keeps, stays below.
     model = paper_model("float32")
     x = paper_split(128)
     conv = model.arch.conv

@@ -210,9 +210,9 @@ PAPER_ARCH = Arch((PAPER_STEM.out_dim, 128, 64, 10), conv=PAPER_STEM)
 
 
 def test_forward_without_a_gradient_mode_keeps_nothing():
-    # The three modes gather the stem's patches two ways (row-major for the
-    # weight gradient, offset-major otherwise); on random inputs, with
-    # nonzero biases, all three give bitwise the layered graph's logits.
+    # All three modes run the blocked offset-major stem; on random inputs,
+    # with nonzero biases, all three give bitwise the logits of the layered
+    # graph, which gathers its patches row-major.
     rng = np.random.default_rng(29)
     archs = [make().arch for make in ORACLE_MODELS.values()] + [PAPER_ARCH]
     for arch, dtype in itertools.product(archs, DTYPES):
@@ -232,9 +232,11 @@ def test_forward_without_a_gradient_mode_keeps_nothing():
 
 
 def test_input_mode_keeps_no_stem_patches():
-    # The stem's patches, row-major [batch * positions, k * k] or
-    # offset-major [k * k, batch * positions], feed only its weight
-    # gradient, so an input-gradient forward keeps neither.
+    # Every forward gathers the stem's patches one block of images at a
+    # time and drops them; the weight gradient gathers its row-major
+    # patches in the backward. So neither an input-gradient nor a
+    # parameter-gradient cache keeps row-major [batch * positions, k * k]
+    # or offset-major [k * k, batch * positions] patches.
     model = ORACLE_MODELS["conv"]()
     conv = model.arch.conv
     x = np.random.default_rng(3).standard_normal((4, model.arch.input_dim))
@@ -246,9 +248,9 @@ def test_input_mode_keeps_no_stem_patches():
             return [a for o in obj for a in arrays(o)]
         return [obj] if isinstance(obj, np.ndarray) else []
 
-    assert patch_shape in [a.shape for a in arrays(model._forward(x, "params")[1])]
-    kept = [a.shape for a in arrays(model._forward(x, "input")[1])]
-    assert patch_shape not in kept and slab_shape not in kept
+    for grad in ("input", "params"):
+        kept = [a.shape for a in arrays(model._forward(x, grad)[1])]
+        assert patch_shape not in kept and slab_shape not in kept, grad
 
 
 @pytest.mark.parametrize("grad", ["inputs", "param", True, ""])

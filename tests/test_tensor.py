@@ -398,9 +398,9 @@ def test_patch_slabs_are_the_patch_rows_transposed(h, w, k, dtype):
 @pytest.mark.parametrize("h, w, k, filters", SLAB_STEMS)
 def test_patch_slabs_stem_product_is_bitwise_the_row_major_product(
         h, w, k, filters, dtype):
-    # The forwards that form no weight gradient take the stem's product as
-    # slabs.T @ W; it must be bitwise the patch rows' patches @ W, which
-    # the training forward and the layered graph take, at every batch.
+    # Every forward takes the stem's product as slabs.T @ W; it must be
+    # bitwise the patch rows' patches @ W, which the layered graph takes,
+    # at every batch.
     rng = np.random.default_rng(23)
     weight = rng.uniform(-1.0 / k, 1.0 / k, size=(k * k, filters)).astype(dtype)
     for batch in STEM_BATCHES:

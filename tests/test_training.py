@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -269,7 +270,7 @@ def test_burn_in_weight_sums_match_class_counts(tmp_path):
 
 def test_a_batch_graph_and_gradients_do_not_outlive_its_step(monkeypatch):
     # The loss graph holds its forward's logits (and, on the conv stem, its
-    # patches); the next batch's attack must run with neither that graph nor
+    # input); the next batch's attack must run with neither that graph nor
     # the last step's gradients alive. Tensor has no __weakref__ slot, so
     # the logits array stands in for the graph.
     logits, checks = [], []
@@ -293,6 +294,35 @@ def test_a_batch_graph_and_gradients_do_not_outlive_its_step(monkeypatch):
     # one loss forward before each of the next batches' attacks (5 batches
     # in each of 2 epochs), then the eval attack
     assert checks == [*range(10), 10]
+
+
+def test_a_trades_batch_holds_less_than_one_more_patch_array_than_at():
+    # VIR-TRADES keeps two training forwards' graphs alive until its
+    # backward, VIR-AT one. No forward keeps the stem's patches (the weight
+    # gradient gathers them in the backward), so at the paper shape in
+    # float32 a TRADES batch's traced peak exceeds AT's by less than one
+    # batch's row-major patch array, [128 * 576, 25], 7.37 MB.
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, size=(128, 784))
+    y = rng.integers(0, 10, size=128)
+    idx = np.arange(128)
+    peaks = {}
+    for family in ("AT", "TRADES"):
+        config = resolve_config("paper", overrides=[("objective.family", family)])
+        model = Classifier(config.model.arch(784, 10), seed=0)
+        training._batch_gradients(model, config, 1, 0, x, y, idx)  # warm-up
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training._batch_gradients(model, config, 1, 0, x, y, idx)
+            peaks[family] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    patches = 128 * 576 * 25 * 4
+    assert peaks["TRADES"] - peaks["AT"] < patches, (
+        f"TRADES {peaks['TRADES'] / 1e6:.1f} MB, AT {peaks['AT'] / 1e6:.1f} MB, "
+        f"bound {patches / 1e6:.2f} MB over AT")
 
 
 @pytest.mark.parametrize("loss_mode, burn_in, walks", [

@@ -3,9 +3,10 @@
 Four attack families share one spec and one engine (``_attack``):
 single-step FGSM, PGD with a small Gaussian random start, PGD on the CW
 margin loss, and black-box SPSA. Each runs the same projected sign-ascent
-loop and differs only in data: the step, whether it starts from noise, and
-the gradient it ascends (the CE, KL or margin input gradient, or per-sample
-SPSA estimates). KL mode, the TRADES inner maximization, takes its
+loop and differs only in data: the step (epsilon, once, for FGSM;
+step_size for the rest), whether it starts from noise, and the gradient it
+ascends (the CE, KL or margin input gradient, or per-sample SPSA
+estimates). KL mode, the TRADES inner maximization, takes its
 reference from the model itself: the prediction at the natural input,
 computed inside the attack. GAIRAT's least-steps probe is a CE-mode PGD
 walk that reads each sample's first-miss iteration off its own forwards.
@@ -66,10 +67,11 @@ class AttackSpec:
     """Threat model and optimizer knobs for one attack condition.
 
     epsilon = 0 is allowed as a degenerate budget: every attack then
-    returns its input unchanged. start_noise_scale = 0 disables the
-    Gaussian random start. loss_mode is the loss the family ascends:
-    CW_MARGIN for CW_PGD, CE for the others (None picks it); PGD may
-    ascend KL instead.
+    returns its input unchanged. step_size, which must be positive, is the
+    step of every family but FGSM, whose one step is epsilon.
+    start_noise_scale = 0 disables the Gaussian random start. loss_mode is
+    the loss the family ascends: CW_MARGIN for CW_PGD, CE for the others
+    (None picks it); PGD may ascend KL instead.
     """
 
     family: AttackFamily
@@ -82,7 +84,6 @@ class AttackSpec:
     start_noise_scale: float = 0.001
     spsa_samples: int = 256
     spsa_perturb: float = 0.001
-    spsa_lr: float = 0.01
 
     def __post_init__(self):
         if isinstance(self.family, str):
@@ -95,7 +96,7 @@ class AttackSpec:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.family in (AttackFamily.PGD, AttackFamily.CW_PGD) and self.step_size <= 0:
+        if self.family is not AttackFamily.FGSM and self.step_size <= 0:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
         own = (LossMode.CW_MARGIN if self.family is AttackFamily.CW_PGD
                else LossMode.CE)
@@ -109,8 +110,8 @@ class AttackSpec:
         if self.family is AttackFamily.SPSA:
             if self.spsa_samples < 2:
                 raise ConfigError(f"spsa_samples must be >= 2, got {self.spsa_samples}")
-            if self.spsa_perturb <= 0 or self.spsa_lr <= 0:
-                raise ConfigError("spsa_perturb and spsa_lr must be positive")
+            if self.spsa_perturb <= 0:
+                raise ConfigError(f"spsa_perturb must be > 0, got {self.spsa_perturb}")
         if self.bounds is not None:
             lo, hi = self.bounds
             if not lo < hi:
@@ -175,7 +176,7 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     FGSM takes one step of epsilon on the CE gradient. PGD and CW-PGD start
     from per-sample Gaussian noise and take ``iterations`` steps of
     step_size on the CE or KL loss (PGD) or the margin loss (CW-PGD). SPSA
-    takes ``iterations`` steps of spsa_lr on per-sample SPSA estimates of
+    takes ``iterations`` steps of step_size on per-sample SPSA estimates of
     the CE gradient. KL mode's reference is the model's own prediction at x.
 
     The split runs in consecutive chunks of ``_chunk_rows`` rows, each
@@ -223,15 +224,12 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
     if spec.epsilon == 0.0:
         return x.copy(), first_miss
+    step, iterations = ((spec.epsilon, 1) if spec.family is AttackFamily.FGSM
+                        else (spec.step_size, spec.iterations))
     cur = x.copy()
-    if spec.family is AttackFamily.FGSM:
-        step, iterations = spec.epsilon, 1
-        grad = _input_gradient(model, y, LossMode.CE, None)
-    elif spec.family is AttackFamily.SPSA:
-        step, iterations = spec.spsa_lr, spec.iterations
+    if spec.family is AttackFamily.SPSA:
         grad = _spsa_gradient(model, y, spec, first_row)
     else:
-        step, iterations = spec.step_size, spec.iterations
         reference = (predict_probs(model, x)
                      if spec.loss_mode is LossMode.KL else None)
         grad = _input_gradient(model, y, spec.loss_mode, reference)

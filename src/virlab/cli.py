@@ -48,6 +48,27 @@ def _parse_value(text: str):
         return text
 
 
+def _grid_values(text: str) -> list[str]:
+    """A --grid axis's values: text split at each comma outside brackets,
+    braces and JSON strings, so a list or an object is one value."""
+    values, start, depth, quoted, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(text):
+        if escaped:
+            escaped = False
+        elif quoted:
+            escaped, quoted = ch == "\\", ch != '"'
+        elif ch == '"':
+            quoted = True
+        elif ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            values.append(text[start:i])
+            start = i + 1
+    return values + [text[start:]]
+
+
 def _parse_set(raw: str) -> tuple[str, object]:
     path, text = _split_assignment("--set", raw)
     return path, _parse_value(text)
@@ -167,7 +188,7 @@ def _cmd_sweep(args) -> int:
         path, text = _split_assignment("--grid", raw)
         if path in grid:
             raise ConfigError(f"--grid {path} given twice")
-        grid[path] = [_parse_value(v) for v in text.split(",") if v.strip()]
+        grid[path] = [_parse_value(v) for v in _grid_values(text) if v.strip()]
     rows = sweep(config, grid, out_dir=args.out)
     ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"swept {len(rows)} points ({ok} ok); table in "
@@ -286,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", metavar="PATH=V1,V2,...",
                    help="one grid axis: a --set path and comma-separated "
                         "values, each parsed as a --set value, e.g. "
-                        "--grid seed=0,1,2 (repeatable; the grid is the "
-                        "product of its axes)")
+                        "--grid seed=0,1,2 or --grid 'model.hidden=[8],[4,4]' "
+                        "(repeatable; the grid is the product of its axes)")
     p.add_argument("--out", "-o", default="sweep_out", help="artifact directory")
     p.set_defaults(func=_cmd_sweep)
 

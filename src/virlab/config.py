@@ -184,14 +184,11 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "attack_eval", tuple(self.attack_eval))
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "batch_size", "eval_every", "log_weights_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1 or self.log_weights_every < 1:
-            raise ConfigError("logging cadences must be >= 1")
         if self.optimizer.milestones and self.optimizer.milestones[-1] >= self.epochs:
             raise ConfigError(
                 f"milestones {self.optimizer.milestones} must all be < epochs "
@@ -344,9 +341,9 @@ def paper_profile() -> dict:
              "seed": 1234},
             {"family": "FGSM", "epsilon": 8 / 255, "bounds": [0.0, 1.0],
              "seed": 1234},
-            {"family": "SPSA", "epsilon": 8 / 255, "iterations": 100,
-             "loss_mode": "CE", "bounds": [0.0, 1.0], "seed": 1234,
-             "spsa_samples": 256, "spsa_perturb": 0.001, "spsa_lr": 0.01},
+            {"family": "SPSA", "epsilon": 8 / 255, "step_size": 0.01,
+             "iterations": 100, "loss_mode": "CE", "bounds": [0.0, 1.0],
+             "seed": 1234, "spsa_samples": 256, "spsa_perturb": 0.001},
         ],
         "model": {"hidden": [128, 64],
                   "conv": {"height": 28, "width": 28, "filters": 8,

@@ -1,6 +1,7 @@
 """Two-class Gaussian mixture with unequal variances, in closed form.
 
-Class -1 is N(-mu, sigma^2 I) and class +1 is N(+mu, (K*sigma)^2 I) with
+The mixture is balanced: each label is drawn with probability 1/2. Class
+-1 is N(-mu, sigma^2 I) and class +1 is N(+mu, (K*sigma)^2 I) with
 mu = (eta, ..., eta) and K > 1, so the +1 class is the wider one. The
 module gives the optimal linear classifier, its exact class-conditional
 risks
@@ -30,7 +31,6 @@ class GmmSpec:
     eta: float
     sigma: float
     k_var: float
-    prior: float = 0.5
 
     def __post_init__(self):
         if self.d < 1:
@@ -41,8 +41,6 @@ class GmmSpec:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.k_var <= 1:
             raise ConfigError(f"k_var must exceed 1, got {self.k_var}")
-        if not 0 < self.prior < 1:
-            raise ConfigError(f"prior must lie in (0, 1), got {self.prior}")
 
     @property
     def mu(self) -> np.ndarray:
@@ -69,7 +67,7 @@ def sample_gmm(spec: GmmSpec, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    labels = np.where(rng.random(n) < spec.prior, 1, -1)
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
     x = rng.standard_normal((n, spec.d))
     stds = np.where(labels == 1, spec.k_var * spec.sigma, spec.sigma)
     x = x * stds[:, None] + labels[:, None] * spec.mu[None, :]

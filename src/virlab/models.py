@@ -69,7 +69,7 @@ class ConvStem:
 
     def __post_init__(self):
         if min(self.height, self.width, self.filters, self.kernel_size) < 1:
-            raise ConfigError("conv stem dimensions must be positive")
+            raise ConfigError(f"conv stem dimensions must be positive: {self}")
         if self.kernel_size > min(self.height, self.width):
             raise ConfigError(
                 f"kernel {self.kernel_size} exceeds input {self.height}x{self.width}"

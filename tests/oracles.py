@@ -151,15 +151,16 @@ def linear_risk(classifier: LinearClassifier, spec: GmmSpec) -> tuple[float, flo
 
 
 def true_class_posterior(spec: GmmSpec, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """P(y = label_i | x_i) under the mixture, via class log-densities."""
+    """P(y = label_i | x_i) under the balanced mixture, via class
+    log-densities (the equal priors cancel)."""
     x = np.asarray(x, dtype=np.float64)
 
     def log_density(mean_sign: float, std: float) -> np.ndarray:
         sq = ((x - mean_sign * spec.mu[None, :]) ** 2).sum(axis=1)
         return -0.5 * spec.d * math.log(2.0 * math.pi * std * std) - sq / (2.0 * std * std)
 
-    log_minus = math.log(1.0 - spec.prior) + log_density(-1.0, spec.sigma)
-    log_plus = math.log(spec.prior) + log_density(1.0, spec.k_var * spec.sigma)
+    log_minus = log_density(-1.0, spec.sigma)
+    log_plus = log_density(1.0, spec.k_var * spec.sigma)
     top = np.maximum(log_minus, log_plus)
     denom = top + np.log(np.exp(log_minus - top) + np.exp(log_plus - top))
     log_true = np.where(labels == 1, log_plus, log_minus)

@@ -322,7 +322,7 @@ def random_attack_case(rng, family):
         spec = AttackSpec(family, **common)
     elif family is AttackFamily.SPSA:
         spec = AttackSpec(family, iterations=int(rng.integers(1, 3)),
-                          spsa_samples=4, spsa_lr=float(rng.uniform(0.01, 0.3)),
+                          spsa_samples=4, step_size=float(rng.uniform(0.01, 0.3)),
                           **common)
     else:
         mode = LossMode.CW_MARGIN if family is AttackFamily.CW_PGD else LossMode.CE

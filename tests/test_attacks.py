@@ -43,7 +43,7 @@ PROJECTION_SPECS = {
     "cw_pgd": AttackSpec(AttackFamily.CW_PGD, epsilon=0.1, step_size=0.3,
                          start_noise_scale=0.0),
     "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=4,
-                       spsa_lr=0.3),
+                       step_size=0.3),
 }
 
 
@@ -130,9 +130,10 @@ def test_attack_spec_validation():
     with pytest.raises(ConfigError):
         AttackSpec(AttackFamily.FGSM, epsilon=0.1, loss_mode=LossMode.KL)
     with pytest.raises(ConfigError):
-        AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=1)
+        AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01, spsa_samples=1)
     with pytest.raises(ConfigError):
-        AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_perturb=0.0)
+        AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                   spsa_perturb=0.0)
     with pytest.raises(ConfigError):
         AttackSpec(AttackFamily.FGSM, epsilon=0.1, bounds=(1.0, 0.0))
     with pytest.raises(ConfigError):
@@ -229,6 +230,7 @@ LABEL_CASES = {
     "cw_pgd": lambda m, x, y: cw_pgd(m, x, y, AttackSpec(
         AttackFamily.CW_PGD, epsilon=0.1, step_size=0.05)),
     "spsa": lambda m, x, y: spsa(m, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.1,
+                                                     step_size=0.01,
                                                      spsa_samples=4)),
 }
 
@@ -546,10 +548,11 @@ def test_spsa_epsilon_zero_and_containment(rng):
     model = make_mlp((4, 8, 3), seed=5)
     x = rng.standard_normal((3, 4))
     y = np.array([0, 1, 2])
-    out0 = spsa(model, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.0))
+    out0 = spsa(model, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.0,
+                                        step_size=0.01))
     np.testing.assert_array_equal(out0, x)
     spec = AttackSpec(AttackFamily.SPSA, epsilon=0.2, iterations=3,
-                      spsa_samples=8, spsa_lr=0.07, seed=2)
+                      spsa_samples=8, step_size=0.07, seed=2)
     out = spsa(model, x, y, spec)
     assert np.abs(out - x).max() <= 0.2 + 1e-12
 
@@ -559,8 +562,8 @@ def test_spsa_is_black_box(rng):
     model = make_mlp((4, 8, 3), seed=5)
     x = rng.standard_normal((2, 4))
     y = np.array([0, 1])
-    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2,
-                      spsa_samples=4, seed=0)
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                      iterations=2, spsa_samples=4, seed=0)
     spsa(model, x, y, spec)
     assert all(p.grad is None for p in model.params.values())
 
@@ -570,7 +573,7 @@ def test_spsa_increases_loss_on_easy_target(rng):
     x = rng.standard_normal((4, 4))
     y = np.argmax(predict_probs(model, x), axis=1)
     spec = AttackSpec(AttackFamily.SPSA, epsilon=0.5, iterations=8,
-                      spsa_samples=32, spsa_lr=0.1, seed=7)
+                      spsa_samples=32, step_size=0.1, seed=7)
     out = spsa(model, x, y, spec)
     assert ce_sum(model, out, y) > ce_sum(model, x, y)
 
@@ -579,10 +582,25 @@ def test_spsa_deterministic_in_seed(rng):
     model = make_mlp((4, 8, 3), seed=5)
     x = rng.standard_normal((3, 4))
     y = np.array([2, 0, 1])
-    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.2, iterations=2,
-                      spsa_samples=6, seed=31)
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.2, step_size=0.01,
+                      iterations=2, spsa_samples=6, seed=31)
     np.testing.assert_array_equal(spsa(model, x, y, spec),
                                   spsa(model, x, y, spec))
+
+
+def test_spsa_steps_by_step_size(rng):
+    # One iteration with no bounds and a budget wider than the step moves
+    # each coordinate by exactly 0 or step_size: the inputs and the step are
+    # dyadic, so x +- step_size is exact.
+    model = conv_model()
+    x = rng.integers(0, 8, size=(3, 30)) / 8.0
+    y = np.array([0, 1, 2])
+    step = 0.0625
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=1.0, step_size=step,
+                      spsa_samples=4, seed=5)
+    moved = np.abs(spsa(model, x, y, spec) - x)
+    assert set(np.unique(moved)) <= {0.0, step}
+    assert (moved == step).any()
 
 
 def old_spsa_gradient_estimate(f, x, num_samples, perturb, rng):
@@ -617,7 +635,7 @@ def batch1_spsa(model, x, y, spec):
         for _ in range(spec.iterations):
             g = old_spsa_gradient_estimate(batch1_ce(model, y[i]), cur,
                                            spec.spsa_samples, spec.spsa_perturb, rng)
-            cur = project_linf(cur + spec.spsa_lr * np.sign(g), x[i],
+            cur = project_linf(cur + spec.step_size * np.sign(g), x[i],
                                spec.epsilon, spec.bounds)
         out[i] = cur
     return out
@@ -653,8 +671,8 @@ def test_batched_spsa_matches_the_batch1_oracle(rng, monkeypatch):
     assert models._chunk_rows(model.arch) == 64
     y = np.array([0, 1, 2])
     for seed, num_samples in [(0, 2), (3, 32), (11, 33), (40, 100)]:
-        spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=num_samples,
-                          seed=seed)
+        spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                          spsa_samples=num_samples, seed=seed)
         cur = rng.uniform(0.0, 1.0, size=(3, 30))
         batched, _ = attacks._spsa_gradient(model, y, spec, 0)(cur)
         for i, label in enumerate(y):
@@ -671,7 +689,7 @@ def test_batched_spsa_matches_the_batch1_oracle(rng, monkeypatch):
     x = rng.uniform(0.0, 1.0, size=(3, 30))
     y = np.array([2, 0, 1])
     spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=3, spsa_samples=40,
-                      spsa_lr=0.02, bounds=(0.0, 1.0), seed=7)
+                      step_size=0.02, bounds=(0.0, 1.0), seed=7)
     np.testing.assert_array_equal(spsa(model, x, y, spec),
                                   batch1_spsa(model, x, y, spec))
 
@@ -693,8 +711,8 @@ def test_spsa_scores_points_in_capped_batched_forwards(rng, monkeypatch):
     model._forward = counting_forward
     x = rng.uniform(0.0, 1.0, size=(3, 30))
     y = np.array([0, 1, 2])
-    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2, spsa_samples=40,
-                      seed=3)
+    spec = AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01, iterations=2,
+                      spsa_samples=40, seed=3)
     spsa(model, x, y, spec)
     points = 2 * spec.spsa_samples
     forwards_per_iteration = -(-points // cap)
@@ -715,8 +733,8 @@ def test_run_attack_dispatches_each_family(rng):
         (AttackSpec(AttackFamily.FGSM, epsilon=0.1), fgsm),
         (AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.03, seed=1), pgd),
         (AttackSpec(AttackFamily.CW_PGD, epsilon=0.1, step_size=0.03, seed=1), cw_pgd),
-        (AttackSpec(AttackFamily.SPSA, epsilon=0.1, spsa_samples=4,
-                    iterations=2, seed=1), spsa),
+        (AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                    spsa_samples=4, iterations=2, seed=1), spsa),
     ]
     for spec, fn in cases:
         np.testing.assert_array_equal(run_attack(model, x, y, spec),
@@ -752,7 +770,7 @@ def test_attacks_leave_the_model_untouched(rng):
                                     step_size=0.03, iterations=2, seed=1)),
         "spsa": lambda: run_attack(
             model, x, y, AttackSpec(AttackFamily.SPSA, epsilon=0.1,
-                                    spsa_samples=4, seed=1)),
+                                    step_size=0.01, spsa_samples=4, seed=1)),
     }
 
     def assert_untouched(name):
@@ -914,6 +932,23 @@ batch_models = pytest.mark.parametrize("make_model, scale", [
 
 
 @batch_models
+def test_fgsm_is_one_noise_free_pgd_step_of_epsilon(rng, make_model, scale):
+    # FGSM is the white-box walk with step epsilon, one iteration and no
+    # start noise: byte for byte a PGD spec that says so.
+    model = make_model()
+    x = scale * rng.uniform(0.0, 1.0, size=(70, model.arch.input_dim))
+    y = rng.integers(0, 3, size=70)
+    for bounds in (None, (0.0, scale)):
+        want = fgsm(model, x, y, AttackSpec(AttackFamily.FGSM, epsilon=0.1,
+                                            bounds=bounds))
+        got = pgd(model, x, y, AttackSpec(AttackFamily.PGD, epsilon=0.1,
+                                          step_size=0.1, iterations=1,
+                                          start_noise_scale=0.0, bounds=bounds))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not np.array_equal(want, x)
+
+
+@batch_models
 def test_chunks_of_64_rows_reproduce_the_whole_batch(rng, make_model, scale):
     # The batch-chunk rule: run in consecutive chunks of 64 rows, the
     # forward and every gradient attack give bitwise the whole batch's
@@ -962,8 +997,8 @@ def test_a_prefix_of_64_rows_reproduces_its_rows_with_noise_on(rng, make_model,
         "pgd": AttackSpec(AttackFamily.PGD, **gradient),
         "pgd_kl": AttackSpec(AttackFamily.PGD, loss_mode=LossMode.KL, **gradient),
         "cw_pgd": AttackSpec(AttackFamily.CW_PGD, **gradient),
-        "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=2,
-                           spsa_samples=8, seed=7),
+        "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                           iterations=2, spsa_samples=8, seed=7),
     }
     for name, spec in specs.items():
         whole = run_attack(model, x, y, spec)
@@ -987,7 +1022,7 @@ def test_no_two_seed_row_pairs_share_a_stream(rng, family):
                           start_noise_scale=0.1)
     else:
         model = conv_model()
-        spec = AttackSpec(family, epsilon=0.1, spsa_samples=2)
+        spec = AttackSpec(family, epsilon=0.1, step_size=0.01, spsa_samples=2)
     x = np.repeat(rng.uniform(0.0, 1.0, size=(1, 30)), 2, axis=0)
     y = np.array([1, 1])
     row1 = run_attack(model, x, y, replace(spec, seed=1234))[1]

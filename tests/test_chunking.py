@@ -49,8 +49,8 @@ CHUNKED_RUNS = {
     "pgd": AttackSpec(AttackFamily.PGD, **GRADIENT),
     "pgd_kl": AttackSpec(AttackFamily.PGD, loss_mode=LossMode.KL, **GRADIENT),
     "cw_pgd": AttackSpec(AttackFamily.CW_PGD, **GRADIENT),
-    "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, iterations=1,
-                       spsa_samples=4, seed=7),
+    "spsa": AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.01,
+                       iterations=1, spsa_samples=4, seed=7),
 }
 
 
@@ -105,8 +105,8 @@ CAP_SPECS = [
     {"family": "CW_PGD", "epsilon": 0.1, "step_size": 0.04, "iterations": 1,
      "loss_mode": "CW_MARGIN", "bounds": [0.0, 1.0], "seed": 3},
     {"family": "FGSM", "epsilon": 0.1, "bounds": [0.0, 1.0], "seed": 3},
-    {"family": "SPSA", "epsilon": 0.1, "iterations": 1, "bounds": [0.0, 1.0],
-     "seed": 3, "spsa_samples": 2},
+    {"family": "SPSA", "epsilon": 0.1, "step_size": 0.01, "iterations": 1,
+     "bounds": [0.0, 1.0], "seed": 3, "spsa_samples": 2},
 ]
 
 

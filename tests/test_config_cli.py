@@ -159,8 +159,8 @@ def test_config_round_trips_through_json():
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
 # config.json wire format of each shipped profile, byte for byte.
 PROFILE_JSON_SHA256 = {
-    "desk": "e9ffe83b6040298f77b018e4b304db5fa57a3f59adb6fd2e19cf4c76a3252d8d",
-    "paper": "5c45fd37892675fa4973c57ecddffad8fa403d3b8131473bb5103077b3d60f6c",
+    "desk": "d2203fed8532961ceac28998bfec1bf94aae9cef1935adece46507f1a638eb5c",
+    "paper": "634c4221bd300a1fda9a2a6e1d9d8a72e24abb606b64db3503bf0e15bee4722a",
 }
 
 
@@ -192,7 +192,7 @@ def _attacks(draw, seeds=st.integers(0, 2**64 - 1)):
         bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
         seed=draw(seeds),
         start_noise_scale=draw(_NONNEG), spsa_samples=draw(st.integers(2, 512)),
-        spsa_perturb=draw(_POS), spsa_lr=draw(_POS))
+        spsa_perturb=draw(_POS))
 
 
 @st.composite
@@ -627,6 +627,19 @@ def test_cli_sweep_point_is_exactly_a_set_run(tmp_path):
         assert _files(out / f"run_{i}") == files
 
 
+def test_cli_sweep_grid_list_values_are_one_value_each(tmp_path, capsys):
+    # An axis splits only at commas outside brackets, braces and JSON
+    # strings, so each list is one grid value.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", "model.hidden=[8],[4,4]", "--out", str(out)]
+                + SWEEP_FAST) == 0
+    assert "swept 2 points (2 ok)" in capsys.readouterr().out
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model.hidden"], r["status"]) for r in rows] == [
+        ("[8]", "ok"), ("[4,4]", "ok")]
+
+
 def test_cli_sweep_repeated_grid_values_keep_their_own_run_directories(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--grid", BETA_GRID + "0.007,0.007", "--out", str(out)]
@@ -803,6 +816,57 @@ def test_cli_train_rejects_a_gairat_k_pgd_before_writing(tmp_path, capsys, how):
     assert main(["train", "--out", str(out)] + args) == 2
     err = capsys.readouterr().err
     assert "weight_scheme has unknown keys: ['k_pgd']" in err
+    assert not out.exists()
+
+
+def test_cli_train_rejects_spsa_lr_before_writing(tmp_path, capsys):
+    # SPSA steps by step_size like every other family; the key that used to
+    # set its step apart is unknown, not silently ignored.
+    out = tmp_path / "run"
+    assert main(["train", "--profile", "paper", "--set",
+                 "attack_eval.3.spsa_lr=0.01", "--out", str(out)]) == 2
+    assert "attack_eval[3] has unknown keys: ['spsa_lr']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--set", "optimizer.base_lr=0"], "base_lr must be positive, got 0"),
+    (["--set", "optimizer.momentum=1"], "momentum must lie in [0, 1), got 1"),
+    (["--set", "optimizer.momentum=-0.5"], "momentum must lie in [0, 1), got -0.5"),
+    (["--set", "optimizer.weight_decay=-1"], "weight_decay must be >= 0, got -1"),
+    (["--set", "optimizer.decay_factor=1"], "decay_factor must exceed 1, got 1"),
+    (["--set", "optimizer.milestones=[3,3]"],
+     "milestones must increase strictly: (3, 3)"),
+    (["--set", "model.hidden=[8,0]"], "hidden widths must be positive, got (8, 0)"),
+    (["--set", 'model.conv={"height":3,"width":3,"filters":2,"kernel_size":2}'],
+     "conv stem expects 3x3=9 inputs, data has 8"),
+    (["--set", 'model.conv={"height":2,"width":4,"filters":0,"kernel_size":2}'],
+     "conv stem dimensions must be positive: ConvStem(height=2, width=4, "
+     "filters=0, kernel_size=2)"),
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--set", "eval_every=0"], "eval_every must be >= 1, got 0"),
+    (["--set", "log_weights_every=-2"], "log_weights_every must be >= 1, got -2"),
+    (["--epochs", "20"], "milestones (20, 25) must all be < epochs 20"),
+    (["--config", "{file}"], "{file}: config must be a single JSON object"),
+    (["--set", "dataset=3"], "config.dataset must be an object with a 'kind' key"),
+    (["--set", "attack_eval.9.epsilon=0.1"],
+     "attack_eval.9.epsilon: bad list index '9'"),
+], ids=["base_lr", "momentum_one", "momentum_negative", "weight_decay",
+        "decay_factor", "milestones_order", "hidden", "conv_geometry",
+        "conv_dimensions", "epochs", "batch_size", "eval_every",
+        "log_weights_every", "milestone_past_epochs", "config_not_object",
+        "dataset_not_object", "set_index_out_of_range"])
+def test_cli_train_rejects_a_bad_config_value_before_writing(tmp_path, capsys,
+                                                             args, message):
+    # Each raise site of the strict config rules exits 2 with a message that
+    # names the offending value, before the run directory exists.
+    file = tmp_path / "list.json"
+    file.write_text("[1, 2]")
+    out = tmp_path / "run"
+    args = [a.replace("{file}", str(file)) for a in args]
+    assert main(["train", "--out", str(out)] + args) == 2
+    assert message.replace("{file}", str(file)) in capsys.readouterr().err
     assert not out.exists()
 
 

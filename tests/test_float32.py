@@ -186,8 +186,8 @@ def _conv_config(dtype, **extra):
                           "iterations": 3, "bounds": None, "seed": 0}),
         ("attack_eval", [{"family": "PGD", "epsilon": 0.3, "step_size": 0.1,
                           "iterations": 3, "seed": 1},
-                         {"family": "SPSA", "epsilon": 0.3, "iterations": 1,
-                          "seed": 1, "spsa_samples": 4}]),
+                         {"family": "SPSA", "epsilon": 0.3, "step_size": 0.01,
+                          "iterations": 1, "seed": 1, "spsa_samples": 4}]),
         *extra.items()])
 
 

@@ -34,8 +34,6 @@ def test_spec_validation():
         GmmSpec(d=4, eta=1.0, sigma=0.0, k_var=2.0)
     with pytest.raises(ConfigError):
         GmmSpec(d=4, eta=1.0, sigma=1.0, k_var=1.0)  # q(K) singular at K=1
-    with pytest.raises(ConfigError):
-        GmmSpec(d=4, eta=1.0, sigma=1.0, k_var=2.0, prior=1.0)
     np.testing.assert_array_equal(CANON.mu, np.ones(4))
 
 
@@ -147,7 +145,7 @@ def test_sample_gmm_label_frequency_matches_prior():
     n = 100_000
     _, y = sample_gmm(CANON, n, seed=11)
     freq = float((y == 1).mean())
-    assert abs(freq - CANON.prior) <= 4.0 * np.sqrt(0.25 / n)
+    assert abs(freq - 0.5) <= 4.0 * np.sqrt(0.25 / n)
 
 
 def test_sample_gmm_class_means_within_clt_bounds():

@@ -114,7 +114,7 @@ ATTACKS = {
              "seed": 1234},
     "spsa": {"family": "SPSA", "epsilon": 0.1, "iterations": 3,
              "bounds": [0.0, 1.0], "seed": 1234, "spsa_samples": 4,
-             "spsa_lr": 0.04},
+             "step_size": 0.04},
 }
 
 ATTACK_SHA256 = {
@@ -196,7 +196,7 @@ CONV_CONFIG = {
                      "step_size": 2 / 255, "iterations": 3, "loss_mode": "CE",
                      "bounds": [0.0, 1.0], "seed": 0,
                      "start_noise_scale": 0.001, "spsa_samples": 256,
-                     "spsa_perturb": 0.001, "spsa_lr": 0.01},
+                     "spsa_perturb": 0.001},
     "attack_eval": [
         {"family": "PGD", "epsilon": 0.1, "step_size": 0.04,
          "iterations": 4, "loss_mode": "CE", "bounds": [0.0, 1.0],
@@ -206,7 +206,7 @@ CONV_CONFIG = {
          "seed": 1234},
         {"family": "FGSM", "epsilon": 0.1, "bounds": [0.0, 1.0],
          "seed": 1234},
-        {"family": "SPSA", "epsilon": 0.1, "iterations": 1,
+        {"family": "SPSA", "epsilon": 0.1, "step_size": 0.01, "iterations": 1,
          "bounds": [0.0, 1.0], "seed": 1234, "spsa_samples": 4},
     ],
     "model": {"hidden": [6],

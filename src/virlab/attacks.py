@@ -37,11 +37,12 @@ NonFiniteError at its first forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from .codec import to_obj
 from .errors import ConfigError
 from .models import (Classifier, _check_input, _chunk_rows, _logits,
                      predict_labels, predict_probs)
@@ -62,12 +63,21 @@ class LossMode(Enum):
     CW_MARGIN = "CW_MARGIN"
 
 
+# knob -> the families that read it; every family reads the fields not listed.
+_READ_BY = {"step_size": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
+            "iterations": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
+            "start_noise_scale": (AttackFamily.PGD, AttackFamily.CW_PGD),
+            "spsa_samples": (AttackFamily.SPSA,), "spsa_perturb": (AttackFamily.SPSA,)}
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Threat model and optimizer knobs for one attack condition.
 
-    epsilon = 0 is allowed as a degenerate budget: every attack then
-    returns its input unchanged. step_size, which must be positive, is the
+    A knob the family does not read (``_READ_BY``) must keep its default, and
+    ``to_obj`` records only the knobs it reads, so a config states none that
+    did not run. epsilon = 0 is allowed as a degenerate budget: every attack
+    then returns its input unchanged. step_size, which must be positive, is the
     step of every family but FGSM, whose one step is epsilon.
     start_noise_scale = 0 disables the Gaussian random start. loss_mode is
     the loss the family ascends: CW_MARGIN for CW_PGD, CE for the others
@@ -90,13 +100,18 @@ class AttackSpec:
             object.__setattr__(self, "family", AttackFamily(self.family))
         if isinstance(self.loss_mode, str):
             object.__setattr__(self, "loss_mode", LossMode(self.loss_mode))
+        for f in fields(self):
+            if (self.family not in _READ_BY.get(f.name, AttackFamily)
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"{self.family.value} does not read {f.name}, "
+                                  f"got {getattr(self, f.name)}")
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.family is not AttackFamily.FGSM and self.step_size <= 0:
+        if self.family in _READ_BY["step_size"] and self.step_size <= 0:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
         own = (LossMode.CW_MARGIN if self.family is AttackFamily.CW_PGD
                else LossMode.CE)
@@ -107,17 +122,20 @@ class AttackSpec:
             raise ConfigError(
                 f"{self.family.value} cannot ascend {self.loss_mode.value}: FGSM "
                 "and SPSA ascend CE, PGD CE or KL, CW_PGD CW_MARGIN")
-        if self.family is AttackFamily.SPSA:
-            if self.spsa_samples < 2:
-                raise ConfigError(f"spsa_samples must be >= 2, got {self.spsa_samples}")
-            if self.spsa_perturb <= 0:
-                raise ConfigError(f"spsa_perturb must be > 0, got {self.spsa_perturb}")
+        if self.spsa_samples < 2:
+            raise ConfigError(f"spsa_samples must be >= 2, got {self.spsa_samples}")
+        if self.spsa_perturb <= 0:
+            raise ConfigError(f"spsa_perturb must be > 0, got {self.spsa_perturb}")
         if self.bounds is not None:
             lo, hi = self.bounds
             if not lo < hi:
                 raise ConfigError(f"bounds must satisfy lo < hi, got {self.bounds}")
         if self.start_noise_scale < 0:
             raise ConfigError("start_noise_scale must be >= 0")
+
+    def to_obj(self) -> dict:
+        return {f.name: to_obj(getattr(self, f.name)) for f in fields(self)
+                if self.family in _READ_BY.get(f.name, AttackFamily)}
 
 
 def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +242,7 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
     if spec.epsilon == 0.0:
         return x.copy(), first_miss
-    step, iterations = ((spec.epsilon, 1) if spec.family is AttackFamily.FGSM
-                        else (spec.step_size, spec.iterations))
+    step = spec.epsilon if spec.family is AttackFamily.FGSM else spec.step_size
     cur = x.copy()
     if spec.family is AttackFamily.SPSA:
         grad = _spsa_gradient(model, y, spec, first_row)
@@ -244,7 +261,7 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
     if spec.bounds is not None:
         np.clip(lo, *spec.bounds, out=lo)
         np.clip(hi, *spec.bounds, out=hi)
-    for k in range(iterations):
+    for k in range(spec.iterations):
         g, logits = grad(cur)
         if first_miss is not None and k > 0:  # the logits of iterate k
             undecided = first_miss == spec.iterations

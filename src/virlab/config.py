@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .attacks import AttackSpec
+from .attacks import _READ_BY, AttackSpec
 from .codec import check_keys, from_obj, to_obj
 from .data import Dataset, from_gmm, load_csv, load_idx, synth_multiclass
 from .errors import ConfigError
@@ -195,10 +195,10 @@ class TrainConfig:
                 f"{self.epochs}"
             )
         if (self.objective.weight_scheme.family is WeightFamily.GAIRAT
-                and self.attack_train.step_size <= 0):
+                and self.attack_train.family not in _READ_BY["step_size"]):
             raise ConfigError(
-                "objective.weight_scheme.family GAIRAT needs "
-                f"attack_train.step_size > 0, got {self.attack_train.step_size}")
+                "objective.weight_scheme.family GAIRAT probes at attack_train.step_size"
+                f", and {self.attack_train.family.value} reads no step_size")
         if self.attack_train.seed != 0:
             raise ConfigError(
                 f"attack_train.seed must be 0, got {self.attack_train.seed}: the "

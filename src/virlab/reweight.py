@@ -44,8 +44,8 @@ class Ablation(Enum):
 @dataclass(frozen=True)
 class WeightScheme:
     """Family plus hyperparameters. gamma and beta are the VIR exponent and
-    floor, or (for MAIL) the logistic slope and center. Only VIR takes an
-    ablation other than FULL."""
+    floor, or (for MAIL) the logistic slope, positive, and center. Only VIR
+    takes an ablation other than FULL."""
 
     family: WeightFamily
     alpha: float = 7.0
@@ -70,6 +70,8 @@ class WeightScheme:
                 raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
             if self.beta < 0:
                 raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if self.family is WeightFamily.MAIL and self.gamma <= 0:
+            raise ConfigError(f"MAIL's gamma must be positive, got {self.gamma}")
         if self.burn_in_epoch < 0:
             raise ConfigError(f"burn_in_epoch must be >= 0, got {self.burn_in_epoch}")
 

@@ -199,15 +199,16 @@ def _batch_gradients(model: Classifier, config: TrainConfig, epoch: int,
     (the forwards' inputs and activations) is freed here, before the step.
 
     After burn-in (weights are 1.0 before it) GAIRAT counts kappa on a
-    CE-mode PGD walk of attack_train out of K = its iterations; a CE PGD
-    training attack is that walk, run once.
+    CE-mode PGD walk with attack_train's PGD knobs, out of K = its
+    iterations; a CE PGD training attack is that walk, run once.
     """
     objective = config.objective
     scheme = objective.weight_scheme
     spec = _train_attack_spec(config, epoch, batch_idx)
     probe = k_values = None
     if scheme.family is WeightFamily.GAIRAT and epoch > scheme.burn_in_epoch:
-        probe = replace(spec, family=AttackFamily.PGD, loss_mode=LossMode.CE)
+        probe = AttackSpec(AttackFamily.PGD, spec.epsilon, spec.step_size, spec.iterations,
+                           LossMode.CE, spec.bounds, spec.seed, spec.start_noise_scale)
         x_adv, k_values = min_pgd_steps(model, x, y, probe)
     if probe != spec:  # the probe's walk is not the attack's
         x_adv = run_attack(model, x, y, spec)

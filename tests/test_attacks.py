@@ -18,6 +18,7 @@ from virlab import attacks, models, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, run_attack, spsa,
                             spsa_gradient_estimate)
+from virlab.codec import to_obj
 from virlab.errors import ConfigError, NonFiniteError, ShapeError
 from virlab.models import (Arch, Classifier, ConvStem, predict_labels,
                            predict_probs)
@@ -137,9 +138,31 @@ def test_attack_spec_validation():
     with pytest.raises(ConfigError):
         AttackSpec(AttackFamily.FGSM, epsilon=0.1, bounds=(1.0, 0.0))
     with pytest.raises(ConfigError):
-        AttackSpec(AttackFamily.FGSM, epsilon=0.1, start_noise_scale=-1.0)
+        AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.01,
+                   start_noise_scale=-1.0)
     spec = AttackSpec("PGD", epsilon=0.1, step_size=0.02, loss_mode="KL")
     assert spec.family is AttackFamily.PGD and spec.loss_mode is LossMode.KL
+
+
+# A value for each knob that only some families read, valid where it is read.
+UNREAD_VALUES = {"step_size": 0.05, "iterations": 5, "start_noise_scale": 0.5,
+                 "spsa_samples": 4, "spsa_perturb": 0.01}
+
+
+@pytest.mark.parametrize("family, knob", [
+    pytest.param(family, knob, id=f"{family.value}-{knob}")
+    for knob, readers in attacks._READ_BY.items()
+    for family in AttackFamily if family not in readers])
+def test_a_family_rejects_a_knob_it_does_not_read(family, knob):
+    # The attack would ignore it, and config.json would record a knob that
+    # never ran; at its default it is accepted and left unrecorded.
+    step = {} if family is AttackFamily.FGSM else {"step_size": 0.02}
+    with pytest.raises(ConfigError,
+                       match=f"{family.value} does not read {knob}, got "):
+        AttackSpec(family, epsilon=0.1, **{**step, knob: UNREAD_VALUES[knob]})
+    default = AttackSpec.__dataclass_fields__[knob].default
+    spec = AttackSpec(family, epsilon=0.1, **{**step, knob: default})
+    assert knob not in to_obj(spec)
 
 
 def test_family_mismatch_rejected(rng):
@@ -353,11 +376,12 @@ def test_each_family_owns_its_loss_mode(family, mode):
     # every other pairing would record a loss the attack never runs.
     valid = mode in (None, OWN_LOSS[family]) or (family, mode) == (
         AttackFamily.PGD, LossMode.KL)
+    step = {} if family is AttackFamily.FGSM else {"step_size": 0.02}
     if not valid:
         with pytest.raises(ConfigError, match=family.value):
-            AttackSpec(family, epsilon=0.1, step_size=0.02, loss_mode=mode)
+            AttackSpec(family, epsilon=0.1, loss_mode=mode, **step)
         return
-    spec = AttackSpec(family, epsilon=0.1, step_size=0.02, loss_mode=mode)
+    spec = AttackSpec(family, epsilon=0.1, loss_mode=mode, **step)
     assert spec.loss_mode is (OWN_LOSS[family] if mode is None else mode)
 
 

@@ -13,28 +13,30 @@ import ast
 import importlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from conftest import make_mlp
 from virlab import attacks
 from virlab.attacks import AttackFamily, AttackSpec
+from virlab.config import resolve_config
 from virlab.tensor import Tensor
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
 
 
-def _import_tracing():
+def _import_bench(name: str):
     sys.path.insert(0, BENCH)
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(BENCH)
 
 
 def test_every_traced_name_resolves():
-    tracing = _import_tracing()
+    tracing = _import_bench("tracing")
     missing = [f"{module.__name__}.{attr}" for module, attr in tracing.FUNCTIONS
                if not callable(getattr(module, attr, None))]
     # install() looks methods up in the class's own namespace.
@@ -91,10 +93,35 @@ def test_run_attack_reaches_each_family_function_once(monkeypatch):
     model = make_mlp((4, 5, 3), seed=0)
     x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     y = np.array([0, 2])
+    knobs = {"step_size": 0.05, "spsa_samples": 4}
     for family, name in ((AttackFamily.FGSM, "fgsm"), (AttackFamily.PGD, "pgd"),
                          (AttackFamily.CW_PGD, "cw_pgd"),
                          (AttackFamily.SPSA, "spsa")):
         calls.clear()
-        attacks.run_attack(model, x, y, AttackSpec(family, epsilon=0.1,
-                                                   step_size=0.05, spsa_samples=4))
+        attacks.run_attack(model, x, y, AttackSpec(family, epsilon=0.1, **{
+            k: v for k, v in knobs.items() if family in attacks._READ_BY[k]}))
         assert calls == [name]
+
+
+def test_every_attack_spec_the_benchmark_builds_constructs():
+    # AttackSpec rejects a knob its family does not read, so a benchmark
+    # config that set one would stop building. The workloads' overrides
+    # resolve with placeholder fixture paths (resolve_config opens nothing).
+    workloads = _import_bench("workloads")
+    placeholder = {key: f"/nonexistent/{key}" for key in
+                   ("images", "labels", "eval_images", "eval_labels")}
+    for cls in (workloads.DeskTrain, workloads.ImageTrain):
+        workload = cls(work_dir="/nonexistent", seed=0)
+        workload.paths = placeholder
+        resolve_config(workload.profile, overrides=workload.overrides())
+    # ImageEval.setup walks each paper eval attack, SPSA at fewer iterations.
+    paper = resolve_config("paper")
+    for spec in paper.attack_eval:
+        if spec.family is AttackFamily.SPSA:
+            replace(spec, iterations=workloads.SPSA_ITERATIONS)
+    # cases._shape_cases times one iteration of the training attack at each
+    # shape, and of the paper profile's CW-PGD eval attack.
+    for shape in ("desk", "paper"):
+        replace(resolve_config(shape).attack_train, iterations=1, seed=3)
+    (cw,) = [s for s in paper.attack_eval if s.family is AttackFamily.CW_PGD]
+    replace(cw, iterations=1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import virlab
 from virlab import training
-from virlab.attacks import AttackFamily, AttackSpec, LossMode
+from virlab.attacks import _READ_BY, AttackFamily, AttackSpec, LossMode
 from virlab.cli import build_parser, main
 from virlab.codec import canonical_json
 from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
@@ -159,8 +159,8 @@ def test_config_round_trips_through_json():
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
 # config.json wire format of each shipped profile, byte for byte.
 PROFILE_JSON_SHA256 = {
-    "desk": "d2203fed8532961ceac28998bfec1bf94aae9cef1935adece46507f1a638eb5c",
-    "paper": "634c4221bd300a1fda9a2a6e1d9d8a72e24abb606b64db3503bf0e15bee4722a",
+    "desk": "f58d1da5be1c3e8e31cd34af2db53b8957ba45f88a3aa29d523d0cb717312626",
+    "paper": "56da6a540cfb80c165f85c487a8a71360c554e03533a7bfe316013203ebbb208",
 }
 
 
@@ -177,22 +177,24 @@ _POS = st.integers(1, 9) | st.floats(1e-6, 1e3, **_FINITE)
 
 
 @st.composite
-def _attacks(draw, seeds=st.integers(0, 2**64 - 1)):
-    family = draw(st.sampled_from(AttackFamily))
+def _attacks(draw, seeds=st.integers(0, 2**64 - 1), families=tuple(AttackFamily)):
+    family = draw(st.sampled_from(families))
     lo = draw(st.floats(-10, 10, **_FINITE))
     # Each family ascends its own loss (PGD may take KL instead); AttackSpec
     # rejects the rest, and None resolves to the family's own.
     modes = {AttackFamily.PGD: [None, LossMode.CE, LossMode.KL],
              AttackFamily.CW_PGD: [None, LossMode.CW_MARGIN]}.get(
                  family, [None, LossMode.CE])
+    # A family takes only the knobs it reads; the rest keep their defaults.
+    knobs = dict(step_size=draw(_POS), iterations=draw(st.integers(1, 200)),
+                 start_noise_scale=draw(_NONNEG),
+                 spsa_samples=draw(st.integers(2, 512)), spsa_perturb=draw(_POS))
     return AttackSpec(
-        family, epsilon=draw(_NONNEG), step_size=draw(_POS),
-        iterations=draw(st.integers(1, 200)),
+        family, epsilon=draw(_NONNEG),
         loss_mode=draw(st.sampled_from(modes)),
         bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
         seed=draw(seeds),
-        start_noise_scale=draw(_NONNEG), spsa_samples=draw(st.integers(2, 512)),
-        spsa_perturb=draw(_POS))
+        **{k: v for k, v in knobs.items() if family in _READ_BY[k]})
 
 
 @st.composite
@@ -221,7 +223,10 @@ def _configs(draw):
         objective=ObjectiveSpec(draw(st.sampled_from(ObjectiveFamily)),
                                 trade_off=draw(_POS), weight_scheme=scheme),
         # TrainConfig keys the training attack itself; its seed must be 0.
-        attack_train=draw(_attacks(seeds=st.just(0))),
+        # GAIRAT's probe walks at its step_size, which FGSM does not read.
+        attack_train=draw(_attacks(seeds=st.just(0), families=[
+            f for f in AttackFamily
+            if family is not WeightFamily.GAIRAT or f in _READ_BY["step_size"]])),
         attack_eval=tuple(draw(st.lists(_attacks(), max_size=3))),
         dataset=dataset,
         optimizer=OptimConfig(base_lr=draw(_POS),
@@ -769,7 +774,7 @@ def test_cli_report_malformed_weights_row(tmp_path, capsys, bad_row):
 
 def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, capsys):
     # GAIRAT's least-steps probe is a PGD run at the training attack's step
-    # size, which an FGSM training attack leaves at 0.
+    # size, which FGSM does not read.
     out = tmp_path / "run"
     assert main(["train", "--epochs", "2", "--set", "optimizer.milestones=[]",
                  "--set", 'attack_train={"family":"FGSM","epsilon":0.1}',
@@ -779,6 +784,67 @@ def test_cli_train_rejects_gairat_without_step_size_before_writing(tmp_path, cap
     err = capsys.readouterr().err
     assert "weight_scheme.family GAIRAT" in err and "attack_train.step_size" in err
     assert not out.exists()
+
+
+def test_cli_train_gairat_probes_an_spsa_training_attack_with_pgd_knobs(tmp_path):
+    # The probe is a CE PGD walk at the SPSA attack's step_size and
+    # iterations; the SPSA-only knobs, which PGD does not read, stay behind,
+    # so the first post-burn-in batch does not fail after config.json exists.
+    out = tmp_path / "run"
+    spsa = {"family": "SPSA", "epsilon": 0.5, "step_size": 0.1, "iterations": 2,
+            "spsa_samples": 4}
+    assert main(["train", "--out", str(out)] + set_args([
+        ("attack_train", json.dumps(spsa)),
+        ("objective.weight_scheme", '{"family":"GAIRAT","burn_in_epoch":1}'),
+    ])) == 0
+    with open(out / "weights.csv", newline="") as fh:
+        weights = [float(r["weight"]) for r in csv.DictReader(fh) if r["epoch"] == "2"]
+    assert weights and min(weights) < 1.0  # GAIRAT's weights, after burn-in
+
+
+def test_cli_train_rejects_a_knob_the_family_does_not_read(tmp_path, capsys):
+    # The desk profile's second eval attack is FGSM, which takes one step
+    # of epsilon: an iteration count it would ignore is a config error.
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "1", "--set", "optimizer.milestones=[]",
+                 "--set", "attack_eval.1.iterations=5", "--out", str(out)]) == 2
+    assert ("config.attack_eval[1]: FGSM does not read iterations, got 5"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# The knobs each family reads beyond the ones all four read.
+OWN_KNOBS = {"FGSM": set(), "PGD": {"step_size", "iterations", "start_noise_scale"},
+             "CW_PGD": {"step_size", "iterations", "start_noise_scale"},
+             "SPSA": {"step_size", "iterations", "spsa_samples", "spsa_perturb"}}
+
+
+def test_config_json_records_each_attack_with_its_own_knobs(tmp_path):
+    # config.json states the attacks that ran and nothing else, and still
+    # loads back as a full config: eval from it scores as eval from flags.
+    attacks = [
+        {"family": "PGD", "epsilon": 0.5, "step_size": 0.125, "iterations": 2,
+         "seed": 1234},
+        {"family": "CW_PGD", "epsilon": 0.5, "step_size": 0.125, "iterations": 2,
+         "seed": 1234},
+        {"family": "FGSM", "epsilon": 0.5, "seed": 1234},
+        {"family": "SPSA", "epsilon": 0.5, "step_size": 0.125, "iterations": 1,
+         "spsa_samples": 4, "seed": 1234},
+    ]
+    sets = set_args([("attack_eval", json.dumps(attacks))])
+    run = tmp_path / "run"
+    assert main(["train", "--out", str(run)] + sets) == 0
+    recorded = json.loads((run / "config.json").read_text())
+    for spec in [recorded["attack_train"], *recorded["attack_eval"]]:
+        assert set(spec) == ({"family", "epsilon", "bounds", "seed", "loss_mode"}
+                             | OWN_KNOBS[spec["family"]]), spec
+    checkpoint = str(run / "checkpoint.ckpt")
+    assert main(["eval", "--checkpoint", checkpoint,
+                 "--out", str(tmp_path / "flags")] + sets) == 0
+    assert main(["eval", "--config", str(run / "config.json"),
+                 "--checkpoint", checkpoint, "--out", str(tmp_path / "file")]) == 0
+    assert ((tmp_path / "file" / "eval.csv").read_bytes()
+            == (tmp_path / "flags" / "eval.csv").read_bytes())
 
 
 def test_cli_train_rejects_an_eval_split_the_model_cannot_fit_before_training(
@@ -852,11 +918,18 @@ def test_cli_train_rejects_spsa_lr_before_writing(tmp_path, capsys):
     (["--set", "dataset=3"], "config.dataset must be an object with a 'kind' key"),
     (["--set", "attack_eval.9.epsilon=0.1"],
      "attack_eval.9.epsilon: bad list index '9'"),
+    # MAIL's logistic slope: a negative one up-weights the safest samples,
+    # and zero weights every sample 0.5.
+    (["--set", 'objective.weight_scheme={"family":"MAIL","gamma":-10}'],
+     "weight_scheme: MAIL's gamma must be positive, got -10"),
+    (["--set", 'objective.weight_scheme={"family":"MAIL","gamma":0}'],
+     "weight_scheme: MAIL's gamma must be positive, got 0"),
 ], ids=["base_lr", "momentum_one", "momentum_negative", "weight_decay",
         "decay_factor", "milestones_order", "hidden", "conv_geometry",
         "conv_dimensions", "epochs", "batch_size", "eval_every",
         "log_weights_every", "milestone_past_epochs", "config_not_object",
-        "dataset_not_object", "set_index_out_of_range"])
+        "dataset_not_object", "set_index_out_of_range", "mail_gamma_negative",
+        "mail_gamma_zero"])
 def test_cli_train_rejects_a_bad_config_value_before_writing(tmp_path, capsys,
                                                              args, message):
     # Each raise site of the strict config rules exits 2 with a message that

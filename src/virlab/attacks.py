@@ -17,9 +17,12 @@ numpy's SeedSequence: the start noise is one draw of the attack's stream,
 row i taking the i-th block, and SPSA row i draws from its own stream
 (spawn key (i,)). Row i is the sample's row in the x handed to the attack:
 the dataset index in evaluation, the position in the minibatch in training.
-A split larger than the model's rows per forward (``models._chunk_rows``)
-is walked in chunks of that many rows, each row keeping its global index,
-so an attack's memory is bounded intermediates plus its split-sized output.
+A split (an array, or a Dataset read through its rows accessor) larger
+than the model's rows per forward (``models._chunk_rows``) is walked in
+chunks of that many rows, each row keeping its global index, so an
+attack's memory is bounded intermediates plus its split-sized x_adv; a
+caller that passes a sink (``evaluate``) takes each chunk's x_adv as it
+finishes, and no split-sized array is built.
 SPSA scores a row's 2 * spsa_samples perturbed points through
 ``models._logits``, under the same rows-per-forward rule.
 
@@ -37,6 +40,7 @@ NonFiniteError at its first forward.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -44,8 +48,7 @@ import numpy as np
 
 from .codec import to_obj
 from .errors import ConfigError
-from .models import (Classifier, _check_input, _chunk_rows, _logits,
-                     predict_labels, predict_probs)
+from .models import Classifier, _chunks, _logits, predict_labels, predict_probs
 from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _cw_margin_dlogits,
                      _kl_softmax_dlogits)
 
@@ -138,14 +141,6 @@ class AttackSpec:
                 if self.family in _READ_BY.get(f.name, AttackFamily)}
 
 
-def _as_batch(x, y, model: Classifier) -> tuple[np.ndarray, np.ndarray]:
-    """The attack's inputs as a float batch, and its labels, checked once
-    for the whole attack."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(model.arch, x)
-    return x, _check_labels(y, x.shape[0], model.arch.num_classes)
-
-
 def _input_gradient(model: Classifier, y, mode: LossMode,
                     reference: np.ndarray | None):
     """x -> (gradient at x of the attack loss summed over the batch, so each
@@ -181,9 +176,13 @@ def _rng(spec: AttackSpec, *row: int) -> np.random.Generator:
         np.random.SeedSequence(spec.seed, spawn_key=row)))
 
 
+# A sink takes each chunk's x_adv as it finishes: sink(first row, rows).
+Sink = Callable[[int, np.ndarray], None]
+
+
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
-            record_first_miss: bool = False,
-            ) -> tuple[np.ndarray, np.ndarray | None]:
+            record_first_miss: bool = False, sink: Sink | None = None,
+            ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The one attack engine: every family runs the projected sign ascent
 
         cur <- clip(cur + step * sign(grad(cur)), x - epsilon, x + epsilon)
@@ -197,37 +196,44 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     takes ``iterations`` steps of step_size on per-sample SPSA estimates of
     the CE gradient. KL mode's reference is the model's own prediction at x.
 
-    The split runs in consecutive chunks of ``_chunk_rows`` rows, each
-    walked to the end before the next starts, so the network's
-    intermediates stay bounded whatever the split's size; only x_adv (and
-    first_miss) are the split's size, preallocated once. Each row keeps its
+    x is an array or a Dataset. The split runs in the consecutive chunks of
+    ``models._chunks``, each read as float64, walked to the end and handed
+    on before the next is read, so the network's intermediates stay
+    bounded whatever the split's size. x_adv (and first_miss), preallocated
+    once, are the only split-sized outputs, and with a ``sink`` x_adv is
+    not built: each chunk's goes to the sink instead. Each row keeps its
     global index: the start noise is drawn chunk after chunk from one
     stream (numpy's normals are sequential, so the chunks' draws are the
     whole split's), and SPSA row i draws from ``_rng(spec, i)``. Chunks of
     a multiple of 64 rows are bitwise the whole split's walk (the
     batch-chunk rule).
 
-    Returns (x_adv, first_miss): with record_first_miss (a CE-mode PGD
-    spec) the iteration of the walk that first misclassifies each sample,
-    0 if x already is, the full budget if none (so the last iterate needs
-    no forward: step k + 1's gives iterate k's logits); otherwise None.
+    Returns (x_adv, first_miss), x_adv None with a sink. With
+    record_first_miss (a CE-mode PGD spec) first_miss holds the iteration
+    of the walk that first misclassifies each sample, 0 if x already is,
+    the full budget if none (so the last iterate needs no forward: step
+    k + 1's gives iterate k's logits); otherwise it is None.
     """
     if spec.family is not family:
         raise ConfigError(f"spec is for {spec.family.value}, not {family.value}")
     if record_first_miss and spec.loss_mode is not LossMode.CE:
         raise ConfigError("least-steps probe requires a CE-mode PGD spec")
-    x, y = _as_batch(x, y, model)
+    n, chunks = _chunks(model.arch, x)
+    y = _check_labels(y, n, model.arch.num_classes)
     noise = (_rng(spec) if family in (AttackFamily.PGD, AttackFamily.CW_PGD)
              and spec.start_noise_scale > 0 else None)
-    rows = _chunk_rows(model.arch)
-    x_adv = np.empty_like(x)
-    first_miss = np.empty(len(x), dtype=int) if record_first_miss else None
-    for s in range(0, len(x), rows):
-        part, miss = _walk(model, x[s:s + rows], y[s:s + rows], spec,
-                           record_first_miss, noise, s)
-        x_adv[s:s + rows] = part
+    x_adv = np.empty((n, model.arch.input_dim)) if sink is None else None
+    first_miss = np.empty(n, dtype=int) if record_first_miss else None
+    for s, part in chunks:
+        rows = slice(s, s + len(part))
+        adv, miss = _walk(model, np.asarray(part, dtype=np.float64), y[rows],
+                          spec, record_first_miss, noise, s)
+        if sink is None:
+            x_adv[rows] = adv
+        else:
+            sink(s, adv)
         if first_miss is not None:
-            first_miss[s:s + rows] = miss
+            first_miss[rows] = miss
     return x_adv, first_miss
 
 
@@ -276,17 +282,19 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
     return cur, first_miss
 
 
-def fgsm(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+def fgsm(model: Classifier, x, y, spec: AttackSpec,
+         sink: Sink | None = None) -> np.ndarray | None:
     """Single signed-gradient step of size epsilon on the CE loss; a
     coordinate with exactly zero gradient stays put (sign(0) = 0)."""
-    return _attack(model, x, y, spec, AttackFamily.FGSM)[0]
+    return _attack(model, x, y, spec, AttackFamily.FGSM, sink=sink)[0]
 
 
-def pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+def pgd(model: Classifier, x, y, spec: AttackSpec,
+        sink: Sink | None = None) -> np.ndarray | None:
     """Projected gradient ascent from a Gaussian start on the CE loss, or
     in KL mode (the TRADES inner maximization) on the divergence from the
     model's own prediction at x."""
-    return _attack(model, x, y, spec, AttackFamily.PGD)[0]
+    return _attack(model, x, y, spec, AttackFamily.PGD, sink=sink)[0]
 
 
 def min_pgd_steps(model: Classifier, x, y, spec: AttackSpec,
@@ -297,31 +305,38 @@ def min_pgd_steps(model: Classifier, x, y, spec: AttackSpec,
     return _attack(model, x, y, spec, AttackFamily.PGD, record_first_miss=True)
 
 
-def cw_pgd(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+def cw_pgd(model: Classifier, x, y, spec: AttackSpec,
+           sink: Sink | None = None) -> np.ndarray | None:
     """PGD on the margin loss max_{j != y} Z_j - Z_y (confidence offset 0)."""
-    return _attack(model, x, y, spec, AttackFamily.CW_PGD)[0]
+    return _attack(model, x, y, spec, AttackFamily.CW_PGD, sink=sink)[0]
 
 
-def spsa(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
+def spsa(model: Classifier, x, y, spec: AttackSpec,
+         sink: Sink | None = None) -> np.ndarray | None:
     """Black-box ascent on SPSA estimates of the CE gradient: forward
     evaluations only, each sample's 2 * spsa_samples perturbed points
     scored as predictions are, in forwards of ``_chunk_rows`` rows."""
-    return _attack(model, x, y, spec, AttackFamily.SPSA)[0]
+    return _attack(model, x, y, spec, AttackFamily.SPSA, sink=sink)[0]
 
 
 def _spsa_estimate(point_losses, x: np.ndarray, num_samples: int,
-                   perturb: float, rng: np.random.Generator) -> np.ndarray:
+                   perturb: float, rng: np.random.Generator,
+                   dtype=np.float64) -> np.ndarray:
     """Two-point simultaneous-perturbation gradient estimate at x.
 
     Draws num_samples Rademacher +-1 directions r from rng and hands
     ``point_losses`` every x + d*r, x - d*r pair stacked along a new leading
-    axis (plus point first, pairs in direction order); it returns one loss
-    per point. The estimate averages (f(x + d*r) - f(x - d*r)) / (2d) * r,
-    summed in direction order.
+    axis (plus point first, pairs in direction order), in ``dtype``; it
+    returns one loss per point. The points fill one preallocated array:
+    each sum is taken in float64 and rounded once to dtype, as a cast of
+    the float64 points would round it. The estimate averages
+    (f(x + d*r) - f(x - d*r)) / (2d) * r, summed in direction order.
     """
     directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
     steps = perturb * directions.reshape((num_samples,) + x.shape)
-    points = np.stack([x + steps, x - steps], axis=1)
+    points = np.empty((num_samples, 2) + x.shape, dtype=dtype)
+    np.add(x, steps, out=points[:, 0])
+    np.subtract(x, steps, out=points[:, 1])
     losses = point_losses(points.reshape((2 * num_samples,) + x.shape))
     deltas = (losses[0::2] - losses[1::2]) / (2.0 * perturb)
     estimate = np.zeros_like(x, dtype=np.float64)
@@ -347,8 +362,9 @@ def _spsa_gradient(model: Classifier, y, spec: AttackSpec, first_row: int):
     """cur -> (per-sample SPSA estimates at cur, None), for rows first_row
     onward of the split. Each row keeps its own stream across iterations, so
     its draws come in the same order whatever order the rows are visited in.
-    A row's points are scored by ``_logits``, whose chunks of a multiple of
-    64 rows are bitwise one forward's."""
+    A row's points are built in the model's dtype, which the forward takes
+    without a copy, and scored by ``_logits``, whose chunks of a multiple
+    of 64 rows are bitwise one forward's."""
     rngs = [_rng(spec, first_row + i) for i in range(len(y))]
 
     def grad(cur: np.ndarray) -> tuple[np.ndarray, None]:
@@ -357,17 +373,20 @@ def _spsa_gradient(model: Classifier, y, spec: AttackSpec, first_row: int):
             labels = np.full(2 * spec.spsa_samples, y[i])
             out[i] = _spsa_estimate(
                 lambda points: _ce_rows(_logits(model, points), labels),
-                cur[i], spec.spsa_samples, spec.spsa_perturb, rng)
+                cur[i], spec.spsa_samples, spec.spsa_perturb, rng, model.dtype)
         return out, None
     return grad
 
 
-def run_attack(model: Classifier, x, y, spec: AttackSpec) -> np.ndarray:
-    """Dispatch on spec.family."""
+def run_attack(model: Classifier, x, y, spec: AttackSpec,
+               sink: Sink | None = None) -> np.ndarray | None:
+    """The float64 x_adv of x's rows (an array or a Dataset) under spec,
+    dispatched on spec.family. With a sink, each chunk's x_adv goes to
+    sink(first row, rows) as it finishes, and None is returned."""
     if spec.family is AttackFamily.FGSM:
-        return fgsm(model, x, y, spec)
+        return fgsm(model, x, y, spec, sink)
     if spec.family is AttackFamily.PGD:
-        return pgd(model, x, y, spec)
+        return pgd(model, x, y, spec, sink)
     if spec.family is AttackFamily.CW_PGD:
-        return cw_pgd(model, x, y, spec)
-    return spsa(model, x, y, spec)
+        return cw_pgd(model, x, y, spec, sink)
+    return spsa(model, x, y, spec, sink)

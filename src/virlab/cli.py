@@ -150,7 +150,7 @@ def _cmd_attack(args) -> int:
             f"--index {args.index} out of range; config has {len(specs)} "
             "eval attacks"
         )
-    x_adv = run_attack(model, dataset.features, dataset.labels, specs[args.index])
+    x_adv = run_attack(model, dataset, dataset.labels, specs[args.index])
     flipped = predict_labels(model, x_adv) != dataset.labels
     save_csv(Dataset(x_adv, dataset.labels), args.out)
     print(f"{condition_names(specs)[args.index]}: wrote {len(dataset)} adversarial "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .attacks import _READ_BY, AttackSpec
+from .attacks import _READ_BY, AttackFamily, AttackSpec
 from .codec import check_keys, from_obj, to_obj
 from .data import Dataset, from_gmm, load_csv, load_idx, synth_multiclass
 from .errors import ConfigError
@@ -227,22 +227,41 @@ def load_config_file(path) -> dict:
     return obj
 
 
+def _family_switched(base: dict, family) -> dict:
+    """What a layer setting ``family`` on the attack dict base merges over:
+    when it switches one attack family to another, only the base's knobs
+    the new family reads (``attacks._READ_BY``; epsilon, bounds and seed
+    always) less loss_mode, which each family picks for itself; otherwise
+    base itself."""
+    names = {f.value for f in AttackFamily}
+    old = base.get("family")
+    if not (isinstance(old, str) and isinstance(family, str)
+            and old in names and family in names and old != family):
+        return base
+    new = AttackFamily(family)
+    return {k: v for k, v in base.items()
+            if k != "loss_mode" and new in _READ_BY.get(k, AttackFamily)}
+
+
 def deep_merge(base: dict, override: dict) -> dict:
     """Dicts merge recursively; lists and scalars replace wholesale, and so
     does a dict naming another ``kind`` than the base's (a dataset of
-    another kind takes other keys)."""
+    another kind takes other keys). A dict that switches an attack's family
+    merges over the base's knobs that the new family reads."""
     out = dict(base)
     for k, v in override.items():
         if (isinstance(v, dict) and isinstance(out.get(k), dict)
                 and v.get("kind", out[k].get("kind")) == out[k].get("kind")):
-            out[k] = deep_merge(out[k], v)
+            out[k] = deep_merge(_family_switched(out[k], v.get("family")), v)
         else:
             out[k] = v
     return out
 
 
 def set_dotted(obj: dict, path: str, value) -> None:
-    """Set config[a][b][c] = value for path 'a.b.c'; integer parts index lists."""
+    """Set config[a][b][c] = value for path 'a.b.c'; integer parts index lists.
+    Setting an attack's family to another drops the knobs the new family
+    does not read, as ``deep_merge`` does."""
     parts = path.split(".")
     cur = obj
     for i, part in enumerate(parts[:-1]):
@@ -270,6 +289,9 @@ def set_dotted(obj: dict, path: str, value) -> None:
         except (ValueError, IndexError) as e:
             raise ConfigError(f"{path}: {e}") from e
     else:
+        if last == "family":
+            for key in set(cur) - set(_family_switched(cur, value)):
+                del cur[key]
         cur[last] = value
 
 

@@ -1,7 +1,8 @@
 """Dataset loading, synthesis, and seeded batching.
 
 Sources: IDX image files (big-endian, the classic handwritten-digit
-layout), CSV tables with a "label" column, the two-class theory mixture
+layout; the pixels are held as bytes and read as float64 rows), CSV
+tables with a "label" column, the two-class theory mixture
 (labels remapped -1/+1 -> 0/1 at this boundary), and a C-class synthetic
 mixture whose means sit on a scaled regular simplex so class geometry is
 symmetric and difficulty is governed purely by the variance vector.
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codec import atomic_open, read_csv, write_csv
@@ -24,28 +23,63 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-@dataclass
 class Dataset:
-    features: np.ndarray
-    labels: np.ndarray
+    """One split: int64 labels and float64 rows, read through ``rows``.
 
-    def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
+    Rows are held as float64, except IDX pixels, which ``from_pixels``
+    holds as uint8 and ``rows`` scales by 1/255 as it reads them: a 60k
+    28x28 split takes 47 MB where its float64 values would take 376 MB.
+    x / 255.0 rounds each element alike whatever the slice, so a row reads
+    bitwise the same either way.
+    """
+
+    def __init__(self, features, labels):
+        self._hold(np.ascontiguousarray(features, dtype=np.float64), labels)
+
+    @classmethod
+    def from_pixels(cls, pixels, labels) -> "Dataset":
+        """A split of uint8 pixels, read as pixel / 255."""
+        dataset = cls.__new__(cls)
+        dataset._hold(np.ascontiguousarray(pixels, dtype=np.uint8), labels)
+        return dataset
+
+    def _hold(self, held: np.ndarray, labels) -> None:
+        self._held = held
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+        if held.ndim != 2 or self.labels.shape != (held.shape[0],):
             raise ConfigError(
-                f"features {self.features.shape} and labels {self.labels.shape} "
+                f"features {held.shape} and labels {self.labels.shape} "
                 "do not describe one label per row"
             )
         if len(self.labels) and self.labels.min() < 0:
             raise ConfigError("labels must be non-negative class indices")
 
+    def rows(self, idx) -> np.ndarray:
+        """Float64 rows for an index, an index array or a slice (a view of
+        float64 rows for a slice)."""
+        x = self._held[idx]
+        return x / 255.0 if x.dtype == np.uint8 else x
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole split as one float64 array. Read once, it replaces
+        held pixels with their float64 values, so a later read builds
+        nothing; the program's own paths read ``rows`` instead."""
+        if self._held.dtype == np.uint8:
+            self._held = self._held / 255.0
+        return self._held
+
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self._held.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, dim), as the split's float64 array would have it."""
+        return self._held.shape
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self._held.shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -72,7 +106,8 @@ def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[list[int], bytes]
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a [0,1]-scaled flat dataset."""
+    """Parse an IDX image/label file pair into a flat dataset whose rows
+    read [0,1]-scaled, holding the pixels as bytes."""
     (n, rows, cols), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
     if n == 0:
         raise DataFormatError(f"{images_path}: no images")
@@ -82,16 +117,19 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"count mismatch: {images_path} has {n} images but "
             f"{labels_path} has {n_labels} labels"
         )
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels)
+    return Dataset.from_pixels(pixels, labels)
 
 
 def save_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
-    """Inverse of load_idx for [0,1]-scaled data (used to build fixtures)."""
+    """Inverse of load_idx for [0,1]-scaled data (used to build fixtures):
+    held pixels are written as they are."""
     if rows * cols != dataset.dim:
         raise ConfigError(f"{rows}x{cols} does not match dim {dataset.dim}")
-    pixels = np.round(dataset.features * 255.0).astype(np.uint8)
+    pixels = dataset._held
+    if pixels.dtype != np.uint8:
+        pixels = np.round(pixels * 255.0).astype(np.uint8)
     with atomic_open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
         fh.write(pixels.tobytes())
@@ -129,8 +167,8 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write the load_csv format: label first, then feature columns x0..x{d-1}."""
     def rows():
         yield ["label"] + [f"x{i}" for i in range(dataset.dim)]
-        for label, row in zip(dataset.labels.tolist(), dataset.features):
-            yield [label, *row.tolist()]
+        for i, label in enumerate(dataset.labels.tolist()):
+            yield [label, *dataset.rows(i).tolist()]
     write_csv(path, rows())
 
 

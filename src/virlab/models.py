@@ -25,8 +25,9 @@ upcast). At float64 every cast is a no-op.
 input's gradient, "params" every parameter's, which ``forward`` wraps as
 one autodiff node for the training losses (the only graph built). Every
 forward raises NonFiniteError on a non-finite logit. Predictions, like the
-attacks, forward a split in chunks of ``_chunk_rows`` rows, which the
-architecture sets, so their memory does not grow with the split.
+attacks, walk a split (an array or a Dataset) through ``_chunks``: runs of
+``_chunk_rows`` rows, which the architecture sets, each read as it is
+reached, so their memory does not grow with the split.
 
 Checkpoints use a small self-describing binary format (magic "VIRCKPT1"):
 a length-prefixed canonical-JSON metadata document (architecture, epoch,
@@ -43,11 +44,13 @@ import json
 import math
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import atomic_open, canonical_json, from_obj, to_obj
+from .data import Dataset
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import (Tensor, _check_logits, _patch_rows, _patch_scatter,
                      _patch_slabs, _softmax_values)
@@ -247,9 +250,10 @@ def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _check_input(arch: Arch, x: np.ndarray) -> None:
-    """ShapeError unless x is a [batch, input_dim] array for ``arch``."""
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+def _check_input(arch: Arch, x) -> None:
+    """ShapeError unless x is a [batch, input_dim] array (or Dataset) for
+    ``arch``."""
+    if len(x.shape) != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(f"expected [batch, {arch.input_dim}] input, got {x.shape}")
 
 
@@ -385,29 +389,44 @@ class Classifier:
             p.zero_grad()
 
 
+def _chunks(arch: Arch, x) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """(rows, chunks) of a split x: an array, or a Dataset read through
+    ``Dataset.rows``. The chunks are (first row, rows) of consecutive runs
+    of ``_chunk_rows`` rows, each read only as it is reached, so no
+    split-sized copy of x is made. ShapeError unless x's rows are
+    input_dim wide, raised here, before any chunk."""
+    if isinstance(x, Dataset):
+        read = x.rows
+    else:
+        x = np.asarray(x)
+        read = x.__getitem__
+    _check_input(arch, x)
+    step = _chunk_rows(arch)
+    return len(x), ((s, read(slice(s, s + step))) for s in range(0, len(x), step))
+
+
 def _logits(model: Classifier, x) -> np.ndarray:
-    """Float64 logits of x's rows, one forward per ``_chunk_rows`` rows, so
-    the forward's intermediates stay bounded whatever the split's size;
-    the chunks' logits fill one preallocated [rows, classes] array."""
-    x = np.asarray(x)
-    _check_input(model.arch, x)
-    rows = _chunk_rows(model.arch)
-    out = np.empty((len(x), model.arch.num_classes))
-    for s in range(0, len(x), rows):
-        out[s:s + rows] = model._forward(x[s:s + rows])[0]
+    """Float64 logits of the rows of x (an array or a Dataset), one forward
+    per chunk of ``_chunks``, so the forward's intermediates stay bounded
+    whatever the split's size; the chunks' logits fill one preallocated
+    [rows, classes] array."""
+    n, chunks = _chunks(model.arch, x)
+    out = np.empty((n, model.arch.num_classes))
+    for s, part in chunks:
+        out[s:s + len(part)] = model._forward(part)[0]
     return out
 
 
 def predict_probs(model: Classifier, x) -> np.ndarray:
-    """Softmax outputs as a plain array; no gradients are retained. The
-    forwards run in chunks of ``_chunk_rows`` rows, bitwise the whole
-    split's."""
+    """Softmax outputs of x's rows (an array or a Dataset) as a plain array;
+    no gradients are retained. The forwards run in chunks of
+    ``_chunk_rows`` rows, bitwise the whole split's."""
     return _softmax_values(_logits(model, x))
 
 
 def predict_labels(model: Classifier, x) -> np.ndarray:
-    """The predicted class of each row, the argmax of its logits, from
-    forwards of ``_chunk_rows`` rows."""
+    """The predicted class of each row of x (an array or a Dataset), the
+    argmax of its logits, from forwards of ``_chunk_rows`` rows."""
     return np.argmax(_logits(model, x), axis=1)
 
 

@@ -119,20 +119,27 @@ def evaluate(model: Classifier, dataset: Dataset,
     Confusion rows are true classes, columns predictions; per-class accuracy
     is the clean diagonal over row sums (0 for absent classes). Each attack
     runs over the whole dataset in one call, so a row's randomness is keyed
-    by its dataset index.
+    by its dataset index. The dataset's rows are read, attacked and
+    predicted one chunk at a time: each chunk's x_adv is predicted as it
+    finishes, so no split-sized input or x_adv is held, only per-row
+    labels and predictions.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     check_fits(model, dataset)
     c = model.arch.num_classes
-    x, y = dataset.features, dataset.labels
-    pred = predict_labels(model, x)
+    y = dataset.labels
+    pred = predict_labels(model, dataset)
     confusions = {"clean": _confusion(y, pred, c)}
     clean_acc = float((pred == y).mean())
 
     robust: dict[str, float] = {}
     for name, spec in zip(condition_names(attack_specs), attack_specs):
-        pred_adv = predict_labels(model, run_attack(model, x, y, spec))
+        pred_adv = np.empty_like(pred)
+
+        def predict(start: int, x_adv: np.ndarray) -> None:
+            pred_adv[start:start + len(x_adv)] = predict_labels(model, x_adv)
+        run_attack(model, dataset, y, spec, sink=predict)
         confusions[name] = _confusion(y, pred_adv, c)
         robust[name] = float((pred_adv == y).mean())
 
@@ -271,7 +278,7 @@ def train(config: TrainConfig, out_dir: str | None = None,
                     # xb outlives the step: freed before it (passed as a
                     # temporary), it let the heap shrink and refault, about
                     # 4,000 more page faults per image-train run.
-                    xb = train_set.features[idx]
+                    xb = train_set.rows(idx)
                     yb = train_set.labels[idx]
                     loss, w, records = _batch_gradients(
                         model, config, epoch, batch_idx, xb, yb, idx)

@@ -687,6 +687,25 @@ def test_spsa_gradient_estimate_is_the_interleaved_loop(rng):
             np.testing.assert_array_equal(p_new, p_old)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_spsa_points_are_the_float64_points_cast_once(rng, dtype):
+    # The points are built in the scoring dtype in one array: bitwise the
+    # float64 x +- d*r stacked and cast, in the same order.
+    x = rng.uniform(0.0, 1.0, size=30)
+    seen = []
+
+    def losses(points):
+        seen.append(points)
+        return np.zeros(len(points))
+    attacks._spsa_estimate(losses, x, 8, 0.001, np.random.default_rng(2), dtype)
+    directions = np.random.default_rng(2).integers(0, 2, size=(8, 30)) * 2.0 - 1.0
+    steps = 0.001 * directions
+    want = np.stack([x + steps, x - steps], axis=1).reshape(16, 30).astype(dtype)
+    (points,) = seen
+    assert points.dtype == dtype and points.flags.c_contiguous
+    assert points.tobytes() == want.tobytes()
+
+
 def test_batched_spsa_matches_the_batch1_oracle(rng, monkeypatch):
     model = conv_model()
     # 64 rows per forward: 2, 32 and 33 directions are below, at and just

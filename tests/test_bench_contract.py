@@ -5,8 +5,9 @@ perfbench/cases.py times public functions and the Tensor layer ops that the
 model itself no longer uses. A deletion in src/virlab that either relies on
 would only surface when the traced benchmark runs, and so would a
 run_attack that stopped dispatching through the module-level family
-functions the tracer counts. These tests read perfbench/ and change
-nothing there.
+functions the tracer counts, or an evaluate that stopped attacking each
+condition inside one run_attack call. These tests read perfbench/ and
+change nothing there.
 """
 
 import ast
@@ -18,9 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import make_mlp
-from virlab import attacks
+from virlab import attacks, models, training
 from virlab.attacks import AttackFamily, AttackSpec
 from virlab.config import resolve_config
+from virlab.data import Dataset
 from virlab.tensor import Tensor
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -101,6 +103,35 @@ def test_run_attack_reaches_each_family_function_once(monkeypatch):
         attacks.run_attack(model, x, y, AttackSpec(family, epsilon=0.1, **{
             k: v for k, v in knobs.items() if family in attacks._READ_BY[k]}))
         assert calls == [name]
+
+
+def test_evaluate_attacks_each_condition_inside_one_run_attack_call(monkeypatch):
+    # The tracer counts one training.evaluate > run_attack span per attack
+    # condition, so evaluate calls run_attack once a spec, and every chunk
+    # is attacked inside that call, not drained from a generator after it.
+    monkeypatch.setattr(models, "_CHUNK_ELEMENTS", 1)  # 64 rows per chunk
+    calls, open_calls = [], []
+    original = training.run_attack
+
+    def traced(model, x, y, spec, sink=None):
+        calls.append((spec, []))
+
+        def checked(start, x_adv):
+            assert open_calls, "a chunk arrived after run_attack returned"
+            calls[-1][1].append(start)
+            sink(start, x_adv)
+        open_calls.append(spec)
+        try:
+            return original(model, x, y, spec, sink=checked)
+        finally:
+            open_calls.pop()
+    monkeypatch.setattr(training, "run_attack", traced)
+    model = make_mlp((4, 5, 3), seed=0)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(150, 4))
+    specs = [AttackSpec(AttackFamily.FGSM, epsilon=0.1),
+             AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.05)]
+    training.evaluate(model, Dataset(x, np.arange(150) % 3), specs)
+    assert calls == [(spec, [0, 64, 128]) for spec in specs]
 
 
 def test_every_attack_spec_the_benchmark_builds_constructs():

@@ -12,11 +12,11 @@ from virlab import models
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                             run_attack)
 from virlab.cli import main
-from virlab.data import Dataset, save_idx
+from virlab.data import Dataset, load_idx, save_idx
 from virlab.errors import ShapeError
 from virlab.models import (Arch, Classifier, ConvStem, _chunk_rows,
                            predict_labels, predict_probs, save_checkpoint)
-from virlab.training import evaluate
+from virlab.training import _confusion, condition_names, evaluate
 
 PAPER_STEM = ConvStem(height=28, width=28, filters=8, kernel_size=5)
 
@@ -137,32 +137,77 @@ def test_attack_command_forwards_at_most_the_rows_per_forward(
         assert forward_rows and max(forward_rows) <= 128, CAP_SPECS[index]
 
 
-def test_evaluate_memory_stays_flat_as_the_split_grows():
-    # The split-sized float64 arrays left are x_adv and its labels; the
-    # network's intermediates are bounded by the rows per forward. Growing
-    # the split from 256 to 1024 rows may add at most 3 float64 copies of
-    # the added rows to the peak (the unchunked walk added about 16).
+def test_evaluate_memory_stays_flat_as_the_split_grows(tmp_path):
+    # evaluate reads, attacks and predicts one chunk at a time, so the only
+    # split-sized arrays it makes are per-row labels and predictions. Growing
+    # the split from 256 to 1024 rows may add at most 64 bytes per added row
+    # to the peak, 8 float64 per row: a split-sized float64 input or x_adv
+    # (784 per row) would break that bound 98 times over. It holds for a
+    # split held as float64 and for one held as IDX bytes (``save_idx``
+    # then ``load_idx``).
     model = paper_model("float32")
     specs = [AttackSpec(AttackFamily.PGD, epsilon=8 / 255, step_size=2 / 255,
                         iterations=2, bounds=(0.0, 1.0), seed=1234),
              AttackSpec(AttackFamily.FGSM, epsilon=8 / 255, bounds=(0.0, 1.0),
                         seed=1234)]
-    splits = {n: Dataset(paper_split(n, seed=n), np.arange(n) % 10)
-              for n in (64, 256, 1024)}
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for n, split in splits.items():  # the 64-row run warms up once
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            evaluate(model, split, specs)
-            peaks[n] = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    copy = (1024 - 256) * 784 * 8
-    assert peaks[1024] - peaks[256] <= 3 * copy, (
-        f"peak grew {(peaks[1024] - peaks[256]) / 1e6:.1f} MB from 256 to "
-        f"1024 rows, bound {3 * copy / 1e6:.1f} MB")
+    bound = (1024 - 256) * 64
+    for held in ("float64", "idx"):
+        splits = {}
+        for n in (64, 256, 1024):
+            split = Dataset(paper_split(n, seed=n), np.arange(n) % 10)
+            if held == "idx":
+                images, labels = tmp_path / f"i{n}", tmp_path / f"l{n}"
+                save_idx(split, images, labels, rows=28, cols=28)
+                split = load_idx(images, labels)
+            splits[n] = split
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n, split in splits.items():  # the 64-row run warms up once
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(model, split, specs)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[1024] - peaks[256] <= bound, (
+            f"{held}: peak grew {(peaks[1024] - peaks[256]) / 1e3:.1f} KB from "
+            f"256 to 1024 rows, bound {bound / 1e3:.1f} KB")
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_streamed_evaluate_is_the_array_path(dtype):
+    # 300 rows, chunks of 128, 128 and 44. Each family's x_adv, streamed
+    # chunk by chunk to a sink from a Dataset (float64 or IDX bytes), is
+    # bitwise the array path's, and evaluate's confusions are those of
+    # predicting the whole x_adv array.
+    model = paper_model(dtype)
+    pixels = np.random.default_rng(3).integers(0, 256, size=(300, 784),
+                                               dtype=np.uint8)
+    x = pixels / 255.0
+    y = predict_labels(model, x)
+    datasets = {"float64": Dataset(x, y), "idx": Dataset.from_pixels(pixels, y)}
+    specs = list(CHUNKED_RUNS.values())
+    predictions = [predict_labels(model, x)]
+    for spec in specs:
+        x_adv = run_attack(model, x, y, spec)
+        predictions.append(predict_labels(model, x_adv))
+        for held, dataset in datasets.items():
+            starts, parts = [], []
+
+            def sink(start, part):
+                starts.append(start)
+                parts.append(part)
+            assert run_attack(model, dataset, y, spec, sink=sink) is None
+            assert starts == [0, 128, 256]
+            assert np.concatenate(parts).tobytes() == x_adv.tobytes(), (spec, held)
+    want = dict(zip(["clean", *condition_names(specs)], predictions))
+    for held, dataset in datasets.items():
+        confusions = evaluate(model, dataset, specs).confusions
+        assert list(confusions) == list(want)
+        for name, pred in want.items():
+            assert np.array_equal(confusions[name], _confusion(y, pred, 10)), (
+                held, name)
 
 
 @pytest.mark.parametrize("grad", [None, "input", "params"])

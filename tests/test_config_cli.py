@@ -18,9 +18,9 @@ from virlab import training
 from virlab.attacks import _READ_BY, AttackFamily, AttackSpec, LossMode
 from virlab.cli import build_parser, main
 from virlab.codec import canonical_json
-from virlab.config import (DataSource, ModelConfig, OptimConfig, TrainConfig,
-                           config_from_obj, config_to_obj, deep_merge,
-                           desk_profile, resolve_config, set_dotted)
+from virlab.config import (PROFILES, DataSource, ModelConfig, OptimConfig,
+                           TrainConfig, config_from_obj, config_to_obj,
+                           deep_merge, desk_profile, resolve_config, set_dotted)
 from virlab.data import Dataset, load_csv, save_csv, save_idx, synth_multiclass
 from virlab.errors import ConfigError
 from virlab.models import (Arch, Classifier, ConvStem, load_checkpoint,
@@ -845,6 +845,77 @@ def test_config_json_records_each_attack_with_its_own_knobs(tmp_path):
                  "--checkpoint", checkpoint, "--out", str(tmp_path / "file")]) == 0
     assert ((tmp_path / "file" / "eval.csv").read_bytes()
             == (tmp_path / "flags" / "eval.csv").read_bytes())
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("family", [f.value for f in AttackFamily])
+def test_setting_an_attack_family_keeps_the_knobs_it_reads(profile, family):
+    # Switching family drops the base's knobs the new family does not read
+    # (and loss_mode, which it picks); epsilon, bounds and seed survive. A
+    # switch that leaves a needed knob unset fails naming it: FGSM has no
+    # step_size to hand to PGD, CW_PGD or SPSA.
+    base = PROFILES[profile]()
+    paths = ["attack_train"] + [f"attack_eval.{i}"
+                                for i in range(len(base["attack_eval"]))]
+    for path in paths:
+        old = (base["attack_train"] if path == "attack_train"
+               else base["attack_eval"][int(path.rsplit(".", 1)[1])])
+        try:
+            config = resolve_config(profile, overrides=[(f"{path}.family", family)])
+        except ConfigError as e:
+            assert old["family"] == "FGSM" != family, (path, e)
+            assert "needs step_size" in str(e), (path, e)
+            continue
+        spec = (config.attack_train if path == "attack_train"
+                else config.attack_eval[int(path.rsplit(".", 1)[1])])
+        kept = {k: v for k, v in old.items()
+                if k not in ("family", "loss_mode")
+                and AttackFamily(family) in _READ_BY.get(k, AttackFamily)}
+        assert spec == AttackSpec(AttackFamily(family), **{
+            k: tuple(v) if isinstance(v, list) else v for k, v in kept.items()})
+
+
+def test_deep_merge_switching_an_attack_family_merges_over_its_knobs():
+    pgd = {"family": "PGD", "epsilon": 0.5, "step_size": 0.1, "iterations": 3,
+           "loss_mode": "KL", "bounds": None, "seed": 2}
+    merged = deep_merge({"attack_train": pgd},
+                        {"attack_train": {"family": "FGSM", "seed": 0}})
+    assert merged["attack_train"] == {"family": "FGSM", "epsilon": 0.5,
+                                      "bounds": None, "seed": 0}
+    # A layer that keeps the family merges key by key, loss_mode included.
+    assert deep_merge({"a": pgd}, {"a": {"family": "PGD", "seed": 0}})["a"] == {
+        **pgd, "seed": 0}
+    # Other family-keyed objects (weight schemes, objectives) are untouched.
+    scheme = {"family": "VIR", "alpha": 7.0}
+    assert deep_merge({"w": scheme}, {"w": {"family": "UNIFORM"}})["w"] == {
+        "family": "UNIFORM", "alpha": 7.0}
+    obj = {"w": dict(scheme)}
+    set_dotted(obj, "w.family", "UNIFORM")
+    assert obj["w"] == {"family": "UNIFORM", "alpha": 7.0}
+
+
+def test_cli_set_family_without_a_needed_knob_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--set", "attack_eval.1.family=PGD",
+                 "--out", str(out)]) == 2
+    assert "config.attack_eval[1]: PGD needs step_size > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_trained_with_an_fgsm_attack_loads_its_own_config(tmp_path):
+    # The recorded FGSM attack_train merges over the profile's PGD one
+    # without inheriting PGD's knobs, so train and eval both load it.
+    run = tmp_path / "run"
+    sets = set_args([("attack_train", '{"family":"FGSM","epsilon":0.3}')])
+    assert main(["train", "--out", str(run)] + sets) == 0
+    config = str(run / "config.json")
+    assert json.loads((run / "config.json").read_text())["attack_train"][
+        "family"] == "FGSM"
+    assert main(["train", "--config", config, "--out", str(tmp_path / "again")]) == 0
+    for name in ("config.json", "metrics.csv", "weights.csv", "checkpoint.ckpt"):
+        assert (tmp_path / "again" / name).read_bytes() == (run / name).read_bytes()
+    assert main(["eval", "--config", config, "--checkpoint",
+                 str(run / "checkpoint.ckpt"), "--out", str(tmp_path / "eval")]) == 0
 
 
 def test_cli_train_rejects_an_eval_split_the_model_cannot_fit_before_training(

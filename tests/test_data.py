@@ -3,6 +3,7 @@ seeded batching."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,77 @@ def test_idx_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.features.min() >= 0.0 and back.features.max() <= 1.0
+
+
+def write_raw_idx(tmp_path, pixels, labels):
+    """An IDX pair of exactly these bytes, written without save_idx."""
+    n, dim = pixels.shape
+    ip, lp = tmp_path / "raw-imgs.idx", tmp_path / "raw-lbls.idx"
+    ip.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 1, dim)
+                   + pixels.tobytes())
+    lp.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, n) + labels.tobytes())
+    return ip, lp
+
+
+def test_idx_rows_are_bitwise_the_float64_paths(tmp_path):
+    # load_idx holds the bytes and scales the rows it hands out; every way
+    # of reading them gives the bits of dividing the whole split at once.
+    rng = np.random.default_rng(4)
+    pixels = rng.integers(0, 256, size=(10, 12), dtype=np.uint8)
+    labels = rng.integers(0, 5, size=10, dtype=np.uint8)
+    held = load_idx(*write_raw_idx(tmp_path, pixels, labels))
+    flat = Dataset(pixels / 255.0, labels)
+    assert held.shape == flat.shape == (10, 12)
+    for idx in (3, np.array([4, 0, 4, 9]), slice(2, 7), slice(8, 20), slice(None)):
+        got = held.rows(idx)
+        assert got.dtype == np.float64
+        assert got.tobytes() == flat.rows(idx).tobytes() == flat.features[idx].tobytes()
+    features = held.features
+    assert features.tobytes() == flat.features.tobytes()
+    for idx in (3, np.array([4, 0, 4, 9]), slice(2, 7)):
+        assert held.features[idx].tobytes() == held.rows(idx).tobytes() \
+            == flat.rows(idx).tobytes()
+
+
+def test_save_idx_of_load_idx_writes_the_same_bytes(tmp_path):
+    pixels = np.arange(512, dtype=np.uint16).astype(np.uint8).reshape(32, 16)
+    labels = (np.arange(32) % 7).astype(np.uint8)
+    ip, lp = write_raw_idx(tmp_path, pixels, labels)
+    loaded = load_idx(ip, lp)
+    save_idx(loaded, tmp_path / "i", tmp_path / "l", rows=1, cols=16)
+    assert (tmp_path / "i").read_bytes() == ip.read_bytes()
+    assert (tmp_path / "l").read_bytes() == lp.read_bytes()
+    # Its float64 values, once built, round back to the same bytes.
+    assert loaded.features.dtype == np.float64
+    save_idx(loaded, tmp_path / "i2", tmp_path / "l2", rows=1, cols=16)
+    assert (tmp_path / "i2").read_bytes() == ip.read_bytes()
+
+
+def test_an_idx_split_is_held_in_its_bytes(tmp_path):
+    # Loading a 2,000-row split peaks at its bytes, not at its float64
+    # values; two reads of features build at most one float64 split, and
+    # the second read is the first's array.
+    n, dim = 2000, 784
+    pixels = np.random.default_rng(0).integers(0, 256, size=(n, dim),
+                                               dtype=np.uint8)
+    paths = write_raw_idx(tmp_path, pixels, np.zeros(n, dtype=np.uint8))
+    split = n * dim * 8
+    tracemalloc.start()
+    try:
+        loaded = load_idx(*paths)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        first = loaded.features
+        second = loaded.features
+        features_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak < split / 4, f"load_idx peaked at {load_peak / 1e6:.1f} MB"
+    assert second is first
+    assert features_peak < 1.1 * split, (
+        f"two reads of features peaked at {features_peak / 1e6:.1f} MB, "
+        f"one split is {split / 1e6:.1f} MB")
 
 
 def test_save_idx_rejects_wrong_geometry(tmp_path):

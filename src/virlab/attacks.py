@@ -22,7 +22,13 @@ than the model's rows per forward (``models._chunk_rows``) is walked in
 chunks of that many rows, each row keeping its global index, so an
 attack's memory is bounded intermediates plus its split-sized x_adv; a
 caller that passes a sink (``evaluate``) takes each chunk's x_adv as it
-finishes, and no split-sized array is built.
+finishes, and no split-sized array is built. A conv-stem model's chunk is
+walked as consecutive parts of 64 rows from its first row, up to one part
+per usable CPU at a time (``_WORKERS``: the first on the calling thread,
+the rest on one process-wide thread pool); the parts depend on the arch
+alone and 64-row parts are bitwise the chunk's walk, so every byte is the
+same whatever the CPU count. An MLP walks whole chunks on the calling
+thread.
 SPSA scores a row's 2 * spsa_samples perturbed points through
 ``models._logits``, under the same rows-per-forward rule.
 
@@ -40,6 +46,7 @@ NonFiniteError at its first forward.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -180,6 +187,44 @@ def _rng(spec: AttackSpec, *row: int) -> np.random.Generator:
 Sink = Callable[[int, np.ndarray], None]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else ``os.cpu_count()``, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Rows per part of a conv-stem chunk: the batch-chunk rule's 64, so the
+# parts' walks are bitwise the chunk's.
+_PART_ROWS = 64
+# Parts walked at a time: one on the calling thread, the rest on _pool.
+_WORKERS = _usable_cpus()
+_pool = None  # the ThreadPoolExecutor _executor builds
+
+
+def _executor():
+    """The process-wide thread pool that walks all but the first part of a
+    window, built on first use: importing virlab loads no executor, which
+    would add milliseconds to every start."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="virlab-attack")
+    return _pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, whose copy of it has no threads:
+    a part submitted to it would wait forever."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
             record_first_miss: bool = False, sink: Sink | None = None,
             ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -208,6 +253,14 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
     a multiple of 64 rows are bitwise the whole split's walk (the
     batch-chunk rule).
 
+    A conv-stem model's chunk is walked as consecutive 64-row parts
+    (``_walk_parts``), _WORKERS at a time. The calling thread draws the
+    chunk's start noise before its parts run, and each part takes its rows
+    of it; SPSA rows and kappa stay keyed by global row; the sink gets
+    whole chunks, in row order, on the calling thread. The parts depend on
+    the arch alone, so x_adv, first_miss and the sink's calls do not
+    depend on the worker count.
+
     Returns (x_adv, first_miss), x_adv None with a sink. With
     record_first_miss (a CE-mode PGD spec) first_miss holds the iteration
     of the walk that first misclassifies each sample, 0 if x already is,
@@ -224,25 +277,63 @@ def _attack(model: Classifier, x, y, spec: AttackSpec, family: AttackFamily,
              and spec.start_noise_scale > 0 else None)
     x_adv = np.empty((n, model.arch.input_dim)) if sink is None else None
     first_miss = np.empty(n, dtype=int) if record_first_miss else None
-    for s, part in chunks:
-        rows = slice(s, s + len(part))
-        adv, miss = _walk(model, np.asarray(part, dtype=np.float64), y[rows],
-                          spec, record_first_miss, noise, s)
+    for s, chunk in chunks:
+        rows = slice(s, s + len(chunk))
+        chunk = np.asarray(chunk, dtype=np.float64)
+        start = (None if noise is None
+                 else spec.start_noise_scale * noise.standard_normal(chunk.shape))
+        adv, miss = _walk_parts(model, chunk, y[rows], spec, record_first_miss,
+                                start, s)
         if sink is None:
             x_adv[rows] = adv
         else:
             sink(s, adv)
         if first_miss is not None:
             first_miss[rows] = miss
+        del adv  # not held through the next chunk's walk
     return x_adv, first_miss
 
 
+def _walk_parts(model: Classifier, x: np.ndarray, y: np.ndarray,
+                spec: AttackSpec, record_first_miss: bool,
+                start: np.ndarray | None, first_row: int,
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_walk`` over one chunk. A conv-stem model's chunk is cut into
+    consecutive parts of _PART_ROWS rows from its first row, walked up to
+    _WORKERS at a time: the window's first part on the calling thread, the
+    rest on the pool. Every part of a window has finished before its
+    results, or its first error in row order, are taken, so no part
+    outlives the call. An MLP walks the whole chunk on the calling thread:
+    its steps are a few microseconds of BLAS each, held up by the GIL."""
+    if model.arch.conv is None or len(x) <= _PART_ROWS:
+        return _walk(model, x, y, spec, record_first_miss, start, first_row)
+
+    def walk(a: int):
+        p = slice(a, a + _PART_ROWS)
+        return _walk(model, x[p], y[p], spec, record_first_miss,
+                     None if start is None else start[p], first_row + a)
+    firsts = range(0, len(x), _PART_ROWS)
+    walked = []
+    for w in range(0, len(firsts), _WORKERS):
+        window = firsts[w:w + _WORKERS]
+        futures = [_executor().submit(walk, a) for a in window[1:]]
+        try:
+            walked.append(walk(window[0]))
+        finally:
+            for f in futures:
+                f.exception()  # waits for the part, raising nothing
+        walked += [f.result() for f in futures]
+    advs, misses = zip(*walked)
+    return (np.concatenate(advs),
+            np.concatenate(misses) if record_first_miss else None)
+
+
 def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
-          record_first_miss: bool, noise: np.random.Generator | None,
+          record_first_miss: bool, start: np.ndarray | None,
           first_row: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_attack`` on one chunk, x and y, whose first row is row first_row
-    of the split: it draws its start noise from ``noise`` and keys SPSA
-    rows from first_row, and its KL reference is the chunk's."""
+    """``_attack`` on rows x and y, whose first row is row first_row of the
+    split: ``start`` is their start noise, already scaled (None for none),
+    SPSA rows are keyed from first_row, and the KL reference is x's own."""
     first_miss = None
     if record_first_miss:
         first_miss = np.where(predict_labels(model, x) != y, 0, spec.iterations)
@@ -256,8 +347,8 @@ def _walk(model: Classifier, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         reference = (predict_probs(model, x)
                      if spec.loss_mode is LossMode.KL else None)
         grad = _input_gradient(model, y, spec.loss_mode, reference)
-        if noise is not None:
-            cur += spec.start_noise_scale * noise.standard_normal(x.shape)
+        if start is not None:
+            cur += start
     # The projection box, clipped to the bounds once: clip(clip(g, lo, hi),
     # *bounds) is clip(g, clip(lo, *bounds), clip(hi, *bounds)), as a
     # nondecreasing map commutes with the median, even where the box lies

@@ -192,9 +192,11 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
     corner of a zero-bordered [block, height, width, filters] grid, taken
     offset-major as ``weight @ grid.T`` ([kernel_size**2, block * height *
     width], one dot product over the filters per element) and added back by
-    ``_patch_scatter``, one contiguous slice add per offset. The grid and
-    the product's buffer are allocated once per call and reused by every
-    block.
+    ``_patch_scatter``, one contiguous slice add per offset. The grid, the
+    relu mask and the product's buffer are allocated once per call and
+    reused by every block: attack parts run this loop on several threads at
+    once, and a per-block mask made their joint memory peak depend on which
+    blocks lined up.
     """
     k, oh, ow, f = conv.kernel_size, conv.out_height, conv.out_width, conv.filters
     hw = conv.height * conv.width
@@ -208,9 +210,11 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
     dx = np.empty((batch, hw))
     grid = np.zeros((block, conv.height, conv.width, f), dtype=g.dtype)
     slabs = np.empty(k * k * block * hw, dtype=g.dtype)
+    mask = np.empty((block, oh, ow, f), dtype=bool)
     for s in range(0, batch, _STEM_BLOCK):
         n = min(_STEM_BLOCK, batch - s)
-        np.multiply(g[s:s + n], fmap[s:s + n] > 0.0, out=grid[:n, :oh, :ow])
+        np.greater(fmap[s:s + n], 0.0, out=mask[:n])
+        np.multiply(g[s:s + n], mask[:n], out=grid[:n, :oh, :ow])
         prod = np.matmul(weight, grid[:n].reshape(n * hw, f).T,
                          out=slabs[:k * k * n * hw].reshape(k * k, n * hw))
         dx[s:s + n] = _patch_scatter(prod, n, conv.height, conv.width, k)

@@ -14,6 +14,7 @@ import ast
 import importlib
 import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from virlab import attacks, models, training
 from virlab.attacks import AttackFamily, AttackSpec
 from virlab.config import resolve_config
 from virlab.data import Dataset
+from virlab.models import Arch, Classifier, ConvStem
 from virlab.tensor import Tensor
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -132,6 +134,47 @@ def test_evaluate_attacks_each_condition_inside_one_run_attack_call(monkeypatch)
              AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.05)]
     training.evaluate(model, Dataset(x, np.arange(150) % 3), specs)
     assert calls == [(spec, [0, 64, 128]) for spec in specs]
+
+
+def test_the_tracer_opens_every_span_on_the_calling_thread(monkeypatch):
+    # A conv model's attack parts run on a thread pool, and the tracer's
+    # recorder nests spans by call order on one thread: no traced name may
+    # be called from a part.
+    monkeypatch.setattr(attacks, "_WORKERS", 2)
+    tracing = _import_bench("tracing")
+    rec = _import_bench("spans").Recorder()
+    threads = set()
+    begin = rec.begin
+
+    def recording(name):
+        threads.add(threading.current_thread().name)
+        return begin(name)
+    rec.begin = recording
+    parts = set()
+    walk = attacks._walk
+
+    def recording_walk(*args):
+        parts.add(threading.current_thread().name)
+        return walk(*args)
+    monkeypatch.setattr(attacks, "_walk", recording_walk)
+    stem = ConvStem(height=7, width=6, filters=2, kernel_size=3)
+    model = Classifier(Arch((stem.out_dim, 6, 3), conv=stem), seed=0)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(130, 42))
+    y = np.arange(130) % 3
+    specs = [AttackSpec(AttackFamily.FGSM, epsilon=0.1),
+             AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.05),
+             AttackSpec(AttackFamily.CW_PGD, epsilon=0.1, step_size=0.05),
+             AttackSpec(AttackFamily.SPSA, epsilon=0.1, step_size=0.05,
+                        spsa_samples=4)]
+    tracer = tracing.Tracer(rec)
+    tracer.install()
+    try:
+        training.evaluate(model, Dataset(x, y), specs)
+        attacks.min_pgd_steps(model, x, y, specs[1])
+    finally:
+        tracer.uninstall()
+    assert threads == {threading.current_thread().name}
+    assert parts > threads  # some parts did run on the pool
 
 
 def test_every_attack_spec_the_benchmark_builds_constructs():

@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .codec import to_obj
+from .codec import reads, settle
 from .errors import ConfigError
 from .models import Classifier, _chunks, _logits, predict_labels, predict_probs
 from .tensor import (_ce_dlogits, _ce_rows, _check_labels, _cw_margin_dlogits,
@@ -71,13 +71,6 @@ class LossMode(Enum):
     CE = "CE"
     KL = "KL"
     CW_MARGIN = "CW_MARGIN"
-
-
-# knob -> the families that read it; every family reads the fields not listed.
-_READ_BY = {"step_size": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
-            "iterations": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
-            "start_noise_scale": (AttackFamily.PGD, AttackFamily.CW_PGD),
-            "spsa_samples": (AttackFamily.SPSA,), "spsa_perturb": (AttackFamily.SPSA,)}
 
 
 @dataclass(frozen=True)
@@ -105,23 +98,21 @@ class AttackSpec:
     spsa_samples: int = 256
     spsa_perturb: float = 0.001
 
+    _READ_BY = {
+        "step_size": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
+        "iterations": (AttackFamily.PGD, AttackFamily.CW_PGD, AttackFamily.SPSA),
+        "start_noise_scale": (AttackFamily.PGD, AttackFamily.CW_PGD),
+        "spsa_samples": (AttackFamily.SPSA,), "spsa_perturb": (AttackFamily.SPSA,)}
+
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", AttackFamily(self.family))
-        if isinstance(self.loss_mode, str):
-            object.__setattr__(self, "loss_mode", LossMode(self.loss_mode))
-        for f in fields(self):
-            if (self.family not in _READ_BY.get(f.name, AttackFamily)
-                    and getattr(self, f.name) != f.default):
-                raise ConfigError(f"{self.family.value} does not read {f.name}, "
-                                  f"got {getattr(self, f.name)}")
+        settle(self)
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.family in _READ_BY["step_size"] and self.step_size <= 0:
+        if reads(self, self.family, "step_size") and self.step_size <= 0:
             raise ConfigError(f"{self.family.value} needs step_size > 0")
         own = (LossMode.CW_MARGIN if self.family is AttackFamily.CW_PGD
                else LossMode.CE)
@@ -142,10 +133,6 @@ class AttackSpec:
                 raise ConfigError(f"bounds must satisfy lo < hi, got {self.bounds}")
         if self.start_noise_scale < 0:
             raise ConfigError("start_noise_scale must be >= 0")
-
-    def to_obj(self) -> dict:
-        return {f.name: to_obj(getattr(self, f.name)) for f in fields(self)
-                if self.family in _READ_BY.get(f.name, AttackFamily)}
 
 
 def _input_gradient(model: Classifier, y, mode: LossMode,

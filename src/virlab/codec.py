@@ -3,14 +3,18 @@ artifact writer and the one CSV reader.
 
 ``to_obj`` turns a value into plain JSON data: dataclasses become objects
 keyed by field name, enums their values, tuples lists, numpy scalars their
-Python values. ``from_obj`` reverses
-it, reading each field's name, required-ness and default from
-``dataclasses.fields`` and its type from the annotations, so the dataclass
-is the only place a field is declared. Decoding is strict: unknown or
-missing keys, ill-typed scalars (a bool is not an int; an int is accepted
-for a float and kept as written; NaN and +-inf are not), wrong tuple
-lengths and bad enum values raise ConfigError naming the dotted path of
-the offending value.
+Python values. ``from_obj`` reverses it, reading each field's name,
+required-ness and default from ``dataclasses.fields`` and its type from
+the annotations, so the dataclass is the only place a field is declared.
+Decoding is strict: unknown or missing keys, ill-typed scalars (a bool is
+not an int; an int is accepted for a float and kept as written; NaN and
++-inf are not), wrong tuple lengths and bad enum values raise ConfigError
+naming the dotted path of the offending value.
+
+A dataclass keyed by ``family`` lists in a class attribute ``_READ_BY``
+the families that read each field (every family reads the fields not
+listed): ``to_obj`` records only the fields the family reads, and
+``settle``, at construction, rejects an unread field off its default.
 
 A class whose wire shape differs from its fields defines its own
 ``to_obj()`` method and ``from_obj(obj, where)`` classmethod; the codec
@@ -35,7 +39,7 @@ import os
 import types
 import typing
 from contextlib import contextmanager
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import cache
 
 import numpy as np
@@ -54,8 +58,8 @@ def to_obj(value):
     if hook is not None:
         return hook(value)
     if dataclasses.is_dataclass(value):
-        return {f.name: to_obj(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+        return {f.name: to_obj(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if reads(value, getattr(value, "family", None), f.name)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (tuple, list)):
@@ -65,28 +69,47 @@ def to_obj(value):
     return value
 
 
-def check_keys(obj, where: str, required, optional=()) -> None:
-    """obj must be a JSON object holding every required key and no others."""
+def reads(cls, family, name: str) -> bool:
+    """Whether family reads field name of dataclass cls (or an instance)."""
+    return family in getattr(cls, "_READ_BY", {}).get(name, (family,))
+
+
+def settle(value) -> None:
+    """The construction rule of a family-keyed dataclass: an enum field
+    given by its value becomes the member, and a field the family does not
+    read (``_READ_BY``) must keep its default."""
+    declared, _ = _fields(type(value))
+    for f in dataclasses.fields(value):  # family, the first, settles first
+        tp, v = declared[f.name], getattr(value, f.name)
+        for enum in (tp, *typing.get_args(tp)) if isinstance(v, str) else ():
+            if isinstance(enum, EnumMeta):
+                object.__setattr__(value, f.name, v := enum(v))
+        if not reads(value, value.family, f.name) and v != f.default:
+            raise ConfigError(f"{value.family.value} does not read {f.name}, "
+                              f"got {to_obj(v)}")
+
+
+def decode_keys(obj, where: str, declared: dict, required) -> dict:
+    """obj, a JSON object holding every required key and no key undeclared
+    (declared maps each name to its type), decoded key by key."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
     missing = set(required) - set(obj)
-    unknown = set(obj) - set(required) - set(optional)
+    unknown = set(obj) - set(declared)
     if missing:
         raise ConfigError(f"{where} missing keys: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
+    return {k: from_obj(declared[k], v, f"{where}.{k}") for k, v in obj.items()}
 
 
 @cache
-def _fields(cls) -> tuple[dict, dict]:
-    """(required, optional) field name -> resolved type, for a dataclass."""
-    hints = typing.get_type_hints(cls)
-    required, optional = {}, {}
-    for f in dataclasses.fields(cls):
-        has_default = (f.default is not dataclasses.MISSING
-                       or f.default_factory is not dataclasses.MISSING)
-        (optional if has_default else required)[f.name] = hints[f.name]
-    return required, optional
+def _fields(cls) -> tuple[dict, set]:
+    """(field name -> resolved type, the fields with no default) of a dataclass."""
+    hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+    return ({f.name: hints[f.name] for f in fields},
+            {f.name for f in fields if f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING})
 
 
 def _scalar(tp, value, where: str):
@@ -130,11 +153,7 @@ def from_obj(tp, obj, where: str):
     if hook is not None:
         return hook(obj, where)
     if dataclasses.is_dataclass(tp):
-        required, optional = _fields(tp)
-        check_keys(obj, where, required, optional)
-        declared = {**required, **optional}
-        kwargs = {k: from_obj(declared[k], v, f"{where}.{k}")
-                  for k, v in obj.items()}
+        kwargs = decode_keys(obj, where, *_fields(tp))
         try:
             return tp(**kwargs)
         except ConfigError as e:

@@ -4,22 +4,25 @@ A run is one JSON document, decoded by the strict codec in ``codec``:
 unknown keys anywhere in the tree and ill-typed values are rejected, so
 typos fail fast instead of silently training with a default. Profiles
 ("desk", "paper") are full TrainConfigs; a config file and CLI flags
-override them field by field (flag > config file > profile).
+override them field by field (flag > config file > profile), but a layer
+that switches the family of an attack, a weight scheme or an objective, or
+a dataset's kind, keeps only the base's keys the new one reads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
-from .attacks import _READ_BY, AttackFamily, AttackSpec
-from .codec import check_keys, from_obj, to_obj
+from .attacks import AttackSpec
+from .codec import decode_keys, from_obj, reads, to_obj
 from .data import Dataset, from_gmm, load_csv, load_idx, synth_multiclass
 from .errors import ConfigError
 from .gmm import GmmSpec
 from .models import DTYPES, Arch, ConvStem
 from .objectives import ObjectiveSpec
-from .reweight import WeightFamily
+from .reweight import WeightFamily, WeightScheme
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,11 @@ class DataSource:
     """Where training (and optionally held-out) data comes from.
 
     kind is one of synth/gmm/idx/csv; params holds that kind's fields,
-    checked against _DATA_KEYS (names and types) but stored as given. On
-    the wire the two are one flat object, {"kind": ..., **params}.
-    Synthetic eval splits draw from an independent stream (eval_seed,
-    default seed+1).
+    checked against _DATA_KEYS (names and types) and stored as given, but
+    that seed and a synthetic eval size (eval_per_class_n, eval_n) default
+    to 0, so a recorded config states them. On the wire the two are one
+    flat object, {"kind": ..., **params}. Synthetic eval splits draw from
+    an independent stream (eval_seed, default seed+1).
     """
 
     kind: str
@@ -108,16 +112,14 @@ class DataSource:
             )
         where = f"dataset[{self.kind}]"
         required, optional = _DATA_KEYS[self.kind]
-        check_keys(self.params, where, required, optional)
-        declared = {**required, **optional}
-        for key, value in self.params.items():
-            from_obj(declared[key], value, f"{where}.{key}")
+        for key, value in decode_keys(self.params, where, {**required, **optional},
+                                      required).items():
             if key in ("seed", "eval_seed", "eval_per_class_n", "eval_n") and value < 0:
                 raise ConfigError(f"{where}.{key} must be >= 0, got {value}")
-        if self.kind == "idx":
-            have = [k for k in ("eval_images", "eval_labels") if k in self.params]
-            if len(have) == 1:
-                raise ConfigError("idx eval split needs both eval_images and eval_labels")
+        if self.kind == "idx" and len({"eval_images", "eval_labels"} & set(self.params)) == 1:
+            raise ConfigError("idx eval split needs both eval_images and eval_labels")
+        object.__setattr__(self, "params", {**{k: 0 for k in optional if k in (
+            "seed", "eval_per_class_n", "eval_n")}, **self.params})
 
     def load(self) -> tuple[Dataset, Dataset]:
         """(train, evaluated). evaluated is the held-out split when the
@@ -128,23 +130,21 @@ class DataSource:
         """
         p = self.params
         if self.kind == "synth":
-            seed = p.get("seed", 0)
             train = synth_multiclass(p["num_classes"], p["per_class_n"],
                                      p["variances"], p["separation"],
-                                     p["dim"], seed)
-            if not p.get("eval_per_class_n"):
+                                     p["dim"], p["seed"])
+            if not p["eval_per_class_n"]:
                 return train, train
             return train, synth_multiclass(p["num_classes"], p["eval_per_class_n"],
                                            p["variances"], p["separation"],
-                                           p["dim"], p.get("eval_seed", seed + 1))
+                                           p["dim"], p.get("eval_seed", p["seed"] + 1))
         if self.kind == "gmm":
             spec = GmmSpec(d=p["d"], eta=p["eta"], sigma=p["sigma"],
                            k_var=p["k_var"])
-            seed = p.get("seed", 0)
-            train = from_gmm(spec, p["n"], seed)
-            if not p.get("eval_n"):
+            train = from_gmm(spec, p["n"], p["seed"])
+            if not p["eval_n"]:
                 return train, train
-            return train, from_gmm(spec, p["eval_n"], p.get("eval_seed", seed + 1))
+            return train, from_gmm(spec, p["eval_n"], p.get("eval_seed", p["seed"] + 1))
         if self.kind == "idx":
             train = load_idx(p["images"], p["labels"])
             if "eval_images" in p:
@@ -195,7 +195,7 @@ class TrainConfig:
                 f"{self.epochs}"
             )
         if (self.objective.weight_scheme.family is WeightFamily.GAIRAT
-                and self.attack_train.family not in _READ_BY["step_size"]):
+                and not reads(AttackSpec, self.attack_train.family, "step_size")):
             raise ConfigError(
                 "objective.weight_scheme.family GAIRAT probes at attack_train.step_size"
                 f", and {self.attack_train.family.value} reads no step_size")
@@ -227,32 +227,33 @@ def load_config_file(path) -> dict:
     return obj
 
 
-def _family_switched(base: dict, family) -> dict:
-    """What a layer setting ``family`` on the attack dict base merges over:
-    when it switches one attack family to another, only the base's knobs
-    the new family reads (``attacks._READ_BY``; epsilon, bounds and seed
-    always) less loss_mode, which each family picks for itself; otherwise
-    base itself."""
-    names = {f.value for f in AttackFamily}
-    old = base.get("family")
-    if not (isinstance(old, str) and isinstance(family, str)
-            and old in names and family in names and old != family):
-        return base
-    new = AttackFamily(family)
-    return {k: v for k, v in base.items()
-            if k != "loss_mode" and new in _READ_BY.get(k, AttackFamily)}
+# family or dataset kind (distinct names) -> the keys a config object naming
+# it reads, less loss_mode, which each attack family picks for itself.
+_READS = {kind: {"kind", *required, *optional}
+          for kind, (required, optional) in _DATA_KEYS.items()} | {
+    f.value: {n.name for n in fields(cls) if reads(cls, f, n.name)} - {"loss_mode"}
+    for cls in (AttackSpec, WeightScheme, ObjectiveSpec)
+    for f in typing.get_type_hints(cls)["family"]}
+
+
+def _switched(base: dict, layer: dict) -> dict:
+    """What layer merges over: base, or if layer changes its ``family`` or
+    ``kind`` to another in ``_READS``, only base's keys the new one reads."""
+    for key in ("family", "kind"):
+        old, new = base.get(key), layer.get(key)
+        if old != new and all(isinstance(v, str) and v in _READS for v in (old, new)):
+            return {k: v for k, v in base.items() if k in _READS[new]}
+    return base
 
 
 def deep_merge(base: dict, override: dict) -> dict:
-    """Dicts merge recursively; lists and scalars replace wholesale, and so
-    does a dict naming another ``kind`` than the base's (a dataset of
-    another kind takes other keys). A dict that switches an attack's family
-    merges over the base's knobs that the new family reads."""
+    """Dicts merge recursively; lists and scalars replace wholesale. A dict
+    that switches the ``family`` of an attack, a weight scheme or an
+    objective, or a dataset's ``kind``, merges over ``_switched(base)``."""
     out = dict(base)
     for k, v in override.items():
-        if (isinstance(v, dict) and isinstance(out.get(k), dict)
-                and v.get("kind", out[k].get("kind")) == out[k].get("kind")):
-            out[k] = deep_merge(_family_switched(out[k], v.get("family")), v)
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
+            out[k] = deep_merge(_switched(out[k], v), v)
         else:
             out[k] = v
     return out
@@ -260,39 +261,31 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 def set_dotted(obj: dict, path: str, value) -> None:
     """Set config[a][b][c] = value for path 'a.b.c'; integer parts index lists.
-    Setting an attack's family to another drops the knobs the new family
-    does not read, as ``deep_merge`` does."""
-    parts = path.split(".")
+    Setting a family or a dataset kind to another drops the keys the new
+    one does not read, as ``deep_merge`` does."""
+    *parents, last = path.split(".")
     cur = obj
-    for i, part in enumerate(parts[:-1]):
-        if isinstance(cur, list):
-            try:
-                key = int(part)
-            except ValueError:
-                raise ConfigError(f"{path}: bad list index {part!r}") from None
-        else:
-            key = part
+    for part in parents:
+        if isinstance(cur, dict):
+            if not isinstance(cur.get(part), (dict, list)):
+                cur[part] = {}
+            cur = cur[part]
+            continue
         try:
-            nxt = cur[key]
-        except (KeyError, IndexError, TypeError):
-            nxt = None
-        if not isinstance(nxt, (dict, list)):
-            if isinstance(cur, list):
-                raise ConfigError(f"{path}: bad list index {part!r}")
-            cur[key] = {}
-            nxt = cur[key]
-        cur = nxt
-    last = parts[-1]
+            cur = cur[int(part)]
+        except (ValueError, IndexError):
+            cur = None
+        if not isinstance(cur, (dict, list)):
+            raise ConfigError(f"{path}: bad list index {part!r}")
     if isinstance(cur, list):
         try:
             cur[int(last)] = value
         except (ValueError, IndexError) as e:
             raise ConfigError(f"{path}: {e}") from e
-    else:
-        if last == "family":
-            for key in set(cur) - set(_family_switched(cur, value)):
-                del cur[key]
-        cur[last] = value
+        return
+    for key in set(cur) - set(_switched(cur, {last: value})):
+        del cur[key]
+    cur[last] = value
 
 
 # -- named profiles ------------------------------------------------------------
@@ -314,9 +307,9 @@ def desk_profile() -> dict:
         "log_weights_every": 1,
         "optimizer": {"base_lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005,
                       "milestones": [20, 25], "decay_factor": 10.0},
-        "objective": {"family": "AT", "trade_off": 5.0, "weight_scheme": {
+        "objective": {"family": "AT", "weight_scheme": {
             "family": "VIR", "ablation": "FULL", "alpha": 7.0, "gamma": 10.0,
-            "beta": 0.007, "lambda_g": -1.0, "burn_in_epoch": 18}},
+            "beta": 0.007, "burn_in_epoch": 18}},
         "attack_train": {"family": "PGD", "epsilon": 0.75, "step_size": 0.1875,
                          "iterations": 10, "loss_mode": "CE", "bounds": None,
                          "seed": 0, "start_noise_scale": 0.001},
@@ -347,9 +340,9 @@ def paper_profile() -> dict:
         "log_weights_every": 5,
         "optimizer": {"base_lr": 0.01, "momentum": 0.9, "weight_decay": 0.0035,
                       "milestones": [75, 90], "decay_factor": 10.0},
-        "objective": {"family": "AT", "trade_off": 5.0, "weight_scheme": {
+        "objective": {"family": "AT", "weight_scheme": {
             "family": "VIR", "ablation": "FULL", "alpha": 7.0, "gamma": 10.0,
-            "beta": 0.007, "lambda_g": -1.0, "burn_in_epoch": 75}},
+            "beta": 0.007, "burn_in_epoch": 75}},
         "attack_train": {"family": "PGD", "epsilon": 8 / 255,
                          "step_size": 2 / 255, "iterations": 10,
                          "loss_mode": "CE", "bounds": [0.0, 1.0], "seed": 0,

@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .codec import settle
 from .errors import ConfigError, ShapeError
 from .models import Classifier
 from .reweight import WeightFamily, WeightScheme
@@ -36,9 +37,10 @@ class ObjectiveSpec:
     weight_scheme: WeightScheme = field(
         default_factory=lambda: WeightScheme(WeightFamily.VIR))
 
+    _READ_BY = {"trade_off": (ObjectiveFamily.TRADES,)}
+
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", ObjectiveFamily(self.family))
+        settle(self)
         if self.family is ObjectiveFamily.TRADES and self.trade_off <= 0:
             raise ConfigError(f"trade_off must be positive, got {self.trade_off}")
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import read_csv
+from .codec import read_csv, settle
 from .errors import ConfigError, ShapeError
 from .models import Classifier, predict_probs
 from .tensor import _check_kl_pair, _check_labels, _kl_rows
@@ -44,8 +44,8 @@ class Ablation(Enum):
 @dataclass(frozen=True)
 class WeightScheme:
     """Family plus hyperparameters. gamma and beta are the VIR exponent and
-    floor, or (for MAIL) the logistic slope, positive, and center. Only VIR
-    takes an ablation other than FULL."""
+    floor, or (for MAIL) the logistic slope, positive, and center. A field
+    the family does not read (``_READ_BY``) keeps its default, unrecorded."""
 
     family: WeightFamily
     alpha: float = 7.0
@@ -55,21 +55,19 @@ class WeightScheme:
     burn_in_epoch: int = 75
     ablation: Ablation = Ablation.FULL
 
+    _READ_BY = {"alpha": (WeightFamily.VIR,), "ablation": (WeightFamily.VIR,),
+                "gamma": (WeightFamily.VIR, WeightFamily.MAIL),
+                "beta": (WeightFamily.VIR, WeightFamily.MAIL),
+                "lambda_g": (WeightFamily.GAIRAT,)}
+
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", WeightFamily(self.family))
-        if isinstance(self.ablation, str):
-            object.__setattr__(self, "ablation", Ablation(self.ablation))
-        if self.ablation is not Ablation.FULL and self.family is not WeightFamily.VIR:
-            raise ConfigError(f"ablation {self.ablation.value} needs family VIR, "
-                              f"got {self.family.value}")
-        if self.family is WeightFamily.VIR:
-            if self.alpha <= 0:
-                raise ConfigError(f"alpha must be positive, got {self.alpha}")
-            if self.gamma < 1:
-                raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-            if self.beta < 0:
-                raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        settle(self)
+        if self.alpha <= 0:  # only VIR reads alpha; the rest keep 7.0
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if self.family is WeightFamily.VIR and self.gamma < 1:
+            raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
+        if self.family is WeightFamily.VIR and self.beta < 0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.family is WeightFamily.MAIL and self.gamma <= 0:
             raise ConfigError(f"MAIL's gamma must be positive, got {self.gamma}")
         if self.burn_in_epoch < 0:

@@ -151,7 +151,7 @@ UNREAD_VALUES = {"step_size": 0.05, "iterations": 5, "start_noise_scale": 0.5,
 
 @pytest.mark.parametrize("family, knob", [
     pytest.param(family, knob, id=f"{family.value}-{knob}")
-    for knob, readers in attacks._READ_BY.items()
+    for knob, readers in attacks.AttackSpec._READ_BY.items()
     for family in AttackFamily if family not in readers])
 def test_a_family_rejects_a_knob_it_does_not_read(family, knob):
     # The attack would ignore it, and config.json would record a knob that

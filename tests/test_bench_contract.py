@@ -103,7 +103,7 @@ def test_run_attack_reaches_each_family_function_once(monkeypatch):
                          (AttackFamily.SPSA, "spsa")):
         calls.clear()
         attacks.run_attack(model, x, y, AttackSpec(family, epsilon=0.1, **{
-            k: v for k, v in knobs.items() if family in attacks._READ_BY[k]}))
+            k: v for k, v in knobs.items() if family in attacks.AttackSpec._READ_BY[k]}))
         assert calls == [name]
 
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import virlab
 from virlab import training
-from virlab.attacks import _READ_BY, AttackFamily, AttackSpec, LossMode
+from virlab.attacks import AttackFamily, AttackSpec, LossMode
 from virlab.cli import build_parser, main
-from virlab.codec import canonical_json
+from virlab.codec import canonical_json, from_obj, reads
 from virlab.config import (PROFILES, DataSource, ModelConfig, OptimConfig,
                            TrainConfig, config_from_obj, config_to_obj,
                            deep_merge, desk_profile, resolve_config, set_dotted)
@@ -119,7 +119,7 @@ def test_unknown_keys_rejected_at_every_level(tmp_path, capsys):
     (["objective.ablation=FULL"], r"objective has unknown keys: \['ablation'\]"),
     (["objective.weight_scheme.family=GAIRAT",
       "objective.weight_scheme.ablation=SV_ONLY"],
-     "ablation SV_ONLY needs family VIR, got GAIRAT"),
+     "GAIRAT does not read ablation, got SV_ONLY"),
 ])
 def test_one_weighting_decision(tmp_path, capsys, overrides, pattern):
     out = tmp_path / "run"
@@ -159,8 +159,8 @@ def test_config_round_trips_through_json():
 # sha256 of canonical_json(config_to_obj(resolve_config(profile))): the
 # config.json wire format of each shipped profile, byte for byte.
 PROFILE_JSON_SHA256 = {
-    "desk": "f58d1da5be1c3e8e31cd34af2db53b8957ba45f88a3aa29d523d0cb717312626",
-    "paper": "56da6a540cfb80c165f85c487a8a71360c554e03533a7bfe316013203ebbb208",
+    "desk": "30f9028d1b9ec378d8d7ce14d03e694387d3fe759a59af4639609bfa98858c5b",
+    "paper": "08e5710133327bd3ec9138068d9c46d019aa3622fa81452da2775dc93da96333",
 }
 
 
@@ -194,7 +194,7 @@ def _attacks(draw, seeds=st.integers(0, 2**64 - 1), families=tuple(AttackFamily)
         loss_mode=draw(st.sampled_from(modes)),
         bounds=draw(st.none() | st.just((lo, lo + draw(_POS)))),
         seed=draw(seeds),
-        **{k: v for k, v in knobs.items() if family in _READ_BY[k]})
+        **{k: v for k, v in knobs.items() if reads(AttackSpec, family, k)})
 
 
 @st.composite
@@ -205,14 +205,14 @@ def _configs(draw):
                                       filters=st.integers(1, 4),
                                       kernel_size=st.integers(1, 3)))
     family = draw(st.sampled_from(WeightFamily))
-    scheme = WeightScheme(
-        family, alpha=draw(_POS),
-        gamma=draw(st.integers(1, 20) | st.floats(1, 20, **_FINITE)),
-        beta=draw(_NONNEG), lambda_g=draw(st.floats(-5, 5, **_FINITE)),
-        burn_in_epoch=draw(st.integers(0, 100)),
-        # Only VIR drops a factor; every other family is FULL.
-        ablation=(draw(st.sampled_from(Ablation)) if family is WeightFamily.VIR
-                  else Ablation.FULL))
+    # A family takes only the fields it reads; the rest keep their defaults.
+    knobs = dict(alpha=draw(_POS),
+                 gamma=draw(st.integers(1, 20) | st.floats(1, 20, **_FINITE)),
+                 beta=draw(_NONNEG), lambda_g=draw(st.floats(-5, 5, **_FINITE)),
+                 ablation=draw(st.sampled_from(Ablation)))
+    scheme = WeightScheme(family, burn_in_epoch=draw(st.integers(0, 100)), **{
+        k: v for k, v in knobs.items() if reads(WeightScheme, family, k)})
+    objective = draw(st.sampled_from(ObjectiveFamily))
     dataset = DataSource("synth", {
         "num_classes": draw(st.integers(2, 4)), "dim": draw(st.integers(3, 8)),
         "variances": draw(st.lists(_POS, min_size=2, max_size=4)),
@@ -220,13 +220,13 @@ def _configs(draw):
         **draw(st.fixed_dictionaries({}, optional={"seed": st.integers(0, 99)})),
     })
     return TrainConfig(
-        objective=ObjectiveSpec(draw(st.sampled_from(ObjectiveFamily)),
-                                trade_off=draw(_POS), weight_scheme=scheme),
+        objective=ObjectiveSpec(objective, weight_scheme=scheme, **(
+            {"trade_off": draw(_POS)} if objective is ObjectiveFamily.TRADES else {})),
         # TrainConfig keys the training attack itself; its seed must be 0.
         # GAIRAT's probe walks at its step_size, which FGSM does not read.
         attack_train=draw(_attacks(seeds=st.just(0), families=[
             f for f in AttackFamily
-            if family is not WeightFamily.GAIRAT or f in _READ_BY["step_size"]])),
+            if family is not WeightFamily.GAIRAT or reads(AttackSpec, f, "step_size")])),
         attack_eval=tuple(draw(st.lists(_attacks(), max_size=3))),
         dataset=dataset,
         optimizer=OptimConfig(base_lr=draw(_POS),
@@ -251,6 +251,18 @@ def test_codec_round_trips_generated_configs(config):
     assert canonical_json(config_to_obj(echoed)) == text
 
 
+@settings(max_examples=30, deadline=None)
+@given(_configs())
+def test_a_recorded_config_loads_back_over_either_profile(tmp_path_factory, config):
+    # A config.json is a full config: loaded with --config over either
+    # profile it gives back the config it records, so no profile carries an
+    # unread knob at a non-default value into it.
+    path = tmp_path_factory.mktemp("recorded") / "config.json"
+    path.write_text(canonical_json(config_to_obj(config)))
+    for profile in PROFILES:
+        assert resolve_config(profile, path) == config, profile
+
+
 def test_deep_merge_semantics():
     base = {"a": {"x": 1, "y": 2}, "list": [1, 2], "keep": 9}
     override = {"a": {"y": 3}, "list": [4]}
@@ -268,6 +280,13 @@ def test_config_file_may_switch_the_dataset_kind(tmp_path):
     assert deep_merge({"d": {"kind": "synth", "dim": 8}},
                       {"d": {"seed": 1}}) == {
         "d": {"kind": "synth", "dim": 8, "seed": 1}}
+    # Another kind keeps the keys it reads, by a file or by --set alike.
+    assert deep_merge({"d": {"kind": "synth", "dim": 8, "seed": 2}},
+                      {"d": {"kind": "gmm", "d": 4}}) == {
+        "d": {"kind": "gmm", "d": 4, "seed": 2}}
+    obj = {"d": {"kind": "synth", "dim": 8, "seed": 2}}
+    set_dotted(obj, "d.kind", "idx")
+    assert obj == {"d": {"kind": "idx"}}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"kind": "idx", "images": "i.idx",
                                            "labels": "l.idx"}}))
@@ -847,32 +866,49 @@ def test_config_json_records_each_attack_with_its_own_knobs(tmp_path):
             == (tmp_path / "flags" / "eval.csv").read_bytes())
 
 
+def _at(obj, path: str):
+    """The value at a dotted path of a config dict or a TrainConfig."""
+    for part in path.split("."):
+        obj = (obj[int(part)] if part.isdigit() else
+               obj[part] if isinstance(obj, dict) else getattr(obj, part))
+    return obj
+
+
+# family value -> (the class it keys, the family, where a profile holds one)
+_KEYED = {f.value: (cls, f, where) for cls, families, where in (
+    (AttackSpec, AttackFamily, "attack"),
+    (WeightScheme, WeightFamily, "objective.weight_scheme"),
+    (ObjectiveSpec, ObjectiveFamily, "objective")) for f in families}
+
+
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-@pytest.mark.parametrize("family", [f.value for f in AttackFamily])
+@pytest.mark.parametrize("family", list(_KEYED))
 def test_setting_an_attack_family_keeps_the_knobs_it_reads(profile, family):
-    # Switching family drops the base's knobs the new family does not read
-    # (and loss_mode, which it picks); epsilon, bounds and seed survive. A
-    # switch that leaves a needed knob unset fails naming it: FGSM has no
-    # step_size to hand to PGD, CW_PGD or SPSA.
+    # Switching the family of an attack, a weight scheme or an objective
+    # drops the base's knobs the new family does not read (and an attack's
+    # loss_mode, which it picks); the rest survive. A switch that leaves a
+    # needed knob unset fails naming it: FGSM has no step_size to hand to
+    # PGD, CW_PGD or SPSA.
     base = PROFILES[profile]()
-    paths = ["attack_train"] + [f"attack_eval.{i}"
-                                for i in range(len(base["attack_eval"]))]
+    cls, new, where = _KEYED[family]
+    paths = ([where] if where != "attack" else ["attack_train"] + [
+        f"attack_eval.{i}" for i in range(len(base["attack_eval"]))])
     for path in paths:
-        old = (base["attack_train"] if path == "attack_train"
-               else base["attack_eval"][int(path.rsplit(".", 1)[1])])
+        # Float knobs doubled off the profile's (and the defaults') values, so
+        # an unread one that survived the switch would be rejected.
+        old = {k: v * 2 if isinstance(v, float) else v
+               for k, v in _at(base, path).items()}
         try:
-            config = resolve_config(profile, overrides=[(f"{path}.family", family)])
+            config = resolve_config(profile, overrides=[
+                *((f"{path}.{k}", v) for k, v in old.items()),
+                (f"{path}.family", family)])
         except ConfigError as e:
             assert old["family"] == "FGSM" != family, (path, e)
             assert "needs step_size" in str(e), (path, e)
             continue
-        spec = (config.attack_train if path == "attack_train"
-                else config.attack_eval[int(path.rsplit(".", 1)[1])])
         kept = {k: v for k, v in old.items()
-                if k not in ("family", "loss_mode")
-                and AttackFamily(family) in _READ_BY.get(k, AttackFamily)}
-        assert spec == AttackSpec(AttackFamily(family), **{
-            k: tuple(v) if isinstance(v, list) else v for k, v in kept.items()})
+                if k not in ("family", "loss_mode") and reads(cls, new, k)}
+        assert _at(config, path) == from_obj(cls, {"family": family, **kept}, path)
 
 
 def test_deep_merge_switching_an_attack_family_merges_over_its_knobs():
@@ -885,13 +921,30 @@ def test_deep_merge_switching_an_attack_family_merges_over_its_knobs():
     # A layer that keeps the family merges key by key, loss_mode included.
     assert deep_merge({"a": pgd}, {"a": {"family": "PGD", "seed": 0}})["a"] == {
         **pgd, "seed": 0}
-    # Other family-keyed objects (weight schemes, objectives) are untouched.
-    scheme = {"family": "VIR", "alpha": 7.0}
+    # Weight schemes and objectives follow the same rule.
+    scheme = {"family": "VIR", "alpha": 7.0, "burn_in_epoch": 3}
     assert deep_merge({"w": scheme}, {"w": {"family": "UNIFORM"}})["w"] == {
-        "family": "UNIFORM", "alpha": 7.0}
-    obj = {"w": dict(scheme)}
+        "family": "UNIFORM", "burn_in_epoch": 3}
+    obj = {"w": dict(scheme), "o": {"family": "TRADES", "trade_off": 2.0}}
     set_dotted(obj, "w.family", "UNIFORM")
-    assert obj["w"] == {"family": "UNIFORM", "alpha": 7.0}
+    set_dotted(obj, "o.family", "AT")
+    assert obj == {"w": {"family": "UNIFORM", "burn_in_epoch": 3},
+                   "o": {"family": "AT"}}
+
+
+def test_a_uniform_run_records_only_burn_in_and_loads_its_own_config(tmp_path):
+    # UNIFORM reads no weight knob but the burn-in; the profile's VIR knobs
+    # stay behind, and the run's config.json loads back as it was written.
+    run = tmp_path / "run"
+    sets = set_args([("objective.weight_scheme.family", "UNIFORM")])
+    assert main(["train", "--out", str(run)] + sets) == 0
+    recorded = json.loads((run / "config.json").read_text())
+    assert recorded["objective"] == {
+        "family": "AT", "weight_scheme": {"burn_in_epoch": 1, "family": "UNIFORM"}}
+    assert main(["train", "--config", str(run / "config.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert ((tmp_path / "again" / "config.json").read_bytes()
+            == (run / "config.json").read_bytes())
 
 
 def test_cli_set_family_without_a_needed_knob_exits_2_naming_it(tmp_path, capsys):
@@ -995,12 +1048,19 @@ def test_cli_train_rejects_spsa_lr_before_writing(tmp_path, capsys):
      "weight_scheme: MAIL's gamma must be positive, got -10"),
     (["--set", 'objective.weight_scheme={"family":"MAIL","gamma":0}'],
      "weight_scheme: MAIL's gamma must be positive, got 0"),
+    # A knob the family does not read, on the desk profile's AT and a
+    # UNIFORM scheme.
+    (["--set", "objective.trade_off=-1"],
+     "config.objective: AT does not read trade_off, got -1"),
+    (["--set", "objective.weight_scheme.family=UNIFORM",
+      "--set", "objective.weight_scheme.alpha=3"],
+     "config.objective.weight_scheme: UNIFORM does not read alpha, got 3"),
 ], ids=["base_lr", "momentum_one", "momentum_negative", "weight_decay",
         "decay_factor", "milestones_order", "hidden", "conv_geometry",
         "conv_dimensions", "epochs", "batch_size", "eval_every",
         "log_weights_every", "milestone_past_epochs", "config_not_object",
         "dataset_not_object", "set_index_out_of_range", "mail_gamma_negative",
-        "mail_gamma_zero"])
+        "mail_gamma_zero", "at_trade_off", "uniform_alpha"])
 def test_cli_train_rejects_a_bad_config_value_before_writing(tmp_path, capsys,
                                                              args, message):
     # Each raise site of the strict config rules exits 2 with a message that

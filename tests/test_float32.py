@@ -310,7 +310,7 @@ def test_attacks_on_a_float32_model_return_float64_and_leave_it(family):
     x, y = rng.standard_normal((5, 6)), rng.integers(0, 3, size=5)
     knobs = {"step_size": 0.1, "iterations": 2, "spsa_samples": 4}
     spec = AttackSpec(family, epsilon=0.3, **{
-        k: v for k, v in knobs.items() if family in attacks._READ_BY[k]})
+        k: v for k, v in knobs.items() if family in attacks.AttackSpec._READ_BY[k]})
     x_adv = attacks.run_attack(model, x, y, spec)
     assert x_adv.dtype == np.float64 and x_adv.shape == x.shape
     assert np.abs(x_adv - x).max() <= 0.3 + 1e-12

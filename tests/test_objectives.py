@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_mlp
 from oracles import finite_diff_grad
+from virlab.codec import to_obj
 from virlab.errors import ConfigError, ShapeError
 from virlab.objectives import (ObjectiveFamily, ObjectiveSpec, at_loss,
                                trades_loss, vir_at_loss, vir_trades_loss)
@@ -29,8 +30,11 @@ def test_objective_spec_validation():
     spec = ObjectiveSpec("AT", weight_scheme=WeightScheme("VIR", ablation="SV_ONLY"))
     assert spec.family is ObjectiveFamily.AT
     assert spec.weight_scheme.ablation is Ablation.SV_ONLY
-    # AT ignores trade_off entirely
-    assert ObjectiveSpec(ObjectiveFamily.AT, trade_off=-5.0).family is ObjectiveFamily.AT
+    # AT reads no trade_off: one set away from its default is rejected, and
+    # the default is not recorded
+    with pytest.raises(ConfigError, match="AT does not read trade_off, got -5.0"):
+        ObjectiveSpec(ObjectiveFamily.AT, trade_off=-5.0)
+    assert "trade_off" not in to_obj(ObjectiveSpec(ObjectiveFamily.AT))
 
 
 def test_at_loss_is_mean_adversarial_ce(rng):

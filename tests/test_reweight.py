@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_mlp
 from virlab import reweight
+from virlab.codec import to_obj
 from virlab.errors import ConfigError, DataFormatError, ShapeError
 from virlab.models import Classifier, predict_probs
 from virlab.objectives import ObjectiveFamily, ObjectiveSpec
@@ -221,8 +222,28 @@ def test_only_vir_takes_an_ablation(family):
     assert WeightScheme(family, ablation="FULL").ablation is Ablation.FULL
     for ablation in ("SV_ONLY", "SD_ONLY"):
         assert WeightScheme("VIR", ablation=ablation).ablation is Ablation(ablation)
-        with pytest.raises(ConfigError, match=f"ablation {ablation} needs family VIR"):
+        with pytest.raises(ConfigError,
+                           match=f"{family} does not read ablation, got {ablation}"):
             WeightScheme(family, ablation=ablation)
+
+
+# A value for each field that only some families read, valid where it is read.
+UNREAD_VALUES = {"alpha": 3.0, "gamma": 4.0, "beta": 0.5, "lambda_g": 4.0,
+                 "ablation": "SD_ONLY"}
+
+
+@pytest.mark.parametrize("family, name", [
+    pytest.param(family, name, id=f"{family.value}-{name}")
+    for name, readers in WeightScheme._READ_BY.items()
+    for family in WeightFamily if family not in readers])
+def test_a_weight_family_rejects_a_field_it_does_not_read(family, name):
+    # The weighting would ignore it, and config.json would record a field
+    # that never ran; at its default it is accepted and left unrecorded.
+    with pytest.raises(ConfigError, match=f"{family.value} does not read {name}, "
+                                          f"got {UNREAD_VALUES[name]}"):
+        WeightScheme(family, **{name: UNREAD_VALUES[name]})
+    default = WeightScheme.__dataclass_fields__[name].default
+    assert name not in to_obj(WeightScheme(family, **{name: default}))
 
 
 def test_preset_schemes_match_published_defaults():

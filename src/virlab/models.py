@@ -6,16 +6,21 @@ reverse, then the conv stem), bitwise what a graph of the tensor
 module's layer ops gives on OpenBLAS 0.3.31's SkylakeX kernel. The stem's
 input gradient (``_stem_input_gradient``) walks the batch in fixed
 blocks of images from image 0; each block's gradient sits in a
-zero-bordered image grid, is multiplied out offset-major and added back
-by the tensor module's ``_patch_scatter``, k**2 contiguous slice adds,
-so a chunk of a multiple of 64 rows makes the whole split's calls. Every
-forward (training loss, attack step, SPSA score and prediction) runs the
-stem (``_stem_output``) over the same blocks of images: each block
-gathers its patches offset-major, k**2 slice copies, and takes
-``slabs.T @ W`` into its rows of one output, so no forward holds a whole
-chunk's patches. The stem's weight gradient gathers the whole batch's
-patches row-major in the backward, from the input the forward kept, for
-its one product ``patches.T @ g``. The network
+zero-bordered image grid, is multiplied out offset-major and summed back
+onto the pixels by the tensor module's ``_patch_fold``, one reduction
+over the kernel offsets, so a chunk of a multiple of 64 rows makes the
+whole split's calls. Every forward (training loss, attack step, SPSA
+score and prediction) runs the stem (``_stem_output``) over the same
+blocks of images: each block gathers its patches offset-major, one copy
+from a window view, and takes ``slabs.T @ W`` into its rows of one
+output, so no forward holds a whole chunk's patches. Neither loops over
+the kernel offsets in Python: a block is a handful of numpy calls, each
+of which releases the GIL for its whole length, so attack parts on
+several threads run side by side rather than taking turns (25 small
+calls per block handed the GIL back and forth, and ran slower on two
+threads than on one). The stem's weight gradient gathers the whole
+batch's patches row-major in the backward, from the input the forward
+kept, for its one product ``patches.T @ g``. The network
 computes in its arch's ``dtype`` (float64 or float32) and its boundary is
 float64: ``_forward`` casts its input in and returns float64 logits, and
 ``_backward`` casts the logits' gradient in and returns float64 (an exact
@@ -52,8 +57,8 @@ import numpy as np
 from .codec import atomic_open, canonical_json, from_obj, to_obj
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import (Tensor, _check_logits, _patch_rows, _patch_scatter,
-                     _patch_slabs, _softmax_values)
+from .tensor import (Tensor, _check_logits, _patch_fold, _patch_rows,
+                     _patch_windows, _scatter_tail, _softmax_values)
 
 MAGIC = b"VIRCKPT1"
 _U64 = struct.Struct("<Q")
@@ -191,15 +196,18 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
     block's relu-masked gradient is written into the top-left out_h x out_w
     corner of a zero-bordered [block, height, width, filters] grid, taken
     offset-major as ``weight @ grid.T`` ([kernel_size**2, block * height *
-    width], one dot product over the filters per element) and added back by
-    ``_patch_scatter``, one contiguous slice add per offset. The grid, the
-    relu mask and the product's buffer are allocated once per call and
-    reused by every block: attack parts run this loop on several threads at
-    once, and a per-block mask made their joint memory peak depend on which
-    blocks lined up.
+    width], one dot product over the filters per element) into the rows of
+    a buffer that end in zeros, and summed onto the pixels by
+    ``_patch_fold``, one reduction over the offsets. The grid, the rows
+    and one scratch buffer (the masked gradient, then the sum) are
+    allocated once per call and reused by every block, and no call in the
+    loop buffers a cast or a strided operand: attack parts run this loop
+    on several threads at once, and per-block temporaries made their joint
+    memory peak depend on which blocks lined up.
     """
     k, oh, ow, f = conv.kernel_size, conv.out_height, conv.out_width, conv.filters
     hw = conv.height * conv.width
+    tail = _scatter_tail(conv.width, k)
     batch = g.shape[0]
     block = min(batch, _STEM_BLOCK)
     g = g.reshape(batch, oh, ow, f)
@@ -209,15 +217,22 @@ def _stem_input_gradient(conv: ConvStem, weight: np.ndarray, fmap: np.ndarray,
     # process's peak RSS higher.
     dx = np.empty((batch, hw))
     grid = np.zeros((block, conv.height, conv.width, f), dtype=g.dtype)
-    slabs = np.empty(k * k * block * hw, dtype=g.dtype)
-    mask = np.empty((block, oh, ow, f), dtype=bool)
+    slabs = np.zeros(k * k * (block * hw + tail), dtype=g.dtype)
+    scratch = np.empty(block * max(oh * ow * f, hw), dtype=g.dtype)
     for s in range(0, batch, _STEM_BLOCK):
         n = min(_STEM_BLOCK, batch - s)
-        np.greater(fmap[s:s + n], 0.0, out=mask[:n])
-        np.multiply(g[s:s + n], mask[:n], out=grid[:n, :oh, :ow])
-        prod = np.matmul(weight, grid[:n].reshape(n * hw, f).T,
-                         out=slabs[:k * k * n * hw].reshape(k * k, n * hw))
-        dx[s:s + n] = _patch_scatter(prod, n, conv.height, conv.width, k)
+        m = n * hw
+        rows = slabs[:k * k * (m + tail)].reshape(k * k, m + tail)
+        if n < block:  # a short last block lays the rows out anew
+            rows[:, m:] = 0.0
+        # The relu mask is written as 1.0 and 0.0, so the masked product is
+        # one contiguous multiply (a bool mask is cast through a buffer).
+        masked = scratch[:n * oh * ow * f].reshape(n, oh, ow, f)
+        np.greater(fmap[s:s + n], 0.0, out=masked)
+        np.multiply(g[s:s + n], masked, out=masked)
+        np.copyto(grid[:n, :oh, :ow], masked)
+        np.matmul(weight, grid[:n].reshape(m, f).T, out=rows[:, :m])
+        dx[s:s + n] = _patch_fold(rows, conv.width, k, out=scratch[:m]).reshape(n, hw)
     return dx
 
 
@@ -227,10 +242,12 @@ def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
     dtype.
 
     The batch is walked in blocks of _STEM_BLOCK images from image 0, as
-    ``_stem_input_gradient`` walks it. Each block gathers its own patches
-    offset-major (``_patch_slabs``), takes ``slabs.T @ weight`` straight
-    into its rows of the output, and adds the tiled bias and applies the
-    relu while those rows are in cache; no whole-batch patch array exists.
+    ``_stem_input_gradient`` walks it. Each block copies its patches
+    offset-major into one slab buffer, one ``np.copyto`` from the window
+    view (``_patch_windows``, built once per call), takes ``slabs.T @
+    weight`` straight into its rows of the output, and adds the tiled bias
+    and applies the relu while those rows are in cache; no whole-batch
+    patch array exists. The slabs are ``_patch_slabs``'s for the block.
     The bias add and the relu are elementwise, so only the product's
     rounding can depend on the blocks. It is bitwise the whole batch's
     ``slabs.T @ weight`` (tested on the SkylakeX, Haswell and Katmai
@@ -238,16 +255,22 @@ def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
     output position and a last block of one image, which numpy hands to a
     matrix-vector BLAS call.
     """
+    k = conv.kernel_size
     batch, positions = x.shape[0], conv.out_height * conv.out_width
-    shape = (conv.height, conv.width, conv.kernel_size)
+    windows = _patch_windows(x, conv.height, conv.width, k)
     out = np.empty((batch, conv.out_dim), dtype=x.dtype)
+    slabs = np.empty(k * k * min(batch, _STEM_BLOCK) * positions, dtype=x.dtype)
     # Tiled over a whole image row, the bias is one add loop out_dim wide,
     # not one filters wide per position; each element still gets the one
     # addition, so no bit moves.
     tiled = np.tile(bias, positions)
     for s in range(0, batch, _STEM_BLOCK):
-        rows = out[s:s + _STEM_BLOCK]
-        np.matmul(_patch_slabs(x[s:s + _STEM_BLOCK], *shape).T, weight,
+        block = windows[:, :, s:s + _STEM_BLOCK]
+        n = block.shape[2]
+        gathered = slabs[:k * k * n * positions].reshape(block.shape)
+        np.copyto(gathered, block)
+        rows = out[s:s + n]
+        np.matmul(gathered.reshape(k * k, n * positions).T, weight,
                   out=rows.reshape(-1, conv.filters))
         rows += tiled
         np.maximum(rows, 0.0, out=rows)
@@ -339,8 +362,8 @@ class Classifier:
         The stem's input gradient is ``_stem_input_gradient``: blocks of
         _STEM_BLOCK images, each masked into a zero-bordered grid, taken as
         ``W @ grid.T`` (offset-major [kernel_size**2, block * height *
-        width]) rather than the patch rows' ``g @ W.T``, and added back by
-        ``_patch_scatter`` in k**2 contiguous slice adds. Every element is
+        width]) rather than the patch rows' ``g @ W.T``, and summed back by
+        ``_patch_fold`` in one reduction over the offsets. Every element is
         the same dot product over the filters and every pixel sums them in
         the same order; on OpenBLAS 0.3.31's SkylakeX kernel dx is bitwise
         the row-major layout's, tested against the layered graph at the

@@ -25,14 +25,15 @@ ops call; the attacks and the weight scores call them (and the attacks
 
 The network is one node over its parameters (``Classifier.forward``)
 whose backward is the model's own layer backward, sharing the patch
-helpers below with ``sliding_patches``: ``_patch_slabs`` gathers the
-patches offset-major (one contiguous slab per kernel offset, for every
-forward), ``_patch_rows`` row-major (for the stem's weight gradient, in
-the backward), and
-``_patch_scatter`` adds a patch gradient back from the zero-bordered
-layout, where each image keeps its full height x width grid of positions
-(zero outside the valid out_h x out_w corner) so every kernel offset's
-row lands on the images as one contiguous slice add. The layer ops
+helpers below with ``sliding_patches``: ``_patch_windows`` views the
+patches offset-major and ``_patch_slabs`` copies them into one
+contiguous slab per kernel offset (for every forward), ``_patch_rows``
+gathers them row-major (for the stem's weight gradient, in the
+backward), and ``_patch_scatter`` adds a patch gradient back from the
+zero-bordered layout, where each image keeps its full height x width
+grid of positions (zero outside the valid out_h x out_w corner) so every
+kernel offset's row lands on the images shifted by a constant; its
+``_patch_fold`` sums all the shifted rows in one reduction. The layer ops
 (``@``, ``+``, ``relu``, ``reshape``, ``sliding_patches``) remain for
 the benchmark's op cases and the tests' layered oracle.
 """
@@ -428,25 +429,66 @@ def _patch_rows(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.
     return np.ascontiguousarray(patches)
 
 
+def _patch_windows(v: np.ndarray, height: int, width: int,
+                   kernel_size: int) -> np.ndarray:
+    """The patches of _patch_rows offset-major, as a view of ``v`` that
+    copies nothing: [kernel_size, kernel_size, batch, out_h, out_w], element
+    (ki, kj, b, i, j) pixel (i + ki, j + kj) of image b."""
+    imgs = v.reshape(v.shape[0], height, width)
+    windows = np.lib.stride_tricks.sliding_window_view(imgs, (kernel_size, kernel_size), axis=(1, 2))
+    return windows.transpose(3, 4, 0, 1, 2)
+
+
 def _patch_slabs(v: np.ndarray, height: int, width: int, kernel_size: int) -> np.ndarray:
     """The patches of _patch_rows offset-major: a C-contiguous
     [kernel_size**2, batch * out_h * out_w] array whose transpose is
     _patch_rows's, element for element, in v's dtype.
 
-    Each kernel offset's slab is one slice copy of its shifted window,
-    kernel_size**2 contiguous copies in place of one copy in runs of
-    kernel_size. ``slabs.T @ W`` is the stem's product
-    without a row-major patch array.
+    One ``np.copyto`` of the window view (``_patch_windows``) fills every
+    kernel offset's slab; a copy is exact. ``slabs.T @ W`` is the stem's
+    product without a row-major patch array.
     """
-    out_h = height - kernel_size + 1
-    out_w = width - kernel_size + 1
-    batch = v.shape[0]
-    imgs = v.reshape(batch, height, width)
-    slabs = np.empty((kernel_size, kernel_size, batch, out_h, out_w), dtype=v.dtype)
-    for ki in range(kernel_size):
-        for kj in range(kernel_size):
-            slabs[ki, kj] = imgs[:, ki:ki + out_h, kj:kj + out_w]
-    return slabs.reshape(kernel_size * kernel_size, batch * out_h * out_w)
+    windows = _patch_windows(v, height, width, kernel_size)
+    slabs = np.empty(windows.shape, dtype=v.dtype)
+    np.copyto(slabs, windows)
+    return slabs.reshape(kernel_size * kernel_size, -1)
+
+
+def _scatter_tail(width: int, kernel_size: int) -> int:
+    """Zeros after each row of a ``_patch_fold`` buffer: the largest shift,
+    (kernel_size - 1) * (width + 1)."""
+    return (kernel_size - 1) * (width + 1)
+
+
+def _patch_fold(rows: np.ndarray, width: int, kernel_size: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Sum the kernel offsets' rows of the zero-bordered layout onto the
+    flat pixels they land on, as one reduction: the core of
+    ``_patch_scatter``.
+
+    ``rows`` is a C-contiguous [kernel_size**2, m + tail] buffer, tail =
+    ``_scatter_tail(width, kernel_size)``: row o holds offset o's gradient
+    in its first m columns (m = batch * height * width) and zeros, +0.0,
+    after. Offset (ki, kj) lands on pixel column + ki * width + kj, so
+    pixel p takes row o's entry p - (ki * width + kj). Viewed with strides
+    (kernel_size * (m + tail) - width, m + tail - 1, 1) elements, entry
+    (ki, kj, p) of a [kernel_size, kernel_size, m] view is that entry, and
+    where p falls short of the shift it reads the previous row's tail of
+    zeros. The reduction over the reversed offsets runs every pixel's sum
+    in increasing patch order from an accumulator that starts at +0.0
+    (``initial``: numpy does not promise where a reduction without one
+    starts, and a start at a -0.0 term would keep it), the order an
+    np.add.at scatter over the row-major patch layout uses. Zeros, of
+    either sign, added to an accumulator that never holds -0.0 keep its
+    value, so the result is bitwise that scatter's. Returns [m] in the
+    rows' dtype, in ``out`` if given.
+    """
+    span = rows.shape[1]
+    m = span - _scatter_tail(width, kernel_size)
+    step = rows.itemsize
+    view = np.ndarray((kernel_size, kernel_size, m), rows.dtype, rows,
+                      strides=((kernel_size * span - width) * step, (span - 1) * step, step))
+    return np.add.reduce(view[::-1, ::-1], axis=(0, 1), initial=0.0, out=out)
 
 
 def _patch_scatter(slabs: np.ndarray, batch: int, height: int, width: int,
@@ -458,22 +500,15 @@ def _patch_scatter(slabs: np.ndarray, batch: int, height: int, width: int,
     ``slabs`` is [kernel_size**2, batch * height * width], in any strides:
     row o is kernel offset o's gradient and column b * height * width + i *
     width + j the patch at (i, j) of image b, zero (of either sign) where i
-    >= out_h or j >= out_w. In that layout offset (ki, kj) lands on flat
-    pixel column + ki * width + kj, so each row is one contiguous slice add
-    onto a flat accumulator (kernel_size - 1) * (width + 1) longer than the
-    images. Offsets run in reverse so every pixel sums its contributions in
-    increasing patch order, the order an np.add.at scatter over the
-    row-major patch layout uses; the border's terms are zeros added to an
-    accumulator that starts at +0.0, never holds -0.0, and so keeps its
-    value. The result is bitwise that scatter's.
+    >= out_h or j >= out_w. It is copied into a buffer whose rows end in
+    zeros and summed by ``_patch_fold``, one reduction over the offsets,
+    bitwise an np.add.at scatter over the row-major patch layout.
     """
     n = batch * height * width
-    acc = np.zeros(n + (kernel_size - 1) * (width + 1), dtype=slabs.dtype)
-    for ki in reversed(range(kernel_size)):
-        for kj in reversed(range(kernel_size)):
-            at = ki * width + kj
-            acc[at:at + n] += slabs[ki * kernel_size + kj]
-    return acc[:n].reshape(batch, height * width)
+    rows = np.zeros((kernel_size * kernel_size, n + _scatter_tail(width, kernel_size)),
+                    dtype=slabs.dtype)
+    rows[:, :n] = slabs
+    return _patch_fold(rows, width, kernel_size).reshape(batch, height * width)
 
 
 def sliding_patches(x: Tensor, height: int, width: int, kernel_size: int) -> Tensor:

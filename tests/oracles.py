@@ -107,6 +107,22 @@ def unpadded_stem_input_gradient(conv, weight, fmap, g) -> np.ndarray:
     return full.reshape(batch, -1).astype(np.float64)
 
 
+def offset_loop_scatter(slabs, batch, height, width, kernel_size) -> np.ndarray:
+    """The patch scatter of the zero-bordered layout as k * k contiguous
+    slice adds, one per kernel offset in reverse, onto a flat accumulator
+    that starts at +0.0 and runs (k - 1) * (width + 1) past the images:
+    the loop ``tensor._patch_fold``'s one reduction replaced, kept as its
+    bitwise reference. ``slabs`` is [k * k, batch * height * width];
+    returns [batch, height * width] in its dtype."""
+    n = batch * height * width
+    acc = np.zeros(n + (kernel_size - 1) * (width + 1), dtype=slabs.dtype)
+    for ki in reversed(range(kernel_size)):
+        for kj in reversed(range(kernel_size)):
+            at = ki * width + kj
+            acc[at:at + n] += slabs[ki * kernel_size + kj]
+    return acc[:n].reshape(batch, height * width)
+
+
 def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:
     """Clip x_adv into the epsilon-ball of x_nat, then into bounds: the
     attack engine's projection, written out for the loops that replay it."""

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_grad, openblas_core, unpadded_stem_input_gradient
+from oracles import (finite_diff_grad, offset_loop_scatter, openblas_core,
+                     unpadded_stem_input_gradient)
 from virlab.errors import ShapeError
 from virlab.models import _STEM_BLOCK, ConvStem, _stem_input_gradient, _stem_output
-from virlab.tensor import (PROB_FLOOR, Tensor, _patch_rows, _patch_scatter,
-                           _patch_slabs, cross_entropy_rows, kl_divergence,
-                           sliding_patches, softmax)
+from virlab.tensor import (PROB_FLOOR, Tensor, _patch_fold, _patch_rows,
+                           _patch_scatter, _patch_slabs, _scatter_tail,
+                           cross_entropy_rows, kl_divergence, sliding_patches,
+                           softmax)
 
 
 def check_grad(build, x0, rtol=1e-5, atol=1e-7):
@@ -378,6 +380,43 @@ def test_patch_grad_of_offset_major_slabs_is_bitwise_the_scatter_add(h, w, k, ba
 SLAB_STEMS = [(28, 28, 5, 8), (28, 28, 1, 8), (7, 6, 3, 2), (7, 6, 2, 3),
               (9, 13, 4, 5)]
 STEM_BATCHES = (1, 2, 3, 7, 8, 16, 17, 63, 64, 127, 128, 129, 300)
+
+
+FOLD_BATCHES = (*range(1, 18), 63, 64, 65, 128, 129, 130)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("h, w, k", [stem[:3] for stem in SLAB_STEMS])
+def test_patch_fold_is_bitwise_the_offset_loop(h, w, k, dtype):
+    # numpy does not document the order of a reduction over several axes,
+    # so this pins it: the one reduction must add every pixel's terms in the
+    # offset loop's order, from +0.0. Some slab columns are all -0.0, and
+    # some pixels take only -0.0 terms, the first of them included (at k = 1
+    # the only one), where a reduction started at its first term rather than
+    # at +0.0 would keep -0.0.
+    rng = np.random.default_rng(41)
+    k2, tail = k * k, _scatter_tail(w, k)
+    widest = max(FOLD_BATCHES) * h * w
+    values = rng.standard_normal((k2, widest)).astype(dtype)
+    values[rng.random(values.shape) < 0.05] = -0.0
+    for batch in FOLD_BATCHES:
+        m = batch * h * w
+        slabs = values[:, :m].copy()
+        slabs[:, rng.integers(0, m, size=3)] = -0.0
+        for p in (m - 1, tail, *rng.integers(tail, m, size=3)):
+            for o in range(k2):
+                at = p - (o // k * w + o % k)
+                if at >= 0:
+                    slabs[o, at] = -0.0
+        rows = np.zeros((k2, m + tail), dtype=dtype)
+        rows[:, :m] = slabs
+        want = offset_loop_scatter(slabs, batch, h, w, k)
+        got = _patch_fold(rows, w, k)
+        assert got.dtype == dtype and got.shape == (m,)
+        assert not np.any(np.signbit(want) & (want == 0.0)), batch  # no -0.0
+        assert _bits(got).tobytes() == _bits(want).tobytes(), batch
+        scattered = _patch_scatter(slabs, batch, h, w, k)
+        assert _bits(scattered).tobytes() == _bits(want).tobytes(), batch
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from virlab import attacks
+from virlab import attacks, models, tensor
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                             run_attack)
 from virlab.config import resolve_config
 from virlab.data import Dataset, save_idx
 from virlab.errors import NonFiniteError
-from virlab.models import Arch, Classifier, ConvStem, _chunk_rows, predict_labels
+from virlab.models import (Arch, Classifier, ConvStem, _chunk_rows, _stem_input_gradient,
+                           _stem_output, predict_labels)
 from virlab.training import train
 
 PAPER_STEM = ConvStem(height=28, width=28, filters=8, kernel_size=5)
@@ -100,6 +101,45 @@ def test_attack_bytes_do_not_depend_on_the_worker_count(monkeypatch, parts):
     for name in SPECS:
         assert not np.array_equal(runs[2][name], x), f"{name} did not move"
     assert len(np.unique(runs[2]["min_pgd_steps.kappa"])) > 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stem_kernels_on_two_threads_give_the_serial_bytes(dtype):
+    # Attack parts run the stem's forward and input gradient on two threads
+    # at once. Every buffer they fill is made per call, none at module
+    # level, so two threads on different inputs (64 rows, and 61 rows with
+    # a short last block) give the bytes of serial calls.
+    rng = np.random.default_rng(11)
+    k, f = PAPER_STEM.kernel_size, PAPER_STEM.filters
+    weight = rng.uniform(-1.0 / k, 1.0 / k, size=(k * k, f)).astype(dtype)
+    bias = (0.1 * rng.standard_normal(f)).astype(dtype)
+    cases = []
+    for rows in (64, 61):
+        x = rng.uniform(0.0, 1.0, size=(rows, 784)).astype(dtype)
+        fmap = _stem_output(PAPER_STEM, weight, bias, x).reshape(-1, f)
+        g = rng.standard_normal((rows, PAPER_STEM.out_dim)).astype(dtype)
+        cases.append((x, fmap, g))
+
+    def stem(x, fmap, g):
+        return (_stem_output(PAPER_STEM, weight, bias, x).tobytes(),
+                _stem_input_gradient(PAPER_STEM, weight, fmap, g).tobytes())
+    want = [stem(*case) for case in cases]
+    both = threading.Barrier(2)
+    got = [[], []]
+
+    def run(i):
+        both.wait()
+        for _ in range(10):
+            got[i].append(stem(*cases[i]))
+    other = threading.Thread(target=run, args=(1,))
+    other.start()
+    run(0)
+    other.join()
+    assert [sum(out != want[i] for out in got[i]) for i in (0, 1)] == [0, 0]
+    assert [len(runs) for runs in got] == [10, 10]
+    for module in (models, tensor):
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, np.ndarray)], module.__name__
 
 
 def test_an_mlp_walks_whole_chunks_on_the_calling_thread(monkeypatch, parts):

@@ -265,10 +265,10 @@ def _stem_output(conv: ConvStem, weight: np.ndarray, bias: np.ndarray,
     # addition, so no bit moves.
     tiled = np.tile(bias, positions)
     for s in range(0, batch, _STEM_BLOCK):
-        block = windows[:, :, s:s + _STEM_BLOCK]
-        n = block.shape[2]
-        gathered = slabs[:k * k * n * positions].reshape(block.shape)
-        np.copyto(gathered, block)
+        patches = windows[:, :, s:s + _STEM_BLOCK]
+        n = patches.shape[2]
+        gathered = slabs[:k * k * n * positions].reshape(patches.shape)
+        np.copyto(gathered, patches)
         rows = out[s:s + n]
         np.matmul(gathered.reshape(k * k, n * positions).T, weight,
                   out=rows.reshape(-1, conv.filters))

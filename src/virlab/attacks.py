@@ -188,15 +188,32 @@ _PART_ROWS = 64
 # Parts walked at a time: one on the calling thread, the rest on _pool.
 _WORKERS = _usable_cpus()
 _pool = None  # the ThreadPoolExecutor _executor builds
+_M_MMAP_THRESHOLD, _M_ARENA_MAX = -3, -8  # glibc's <malloc.h>
 
 
 def _executor():
     """The process-wide thread pool that walks all but the first part of a
     window, built on first use: importing virlab loads no executor, which
-    would add milliseconds to every start."""
+    would add milliseconds to every start.
+
+    Just before, glibc's malloc is set for the whole process (skipped
+    where the C library has no mallopt); no byte changes. It keeps one
+    arena (``M_ARENA_MAX`` 1): a worker thread's own arena would keep the
+    memory the worker frees, which the calling thread could not reuse. And
+    it maps every block of 4 MB or more on its own (``M_MMAP_THRESHOLD``,
+    fixed): the training backward's patch array (7.4 MB at the paper
+    shape) then needs no hole that size in the heap the two threads share,
+    where it found none in some runs and grew the heap by its size."""
     global _pool
     if _pool is None:
+        import ctypes
         from concurrent.futures import ThreadPoolExecutor
+        libc = ctypes.CDLL(None) if os.name == "posix" else None
+        mallopt = getattr(libc, "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+            mallopt(_M_ARENA_MAX, 1)
+            mallopt(_M_MMAP_THRESHOLD, 4 << 20)
         _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="virlab-attack")
     return _pool
 
@@ -408,7 +425,9 @@ def _spsa_estimate(point_losses, x: np.ndarray, num_samples: int,
     returns one loss per point. The points fill one preallocated array:
     each sum is taken in float64 and rounded once to dtype, as a cast of
     the float64 points would round it. The estimate averages
-    (f(x + d*r) - f(x - d*r)) / (2d) * r, summed in direction order.
+    (f(x + d*r) - f(x - d*r)) / (2d) * r, summed in direction order from
+    +0.0 by one reduction over the directions: bitwise a per-direction
+    ``estimate += delta * r`` loop from zeros, -0.0 terms included.
     """
     directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
     steps = perturb * directions.reshape((num_samples,) + x.shape)
@@ -417,9 +436,8 @@ def _spsa_estimate(point_losses, x: np.ndarray, num_samples: int,
     np.subtract(x, steps, out=points[:, 1])
     losses = point_losses(points.reshape((2 * num_samples,) + x.shape))
     deltas = (losses[0::2] - losses[1::2]) / (2.0 * perturb)
-    estimate = np.zeros_like(x, dtype=np.float64)
-    for delta, r in zip(deltas, directions):
-        estimate += delta * r.reshape(x.shape)
+    terms = np.multiply(deltas[:, None], directions, out=directions)
+    estimate = np.add.reduce(terms, axis=0, initial=0.0).reshape(x.shape)
     return estimate / num_samples
 
 

@@ -370,6 +370,13 @@ class Classifier:
         paper's shape. The stem's weight gradient gathers the whole batch's
         patch rows (``_patch_rows``) from the kept input, so no forward
         keeps them, and takes ``patches.T @ g`` as one product.
+
+        A "params" cache walks the dense layers from the last, each taking
+        its weight and bias gradients before it passes g on, except dense0
+        in front of a stem: its gradients come last, after the stem's, once
+        the patch array and the stem's output gradient are freed, so the
+        backward's peak holds no dense0 weight gradient beside them. They
+        are the same products of the same operands in either order.
         """
         grad, x, fmap, inputs = cache
         params = grad == "params"
@@ -377,10 +384,12 @@ class Classifier:
         g = g.astype(self.dtype, copy=False)
         for i in reversed(range(len(inputs))):
             w, b = self.params[f"dense{i}.weight"], self.params[f"dense{i}.bias"]
-            if params:
+            if params and i == 0 and conv:
+                g0 = g  # dense0's output gradient, used after the stem's
+            elif params:
                 w._accumulate(inputs[i].T @ g, owned=True)
                 b._accumulate(g.sum(axis=0), owned=True)
-                if i == 0 and not conv:
+                if i == 0:
                     return None
             g = g @ w.data.T
             if i > 0:
@@ -395,6 +404,10 @@ class Classifier:
         patches = _patch_rows(x, conv.height, conv.width, conv.kernel_size)
         w._accumulate(patches.T @ g, owned=True)
         b._accumulate(g.sum(axis=0), owned=True)
+        del patches, g
+        w, b = self.params["dense0.weight"], self.params["dense0.bias"]
+        w._accumulate(inputs[0].T @ g0, owned=True)
+        b._accumulate(g0.sum(axis=0), owned=True)
         return None
 
     def forward(self, x) -> Tensor:

@@ -130,6 +130,25 @@ def project_linf(x_adv, x_nat, epsilon: float, bounds=None) -> np.ndarray:
     return out if bounds is None else np.clip(out, bounds[0], bounds[1])
 
 
+def looped_spsa_estimate(point_losses, x, num_samples: int, perturb: float,
+                         rng, dtype=np.float64) -> np.ndarray:
+    """``attacks._spsa_estimate`` with its sum over directions as a loop,
+    ``estimate += delta * r`` from zeros in direction order: the way the
+    estimate was summed before one reduction took it, kept as its bitwise
+    oracle."""
+    directions = rng.integers(0, 2, size=(num_samples, x.size)) * 2.0 - 1.0
+    steps = perturb * directions.reshape((num_samples,) + x.shape)
+    points = np.empty((num_samples, 2) + x.shape, dtype=dtype)
+    np.add(x, steps, out=points[:, 0])
+    np.subtract(x, steps, out=points[:, 1])
+    losses = point_losses(points.reshape((2 * num_samples,) + x.shape))
+    deltas = (losses[0::2] - losses[1::2]) / (2.0 * perturb)
+    estimate = np.zeros_like(x, dtype=np.float64)
+    for delta, r in zip(deltas, directions):
+        estimate += delta * r.reshape(x.shape)
+    return estimate / num_samples
+
+
 def graph_input_gradient(model, x, y, mode: LossMode, reference=None):
     """(logits gradient, input gradient) of an attack loss summed over the
     batch, taken through the layered Tensor graph with the parameters as

@@ -13,7 +13,8 @@ import pytest
 
 import virlab
 from conftest import make_mlp
-from oracles import graph_input_gradient, layered_forward, project_linf
+from oracles import (graph_input_gradient, layered_forward,
+                     looped_spsa_estimate, project_linf)
 from virlab import attacks, models, reweight, training
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, cw_pgd, fgsm,
                             min_pgd_steps, pgd, run_attack, spsa,
@@ -685,6 +686,42 @@ def test_spsa_gradient_estimate_is_the_interleaved_loop(rng):
         assert len(calls["new"]) == len(calls["old"]) == 2 * num_samples
         for p_new, p_old in zip(calls["new"], calls["old"]):
             np.testing.assert_array_equal(p_new, p_old)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_spsa_estimate_is_bitwise_the_per_direction_loop(rng, dtype):
+    # The estimate sums its directions' terms in one reduction from +0.0:
+    # bitwise the loop's sum, also where every delta is zero, so that an
+    # entry whose directions are all -1 sums only -0.0 terms (the loop
+    # gives +0.0 there), and where only some deltas are zero.
+    a = rng.standard_normal(30)
+
+    def smooth(points):
+        flat_points = points.reshape(len(points), -1)
+        return np.tanh(flat_points @ a.astype(points.dtype)).astype(np.float64)
+
+    def level(points):
+        return np.zeros(len(points))
+
+    def some_flat(points):
+        losses = smooth(points)
+        losses[4:8] = 0.25  # two pairs of equal losses: two zero deltas
+        return losses
+    cases = [(smooth, (30,), 2, 0), (smooth, (30,), 7, 1), (smooth, (3, 10), 64, 2),
+             (smooth, (30,), 256, 3), (level, (30,), 3, 4), (some_flat, (30,), 5, 5)]
+    for losses, shape, num_samples, seed in cases:
+        x = rng.uniform(0.0, 1.0, size=shape)
+        got = attacks._spsa_estimate(losses, x, num_samples, 1e-3,
+                                     np.random.default_rng(seed), dtype)
+        want = looped_spsa_estimate(losses, x, num_samples, 1e-3,
+                                    np.random.default_rng(seed), dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (losses.__name__, num_samples)
+        if losses is level:
+            directions = np.random.default_rng(seed).integers(
+                0, 2, size=(num_samples, x.size))
+            assert (directions == 0).all(axis=0).any()  # an all -0.0 entry
+            assert not np.signbit(want).any()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

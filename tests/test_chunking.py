@@ -144,7 +144,9 @@ def test_evaluate_memory_stays_flat_as_the_split_grows(tmp_path):
     # to the peak, 8 float64 per row: a split-sized float64 input or x_adv
     # (784 per row) would break that bound 98 times over. It holds for a
     # split held as float64 and for one held as IDX bytes (``save_idx``
-    # then ``load_idx``).
+    # then ``load_idx``). Each split's peak is the highest of three
+    # evaluates: the two attack threads' stem-gradient peaks do not always
+    # overlap, and one call that misses the overlap reads about 0.8 MB low.
     model = paper_model("float32")
     specs = [AttackSpec(AttackFamily.PGD, epsilon=8 / 255, step_size=2 / 255,
                         iterations=2, bounds=(0.0, 1.0), seed=1234),
@@ -163,11 +165,13 @@ def test_evaluate_memory_stays_flat_as_the_split_grows(tmp_path):
         peaks = {}
         tracemalloc.start()
         try:
-            for n, split in splits.items():  # the 64-row run warms up once
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                evaluate(model, split, specs)
-                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            for n, split in splits.items():  # the 64-row runs warm up
+                peaks[n] = 0
+                for _ in range(3):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    evaluate(model, split, specs)
+                    peaks[n] = max(peaks[n], tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         assert peaks[1024] - peaks[256] <= bound, (

@@ -18,6 +18,7 @@ from virlab.config import OptimConfig, config_from_obj, resolve_config
 from virlab.data import Dataset
 from virlab.errors import ConfigError, NonFiniteError
 from virlab.models import Classifier
+from virlab.objectives import vir_at_loss
 from virlab.reweight import WEIGHT_CSV_HEADER
 from virlab.tensor import Tensor
 from virlab.training import (EvalReport, MetricsLog, MetricsRow,
@@ -323,6 +324,35 @@ def test_a_trades_batch_holds_less_than_one_more_patch_array_than_at():
     assert peaks["TRADES"] - peaks["AT"] < patches, (
         f"TRADES {peaks['TRADES'] / 1e6:.1f} MB, AT {peaks['AT'] / 1e6:.1f} MB, "
         f"bound {patches / 1e6:.2f} MB over AT")
+
+
+def test_a_conv_backward_holds_no_dense0_gradient_beside_the_patches():
+    # The training backward's peak is the stem's weight gradient: the
+    # batch's row-major patch array and the stem's output gradient. dense0's
+    # weight gradient, as large as that output gradient at the paper shape,
+    # is taken once both are freed, so at 128 float32 rows the peak above
+    # entry stays within the two and 1 MB. The parameters' grad is None on
+    # entry, as in training, so each first gradient is adopted, not copied.
+    config = resolve_config("paper", overrides=[("model.dtype", "float32")])
+    model = Classifier(config.model.arch(784, 10), seed=0)
+    conv = model.arch.conv
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, size=(128, 784))
+    x_adv = np.clip(x + rng.uniform(-0.1, 0.1, size=x.shape), 0.0, 1.0)
+    y = rng.integers(0, 10, size=128)
+    loss = vir_at_loss(model, x, x_adv, y, np.ones(128))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    positions = 128 * conv.out_height * conv.out_width
+    patches = positions * conv.kernel_size ** 2 * 4
+    stem_grad = positions * conv.filters * 4
+    bound = patches + stem_grad + 1_000_000
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("loss_mode, burn_in, walks", [

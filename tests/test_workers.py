@@ -5,13 +5,17 @@ same whatever the worker count, which the tests force by setting
 ``attacks._WORKERS``."""
 
 import os
+import platform
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import virlab
 from virlab import attacks, models, tensor
 from virlab.attacks import (AttackFamily, AttackSpec, LossMode, min_pgd_steps,
                             run_attack)
@@ -286,3 +290,70 @@ def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
     assert attacks._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert attacks._usable_cpus() == 1
+
+
+_CONV_ATTACK_CHILD = """
+import ctypes
+import numpy as np
+from virlab import attacks
+from virlab.attacks import AttackFamily, AttackSpec, run_attack
+from virlab.models import Arch, Classifier, ConvStem
+attacks._WORKERS = 2
+stem = ConvStem(height=28, width=28, filters=8, kernel_size=5)
+model = Classifier(Arch((stem.out_dim, 128, 64, 10), conv=stem, dtype="float32"),
+                   seed=5)
+x = np.random.default_rng(0).uniform(0.0, 1.0, size=(128, 784))
+run_attack(model, x, np.arange(128) % 10,
+           AttackSpec(AttackFamily.PGD, epsilon=0.1, step_size=0.04,
+                      iterations=3, bounds=(0.0, 1.0), seed=7))
+assert attacks._pool is not None
+libc = ctypes.CDLL(None)
+"""
+
+
+def _after_a_conv_attack(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh process after a 128-row paper-net PGD on two
+    workers, with one BLAS thread; ``libc`` is the C library there."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(virlab.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _CONV_ATTACK_CHILD + code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+def test_a_conv_attack_on_two_workers_leaves_one_malloc_arena():
+    # The pool's worker would take a glibc malloc arena of its own, which
+    # keeps what the worker frees; the pool is built with one arena for the
+    # whole process, so malloc_stats reports one. A fresh process, so no
+    # earlier thread has made an arena, and one BLAS thread, so no BLAS
+    # thread makes one either.
+    done = _after_a_conv_attack("libc.malloc_stats()\n")
+    arenas = [line for line in done.stderr.splitlines() if line.startswith("Arena ")]
+    assert len(arenas) == 1, done.stderr
+
+
+_MAPPED_BYTES = """
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = MallInfo2
+np.ones(16 << 20, dtype=np.uint8)  # mapped, then freed at once
+before = libc.mallinfo2().hblkhd
+block = np.ones(8 << 20, dtype=np.uint8)
+print(libc.mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or tuple(map(int, platform.libc_ver()[1].split(".")[:2])) < (2, 33),
+                    reason="needs glibc's mallinfo2")
+def test_after_a_conv_attack_a_4_mb_block_is_mapped_on_its_own():
+    # glibc's own threshold would rise to the 16 MB block's size once it is
+    # freed, and the 8 MB block would come from the heap; fixed at 4 MB, it
+    # is mapped on its own, so the mapped bytes grow by at least its size.
+    done = _after_a_conv_attack(_MAPPED_BYTES)
+    assert int(done.stdout) >= 8 << 20, done.stdout
